@@ -254,7 +254,7 @@ def cmd_eisenstein(args) -> int:
 
 def cmd_borcherds(args) -> int:
     divisor = long_root_divisor() if args.divisor == "long" else short_root_divisor()
-    form = obstruction_eisenstein(max(args.precision, 3))
+    form = obstruction_eisenstein(args.precision)
     weight = borcherds_weight(divisor, form)
     ball = ball_weight(divisor, form)
     obstruction = obstruction_check(4)
@@ -388,8 +388,9 @@ def run_checks() -> list[CheckResult]:
                       f"{report.alpha_st}, {report.alpha_t}) "
                       f"dim={report.dim_modular} eis={report.dim_eisenstein} "
                       f"cusp={report.dim_cusp}")
+        obstruction = "ok" if report.dim_cusp == 0 else "cusp forms remain"
     else:
-        dim_actual = "skipped: no aggregated action"
+        dim_actual = obstruction = "skipped: no aggregated action"
     out.append(_check(
         "dimension-report",
         "d=4 alpha=(1, 4/3, 1) dim=2 eis=2 cusp=0",
@@ -421,13 +422,11 @@ def run_checks() -> list[CheckResult]:
 
     w_long = borcherds_weight(long_root_divisor(), form)
     w_short = borcherds_weight(short_root_divisor(), form)
-    obstruction = obstruction_check(4)
     out.append(_check(
         "borcherds-weights",
         "long=135 ball=45 short=15 ball=5 obstruction=ok",
         (f"long={w_long} ball={w_long / 3} short={w_short} "
-         f"ball={w_short / 3} obstruction="
-         f"{'ok' if obstruction.ok else 'cusp forms remain'}"),
+         f"ball={w_short / 3} obstruction={obstruction}"),
         "divisor pairing against the Eisenstein coefficients"))
 
     group = orthogonal_group(module)
@@ -561,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="which rank-8 decomposition feeds the module "
                              "(classify and pairing-table only)")
     common.add_argument("--precision", type=int, default=30,
-                        help="expansion depth in thirds (default 30)")
+                        help="expansion depth in thirds (at least 3, default 30)")
 
     parser = argparse.ArgumentParser(
         prog="triform",
@@ -615,6 +614,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.preset != "paper" and args.command not in MODULE_COMMANDS:
         parser.error(f"--preset only applies to {', '.join(MODULE_COMMANDS)}")
+    if args.precision < 3:  # the reports read coefficients up to q^(3/3)
+        parser.error("--precision must be at least 3")
     try:
         return _HANDLERS[args.command](args)
     except ValueError as e:

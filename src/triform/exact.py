@@ -5,10 +5,12 @@ the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) of Q[x]/Phi_n(x).  Values
 of different conductors mix by embedding both into Q(zeta_lcm).  Everything
 is built on `fractions.Fraction`; this module never touches floats.
 
-The matrix helpers at the bottom operate on tuples-of-tuples of CycQ and are
-meant for small dense problems (ranks, kernels, inverses of matrices with a
-handful of rows).  Heavy 81-dimensional work lives elsewhere on a faster
-integer representation.
+The matrix helpers at the bottom operate on tuples of tuples and, except
+for `mat_from_rows` (which lifts to CycQ), keep the entry type: ints stay
+ints, Fractions stay Fractions, CycQ stays CycQ.  One
+reduced row echelon serves rank, nullspace, solve, inverse and determinant
+over Q (ints and Fractions) and over Q(zeta_n) (CycQ); it rejects inexact
+entries such as floats with a TypeError.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
-
-Rational = Fraction
+from typing import Callable, Iterable, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +150,15 @@ class CycQ:
         step = m // self.n
         return CycQ.from_exponents(m, ((i * step, c) for i, c in enumerate(self.c)))
 
-    def restrict(self, m: int) -> "CycQ":
-        """Rewrite over Q(zeta_m) for m | n; error if the value is not there."""
-        if m == self.n:
-            return self
-        if self.n % m != 0:
-            raise ValueError(f"{m} does not divide conductor {self.n}")
-        cols = [CycQ.from_exponents(self.n, [(j * (self.n // m), 1)]).c
-                for j in range(euler_phi(m))]
-        matrix = tuple(tuple(CycQ.rational(cols[j][i]) for j in range(len(cols)))
-                       for i in range(euler_phi(self.n)))
-        sol = mat_solve(matrix, tuple(CycQ.rational(x) for x in self.c))
-        if sol is None:
-            raise ValueError(f"value does not lie in Q(zeta_{m})")
-        return CycQ(m, [s.as_fraction() for s in sol])
-
     def conjugate(self) -> "CycQ":
         """Complex conjugation, zeta -> zeta^(-1)."""
         return CycQ.from_exponents(self.n, ((-i, c) for i, c in enumerate(self.c)))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.c)
+        return not self
+
+    def __bool__(self) -> bool:
+        return any(self.c)
 
     def is_rational(self) -> bool:
         return all(x == 0 for x in self.c[1:])
@@ -377,24 +365,16 @@ def mat_from_rows(rows) -> Matrix:
 
 
 def mat_identity(k: int) -> Matrix:
-    one, zero = CycQ.rational(1), CycQ.rational(0)
-    return tuple(tuple(one if i == j else zero for j in range(k)) for i in range(k))
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), CycQ.rational(0)) for col in bt)
-        for row in a
-    )
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v)), CycQ.rational(0)) for row in a)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -402,7 +382,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scalar(s, a: Matrix) -> Matrix:
-    s = CycQ._coerce(s)
     return tuple(tuple(s * x for x in row) for row in a)
 
 
@@ -410,12 +389,8 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_trace(a: Matrix) -> CycQ:
-    return sum((a[i][i] for i in range(len(a))), CycQ.rational(0))
-
-
-def mat_conjugate(a: Matrix) -> Matrix:
-    return tuple(tuple(x.conjugate() for x in row) for row in a)
+def mat_trace(a: Matrix):
+    return sum(a[i][i] for i in range(len(a)))
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -435,44 +410,69 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def _echelon(rows: list[list[CycQ]]) -> tuple[list[list[CycQ]], list[int]]:
-    # reduced row echelon over the field; returns (rows, pivot column list)
-    rows = [list(r) for r in rows]
+def _field_rows(a: Matrix) -> tuple[list[list], Callable]:
+    """Mutable rows of a over one field, and the lift of a rational into it.
+
+    The field is Q(zeta_n) if any entry is a CycQ and Q otherwise, with ints
+    turned into Fractions; any other entry type, a float say, is a TypeError.
+    """
+    cyclotomic = False
+    for row in a:
+        for x in row:
+            if isinstance(x, CycQ):
+                cyclotomic = True
+            elif not isinstance(x, (int, Fraction)):
+                raise TypeError(f"exact linear algebra got a {type(x).__name__} entry")
+    lift = CycQ._coerce if cyclotomic else Fraction
+    return [[lift(x) for x in row] for row in a], lift
+
+
+def _echelon(rows: list[list]) -> tuple[list[int], object]:
+    """Bring rows to reduced row echelon form in place.
+
+    Returns the pivot columns and the signed product of the pivots, which
+    is the determinant of a square matrix of full rank.
+    """
     pivots: list[int] = []
+    det = 1
     r = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].invert()
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = -det
+        det = det * rows[r][col]
+        inv = 1 / rows[r][col]
         rows[r] = [inv * x for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
+            f = rows[i][col]
+            if i != r and f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    return pivots, det
 
 
 def mat_rank(a: Matrix) -> int:
-    _, pivots = _echelon([list(row) for row in a])
-    return len(pivots)
+    rows, _ = _field_rows(a)
+    return len(_echelon(rows)[0])
 
 
 def mat_nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, deterministic (free columns ascending)."""
-    rows, pivots = _echelon([list(row) for row in a])
+    rows, lift = _field_rows(a)
+    pivots, _ = _echelon(rows)
     ncols = len(a[0]) if a else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [CycQ.rational(0)] * ncols
-        v[f] = CycQ.rational(1)
+        v = [lift(0)] * ncols
+        v[f] = lift(1)
         for r, p in enumerate(pivots):
             v[p] = -rows[r][f]
         basis.append(tuple(v))
@@ -481,27 +481,38 @@ def mat_nullspace(a: Matrix) -> list[Vector]:
 
 def mat_solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of A x = b, or None if inconsistent."""
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = _echelon(aug)
+    rows, lift = _field_rows([list(row) + [bv] for row, bv in zip(a, b)])
+    pivots, _ = _echelon(rows)
     ncols = len(a[0]) if a else 0
-    for row in rows:
-        if all(x.is_zero() for x in row[:ncols]) and not row[ncols].is_zero():
-            return None
-    x = [CycQ.rational(0)] * ncols
+    if ncols in pivots:  # a row reads 0 = 1
+        return None
+    x = [lift(0)] * ncols
     for r, p in enumerate(pivots):
-        if p == ncols:
-            return None
         x[p] = rows[r][ncols]
     return tuple(x)
 
 
-def mat_inverse(a: Matrix) -> Matrix:
+def _square(a: Matrix) -> int:
     k = len(a)
-    aug = [list(row) + list(ident_row) for row, ident_row in zip(a, mat_identity(k))]
-    rows, pivots = _echelon(aug)
-    if pivots != list(range(k)):
+    if any(len(row) != k for row in a):
+        raise ValueError("matrix is not square")
+    return k
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    k = _square(a)
+    rows, _ = _field_rows([list(row) + list(e) for row, e in zip(a, mat_identity(k))])
+    if _echelon(rows)[0] != list(range(k)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][k:]) for i in range(k))
+    return tuple(tuple(row[k:]) for row in rows)
+
+
+def mat_det(a: Matrix):
+    """Determinant, a Fraction over Q and a CycQ over Q(zeta_n)."""
+    k = _square(a)
+    rows, lift = _field_rows(a)
+    pivots, det = _echelon(rows)
+    return lift(det if len(pivots) == k else 0)
 
 
 # ---------------------------------------------------------------------------

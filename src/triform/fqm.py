@@ -14,7 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
+
+from .exact import mat_det, mat_identity
 
 Element = tuple  # digit tuples
 
@@ -364,7 +366,7 @@ def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
 
     # a small deterministic generating set
     generators: list[tuple[tuple[int, ...], ...]] = []
-    closure = {_matrix_key(_identity(n))}
+    closure = {_matrix_key(mat_identity(n))}
     for g in group:
         if _matrix_key(g) in closure:
             continue
@@ -378,10 +380,6 @@ def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
     return result
 
 
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def _matrix_key(m) -> tuple:
     return tuple(map(tuple, m))
 
@@ -393,7 +391,7 @@ def _mat_mul3(a, b):
 
 
 def _close(generators, n):
-    frontier = [_identity(n)]
+    frontier = [mat_identity(n)]
     seen = {_matrix_key(frontier[0])}
     while frontier:
         nxt = []
@@ -411,7 +409,7 @@ def _close(generators, n):
 def central_negation(group: OrthogonalGroup) -> bool:
     """True iff -identity belongs to the group (it is automatically central)."""
     n = len(group.module.orders)
-    neg = tuple(tuple((-v) % 3 for v in row) for row in _identity(n))
+    neg = tuple(tuple((-v) % 3 for v in row) for row in mat_identity(n))
     return neg in group.elements
 
 
@@ -426,7 +424,8 @@ def involutive_reflections(group: OrthogonalGroup) -> tuple[Element, ...]:
         if canonical_sign(m, alpha) != alpha:
             continue
         r = reflect(m, alpha)
-        if r.matrix in element_set and _mat_mul3(r.matrix, r.matrix) == _identity(len(m.orders)):
+        if (r.matrix in element_set
+                and _mat_mul3(r.matrix, r.matrix) == mat_identity(len(m.orders))):
             out.append(alpha)
     return tuple(out)
 
@@ -480,29 +479,10 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
             raise BasisError(
                 f"alpha0 = {alpha0}: {len(completions)} orthogonal completions")
         rest = completions[0]
-        if not _spans(module, (alpha0,) + rest):
+        if mat_det((alpha0,) + rest) % 3 == 0:  # not invertible over F_3
             raise BasisError(f"alpha0 = {alpha0}: completion does not span")
         bases.append(OrthoBasis(alpha0, rest))
     return tuple(bases)
-
-
-def _spans(module: QuadraticModule, vectors: Iterable[Element]) -> bool:
-    vecs = [list(v) for v in vectors]
-    n = len(module.orders)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(vecs)) if vecs[i][col] % 3), None)
-        if piv is None:
-            continue
-        vecs[rank], vecs[piv] = vecs[piv], vecs[rank]
-        inv = vecs[rank][col] % 3  # 1 or 2, self-inverse
-        vecs[rank] = [(inv * v) % 3 for v in vecs[rank]]
-        for i in range(len(vecs)):
-            if i != rank and vecs[i][col] % 3:
-                f = vecs[i][col]
-                vecs[i] = [(a - f * b) % 3 for a, b in zip(vecs[i], vecs[rank])]
-        rank += 1
-    return rank == n
 
 
 def isotropic_incidence(module: QuadraticModule, basis: OrthoBasis) -> dict[Element, tuple[int, ...]]:

@@ -17,7 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CycQ, OMEGA
+from .exact import (
+    CycQ,
+    OMEGA,
+    mat_det,
+    mat_identity,
+    mat_inverse,
+    mat_mul,
+    mat_scalar,
+    mat_sub,
+    mat_transpose,
+    mat_vec,
+)
 from .fqm import QuadraticModule
 
 HEX_BLOCK = ((2, -1), (-1, 2))
@@ -51,65 +62,6 @@ def _block_diag(blocks: Sequence[Sequence[Sequence[int]]]) -> IntMatrix:
     return tuple(tuple(row) for row in out)
 
 
-def _scale(mat, s: int):
-    return tuple(tuple(s * v for v in row) for row in mat)
-
-
-def _mat_vec_int(m, x):
-    return tuple(sum(mi * xi for mi, xi in zip(row, x)) for row in m)
-
-
-def _mat_mul_int(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def _identity_int(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _transpose(m):
-    return tuple(zip(*m))
-
-
-def _frac_inverse(mat) -> tuple:
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _det(mat) -> Fraction:
-    n = len(mat)
-    rows = [[Fraction(v) for v in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                f = rows[r][col] / inv
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return det
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """An even lattice, optionally with a fixed-point-free order-3 isometry."""
@@ -125,23 +77,21 @@ class LatticeSpec:
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise LatticeError("gram matrix must be square")
-        if self.gram != _transpose(self.gram):
+        if self.gram != mat_transpose(self.gram):
             raise LatticeError("gram matrix must be symmetric")
         if any(self.gram[i][i] % 2 for i in range(n)):
             raise LatticeError("lattice must be even")
-        if _det(self.gram) == 0:
+        if mat_det(self.gram) == 0:
             raise LatticeError("lattice must be nondegenerate")
         if self.iota is not None:
-            i3 = _mat_mul_int(self.iota, _mat_mul_int(self.iota, self.iota))
-            if i3 != _identity_int(n):
+            i3 = mat_mul(self.iota, mat_mul(self.iota, self.iota))
+            if i3 != mat_identity(n):
                 raise LatticeError("isometry must have order dividing 3")
-            if self.iota == _identity_int(n):
+            if self.iota == mat_identity(n):
                 raise LatticeError("isometry must be nontrivial")
-            if _mat_mul_int(_transpose(self.iota),
-                            _mat_mul_int(self.gram, self.iota)) != self.gram:
+            if mat_mul(mat_transpose(self.iota), mat_mul(self.gram, self.iota)) != self.gram:
                 raise LatticeError("iota does not preserve the form")
-            if _det(tuple(tuple(v - (1 if i == j else 0) for j, v in enumerate(row))
-                          for i, row in enumerate(self.iota))) == 0:
+            if mat_det(mat_sub(self.iota, mat_identity(n))) == 0:
                 raise LatticeError("iota must act without nonzero fixed vectors")
 
     @property
@@ -151,8 +101,8 @@ class LatticeSpec:
 
 def paper_spec() -> LatticeSpec:
     """Four hexagonal planes, signs (+, -, -, -), blockwise rotation."""
-    gram = _block_diag([HEX_BLOCK, _scale(HEX_BLOCK, -1),
-                        _scale(HEX_BLOCK, -1), _scale(HEX_BLOCK, -1)])
+    gram = _block_diag([HEX_BLOCK, mat_scalar(-1, HEX_BLOCK),
+                        mat_scalar(-1, HEX_BLOCK), mat_scalar(-1, HEX_BLOCK)])
     iota = _block_diag([ROTATION_BLOCK] * 4)
     w = (Fraction(2, 3), Fraction(1, 3))
     duals = tuple(
@@ -165,7 +115,7 @@ def paper_spec() -> LatticeSpec:
 def alt_spec() -> LatticeSpec:
     """Hyperbolic plane + rescaled hyperbolic plane + two hexagonal planes."""
     u = ((0, 1), (1, 0))
-    gram = _block_diag([u, _scale(u, 3), HEX_BLOCK, HEX_BLOCK])
+    gram = _block_diag([u, mat_scalar(3, u), HEX_BLOCK, HEX_BLOCK])
     return LatticeSpec("alt-decomposition", gram)
 
 
@@ -180,14 +130,13 @@ def preset(name: str) -> LatticeSpec:
 
 
 def inner(spec: LatticeSpec, x, y) -> Fraction:
-    gx = [sum(Fraction(g) * Fraction(xi) for g, xi in zip(row, x)) for row in spec.gram]
-    return sum((Fraction(yi) * v for yi, v in zip(y, gx)), Fraction(0))
+    return sum((Fraction(yi) * v for yi, v in zip(y, mat_vec(spec.gram, x))), Fraction(0))
 
 
 def iota_apply(spec: LatticeSpec, x):
     if spec.iota is None:
         raise LatticeError(f"preset {spec.name!r} carries no isometry")
-    return _mat_vec_int(spec.iota, x)
+    return mat_vec(spec.iota, x)
 
 
 def hermitian_value(spec: LatticeSpec, x, y) -> CycQ:
@@ -211,12 +160,11 @@ class Isometry:
 
     def __post_init__(self):
         g = self.spec.gram
-        if _mat_mul_int(_transpose(self.matrix),
-                        _mat_mul_int(g, self.matrix)) != g:
+        if mat_mul(mat_transpose(self.matrix), mat_mul(g, self.matrix)) != g:
             raise LatticeError("matrix does not preserve the form")
 
     def __call__(self, x):
-        return _mat_vec_int(self.matrix, x)
+        return mat_vec(self.matrix, x)
 
 
 def trireflection(spec: LatticeSpec, r) -> Isometry:
@@ -229,8 +177,8 @@ def trireflection(spec: LatticeSpec, r) -> Isometry:
         raise RootError(f"expected <r, r> = -2, got {inner(spec, r, r)}")
     ir = iota_apply(spec, r)
     n = spec.rank
-    gr = _mat_vec_int(spec.gram, r)
-    gir = _mat_vec_int(spec.gram, ir)
+    gr = mat_vec(spec.gram, r)
+    gir = mat_vec(spec.gram, ir)
     rows = []
     for i in range(n):
         row = []
@@ -258,8 +206,8 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
     ir = iota_apply(spec, r)
     u = tuple(a + 2 * b for a, b in zip(r, ir))
     w = tuple(2 * a + b for a, b in zip(r, ir))
-    gu = _mat_vec_int(spec.gram, u)
-    gw = _mat_vec_int(spec.gram, w)
+    gu = mat_vec(spec.gram, u)
+    gw = mat_vec(spec.gram, w)
     if any(v % 3 for v in gu) or any(v % 3 for v in gw):
         raise RootError(f"{r}: pairing with (r + 2 iota r)/3 is not integral")
     gu3 = tuple(v // 3 for v in gu)
@@ -275,7 +223,7 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
     iso = Isometry(spec, tuple(rows))
     if iso(r) != tuple(-a for a in r):
         raise RootError(f"{r}: construction does not negate the root")
-    if _mat_mul_int(iso.matrix, iso.matrix) != _identity_int(n):
+    if mat_mul(iso.matrix, iso.matrix) != mat_identity(n):
         raise RootError(f"{r}: construction is not an involution")
     return iso
 
@@ -288,8 +236,8 @@ def smith_normal_form(mat) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(D, U, V) with U mat V = D diagonal, U and V unimodular, d_i | d_{i+1}."""
     a = [list(map(int, row)) for row in mat]
     nr, nc = len(a), len(a[0])
-    u = [list(row) for row in _identity_int(nr)]
-    v = [list(row) for row in _identity_int(nc)]
+    u = [list(row) for row in mat_identity(nr)]
+    v = [list(row) for row in mat_identity(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -371,7 +319,7 @@ class DiscriminantData:
     def digits(self, c) -> tuple[int, ...]:
         """Coordinates of the class of a dual vector c over the generators."""
         c = tuple(Fraction(x) for x in c)
-        pair = _mat_vec_frac(self.spec.gram, c)
+        pair = mat_vec(self.spec.gram, c)
         if any(x.denominator != 1 for x in pair):
             raise LatticeError(f"{c} is not in the dual lattice")
         for combo in itertools.product(*(range(m) for m in self.module.orders)):
@@ -391,12 +339,8 @@ class DiscriminantData:
 
     def induced_map(self, iso: Isometry):
         """The matrix over F_3 (or Z/d) induced on the module by an isometry."""
-        cols = [self.digits(_mat_vec_frac(iso.matrix, g)) for g in self.generators]
+        cols = [self.digits(mat_vec(iso.matrix, g)) for g in self.generators]
         return tuple(zip(*cols))
-
-
-def _mat_vec_frac(m, x):
-    return tuple(sum(Fraction(mi) * Fraction(xi) for mi, xi in zip(row, x)) for row in m)
 
 
 def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
@@ -407,7 +351,7 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
     the Smith form of the Gram matrix.
     """
     g = spec.gram
-    ginv = _frac_inverse(g)
+    ginv = mat_inverse(g)
     if spec.dual_generators is not None:
         gens = spec.dual_generators
         orders = []
@@ -419,7 +363,7 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
         orders = tuple(orders)
     else:
         d, u, _v = smith_normal_form(g)
-        uinv = _frac_inverse(u)
+        uinv = mat_inverse(u)
         n = len(g)
         orders_all = [int(d[i][i]) for i in range(n)]
         gens = []
@@ -429,7 +373,7 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
                 y = tuple(uinv[r][i] for r in range(n))
                 if any(x.denominator != 1 for x in y):
                     raise LatticeError("unimodular inverse is not integral")
-                c = _mat_vec_frac(ginv, y)
+                c = mat_vec(ginv, y)
                 gens.append(c)
                 orders.append(di)
         gens = tuple(gens)
@@ -437,7 +381,7 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
     gen_q = tuple(_q_of_dual(spec, c) for c in gens)
     gen_b = tuple(tuple(_b_of_dual(spec, c1, c2) for c2 in gens) for c1 in gens)
     module = QuadraticModule(orders, gen_q, gen_b)
-    expected = abs(_det(g))
+    expected = abs(mat_det(g))
     if module.order() != expected:
         raise LatticeError(
             f"discriminant group order {module.order()} != |det| = {expected}")

@@ -19,7 +19,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import CycQ, OMEGA, root_of_unity
+from .exact import CycQ, OMEGA, mat_det, mat_solve, root_of_unity
 
 
 class PrecisionError(ValueError):
@@ -216,15 +216,10 @@ def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
     # constants: f_00 -> -1/2, f_0 -> 0
     c1 = e1.coeff_at(0).as_fraction()
     cs = esum.coeff_at(0).as_fraction()
-    m11, m12, r1 = c1, cs, Fraction(-1, 2)
-    m21 = -c1 - 3 * cs
-    m22 = -9 * c1 - 7 * cs
-    r2 = Fraction(0)
-    det = m11 * m22 - m12 * m21
-    if det == 0:
+    constraints = ((c1, cs), (-c1 - 3 * cs, -9 * c1 - 7 * cs))
+    if mat_det(constraints) == 0:
         raise ValueError("constant-term constraints are singular")
-    a_coef = (r1 * m22 - m12 * r2) / det
-    b_coef = (m11 * r2 - r1 * m21) / det
+    a_coef, b_coef = mat_solve(constraints, (Fraction(-1, 2), 0))
 
     w = OMEGA
     f00 = e1.scale(a_coef) + esum.scale(b_coef)

@@ -159,17 +159,5 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
                            int(total), eis, cusp)
 
 
-def dimension_modular(spec: RepSpec, weight: int) -> int:
-    return dimension_report(spec, weight).dim_modular
-
-
-def dimension_eisenstein(spec: RepSpec, weight: int) -> int:
-    return dimension_report(spec, weight).dim_eisenstein
-
-
-def dimension_cusp(spec: RepSpec, weight: int) -> int:
-    return dimension_report(spec, weight).dim_cusp
-
-
 def trivial_rep() -> RepSpec:
     return RepSpec(((1,),), ((1,),))

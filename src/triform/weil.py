@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CycQ, OMEGA, mat_eq, mat_from_rows
+from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank
 from .fqm import (
     OrthoBasis,
     QuadraticModule,
@@ -562,7 +562,6 @@ class IsotypicSubspace:
     character: int
     projector: OmegaMat
     dimension: int
-    basis: tuple  # rows of CycQ, echelonized
 
     def contains_int_vector(self, v) -> bool:
         av, bv, den = self.projector.matvec_int(v)
@@ -591,21 +590,10 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
         raise RankError(f"projector trace {tr!r} is not an integer")
     dim = int(tr.as_fraction())
 
-    # column echelon basis of the image
-    rows = proj.transpose().to_cyc_rows()  # columns of proj as rows
-    from .exact import _echelon
-    ech, pivots = _echelon([list(r) for r in rows])
-    basis = tuple(tuple(row) for row in ech[:len(pivots)])
-    if len(pivots) != dim:
-        raise RankError(f"projector rank {len(pivots)} != trace {dim}")
-    return IsotypicSubspace(rep, char_index, proj, dim, basis)
-
-
-def projector_onto_indices(n: int, indices) -> OmegaMat:
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in indices:
-        a[i, i] = 1
-    return OmegaMat(a, np.zeros_like(a))
+    rank = mat_rank(proj.transpose().to_cyc_rows())  # columns of proj as rows
+    if rank != dim:
+        raise RankError(f"projector rank {rank} != trace {dim}")
+    return IsotypicSubspace(rep, char_index, proj, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -696,22 +684,7 @@ def verify_special(rep: WeilRep, sv: SpecialVector,
 
 def special_vector_rank(vectors) -> int:
     """Rank over Q of the span of the sign vectors (they are integral)."""
-    rows = [list(map(Fraction, sv.vec)) for sv in vectors]
-    rank = 0
-    ncols = len(rows[0])
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return mat_rank([sv.vec for sv in vectors])
 
 
 # ---------------------------------------------------------------------------

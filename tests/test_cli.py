@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from triform import borcherds, cli
 from triform.cli import main, run_checks
+from triform.weil import DualMismatchError, build_weil
 
 
 def run(capsys, *argv):
@@ -156,12 +159,59 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["weil", "--preset", "alt-decomposition"])  # preset not honored here
     assert info.value.code == 2
+    for argv in (["eisenstein", "--precision", "0"],
+                 ["eisenstein", "--precision", "1"],
+                 ["eisenstein", "--precision", "2"],
+                 ["borcherds", "--divisor", "long", "--precision", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+
+
+def test_precision_three_is_the_floor(capsys):
+    code, out, _ = run(capsys, "eisenstein", "--precision", "3")
+    assert code == 0
+    assert "f_00: -1/2 + 15 q" in out
+    code, out, _ = run(capsys, "borcherds", "--divisor", "long", "--precision", "3",
+                       "--format", "json")
+    assert code == 0
+    assert out == '{"weight_on_D":"135","weight_on_ball":"45","obstruction_ok":true}\n'
+
+
+def test_gauntlet_builds_the_weil_representation_once(monkeypatch):
+    calls = []
+
+    def counting_build_weil(module):
+        calls.append(module)
+        return build_weil(module)
+
+    monkeypatch.setattr(cli, "build_weil", counting_build_weil)
+    monkeypatch.setattr(borcherds, "build_weil", counting_build_weil)
+    assert all(c.status == "pass" for c in run_checks())
+    assert len(calls) == 1
+
+
+def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
+    def broken_dual(rep):
+        raise DualMismatchError("injected mismatch")
+
+    monkeypatch.setattr(cli, "aggregated_dual", broken_dual)
+    checks = {c.name: c for c in run_checks()}
+    assert len(checks) == 14
+    failed = {name for name, c in checks.items() if c.status == "fail"}
+    assert failed == {"aggregated-dual", "dimension-report", "borcherds-weights"}
+    assert checks["aggregated-dual"].actual == "injected mismatch"
+    assert checks["borcherds-weights"].actual.endswith(
+        "obstruction=skipped: no aggregated action")
 
 
 def test_module_entry_point_subprocess():
+    # run from the directory holding the package under test, so `-m` finds
+    # it whether or not it is installed
     proc = subprocess.run(
         [sys.executable, "-m", "triform.cli", "borcherds", "--divisor", "long",
          "--format", "json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(cli.__file__).resolve().parent.parent)
     assert proc.returncode == 0
     assert proc.stdout == '{"weight_on_D":"135","weight_on_ball":"45","obstruction_ok":true}\n'

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform.exact import (
     CycQ,
@@ -9,6 +12,7 @@ from triform.exact import (
     alpha_invariant,
     cyclotomic_poly,
     euler_phi,
+    mat_det,
     mat_eq,
     mat_from_rows,
     mat_identity,
@@ -59,15 +63,7 @@ def test_embedding_round_trip_is_identity():
     for v in values:
         up = v.embed(12)
         assert up.n == 12
-        back = up.restrict(3 if v.n == 3 else 1)
-        assert back == v
         assert up == v  # equality across conductors
-
-
-def test_restrict_rejects_values_outside_subfield():
-    i = root_of_unity(1, 4)
-    with pytest.raises(ValueError):
-        i.embed(12).restrict(3)
 
 
 def test_inverse_and_division():
@@ -180,3 +176,100 @@ def test_phase_multiplicities_order_multiple_is_fine():
     mults = phase_multiplicities(a, 6)
     assert mults == {Fraction(0): 1, Fraction(2, 6): 1}
     assert alpha_invariant(mults) == Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# properties of the one echelon behind rank, nullspace, solve, inverse, det
+
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True)
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def systems(draw):
+    """A small integer matrix and a right-hand side of matching length."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = tuple(tuple(draw(SMALL) for _ in range(cols)) for _ in range(rows))
+    return a, tuple(draw(SMALL) for _ in range(rows))
+
+
+square_matrices = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    *[st.tuples(*[SMALL] * k)] * k))
+
+
+def lift(a, n):
+    return tuple(tuple(CycQ.rational(x).embed(n) for x in row) for row in a)
+
+
+def leibniz_det(a):
+    total = 0
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+@EXAMPLES
+@given(systems())
+def test_rational_core_agrees_with_cyclotomic_lifts(system):
+    a, b = system
+    rank, kernel, sol = mat_rank(a), mat_nullspace(a), mat_solve(a, b)
+    assert len(kernel) == len(a[0]) - rank
+    for v in kernel:
+        assert all(isinstance(x, Fraction) for x in v)
+        assert mat_vec(a, v) == (0,) * len(a)
+    if sol is not None:
+        assert mat_vec(a, sol) == b
+    for n in (3, 12):
+        up = lift(a, n)
+        assert mat_rank(up) == rank
+        assert mat_nullspace(up) == kernel  # CycQ equals Fraction entrywise
+        up_sol = mat_solve(up, lift((b,), n)[0])
+        assert (up_sol is None) == (sol is None)
+        if sol is not None:
+            assert up_sol == sol
+        if len(a) == len(a[0]):
+            assert mat_det(up) == mat_det(a)
+
+
+@EXAMPLES
+@given(square_matrices)
+def test_inverse_exists_exactly_when_det_is_nonzero(a):
+    det = mat_det(a)
+    assert isinstance(det, Fraction) and det == leibniz_det(a)
+    if det == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+        return
+    inv = mat_inverse(a)
+    assert mat_mul(a, inv) == mat_identity(len(a))
+    assert mat_mul(inv, a) == mat_identity(len(a))
+    assert mat_det(inv) * det == 1
+
+
+@EXAMPLES
+@given(st.tuples(*[st.tuples(*[st.integers(0, 2)] * 4)] * 4))
+def test_det_mod_three_detects_bases_of_f3_4(vectors):
+    combos = {tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) % 3 for i in range(4))
+              for coeffs in itertools.product(range(3), repeat=4)}
+    assert (mat_det(vectors) % 3 != 0) == (len(combos) == 81)
+
+
+@EXAMPLES
+@given(square_matrices, st.data())
+def test_float_entries_are_rejected(a, data):
+    i = data.draw(st.integers(0, len(a) - 1))
+    j = data.draw(st.integers(0, len(a) - 1))
+    x = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    for field in (Fraction, CycQ.rational):
+        bad = tuple(tuple(x if (r, c) == (i, j) else field(v) for c, v in enumerate(row))
+                    for r, row in enumerate(a))
+        for entry_point in (mat_rank, mat_nullspace, mat_inverse, mat_det,
+                            lambda m: mat_solve(m, (0,) * len(m))):
+            with pytest.raises(TypeError):
+                entry_point(bad)
+    with pytest.raises(TypeError):
+        mat_solve(a, (x,) + (0,) * (len(a) - 1))

@@ -8,9 +8,6 @@ from triform.fqm import paper_module
 from triform.vvmf import (
     DimensionError,
     RepSpec,
-    dimension_cusp,
-    dimension_eisenstein,
-    dimension_modular,
     dimension_report,
     trivial_rep,
 )
@@ -106,11 +103,11 @@ def test_dimension_is_conjugation_invariant_seeded():
             base.alpha_s, base.alpha_st, base.alpha_t)
 
 
-def test_shortcut_functions_and_json():
-    spec = _paper_repspec()
-    assert dimension_modular(spec, 4) == 2
-    assert dimension_eisenstein(spec, 4) == 2
-    assert dimension_cusp(spec, 4) == 0
-    data = dimension_report(spec, 4).to_json()
+def test_dimension_report_fields_and_json():
+    report = dimension_report(_paper_repspec(), 4)
+    assert report.dim_modular == 2
+    assert report.dim_eisenstein == 2
+    assert report.dim_cusp == 0
+    data = report.to_json()
     assert data["alpha_st"] == "4/3"
     assert data["dim_modular"] == 2

@@ -11,6 +11,7 @@ from triform.exact import (
     mat_from_rows,
     mat_identity,
     mat_mul,
+    mat_rank,
     mat_trace,
     root_of_unity,
 )
@@ -34,7 +35,6 @@ from triform.weil import (
     character_decompose,
     isotypic_subspace,
     o_q_character_norm,
-    projector_onto_indices,
     special_vector_rank,
     special_vectors,
     validate_character_table,
@@ -169,7 +169,7 @@ HALF = Fraction(1, 2)
 
 
 def _quaternion_model():
-    one = mat_identity(2)
+    one = mat_from_rows(mat_identity(2))
     i_m = mat_from_rows([[I4, 0], [0, -I4]])
     j_m = mat_from_rows([[0, 1], [-1, 0]])
     k_m = mat_mul(i_m, j_m)
@@ -321,18 +321,15 @@ def test_two_dimensional_characters_from_quaternion_model():
                 acc = acc + Fraction(size) * a * b.conjugate()
             assert acc == (24 if i == j else 0)
 
-    def norm_key(values):
-        out = []
-        for v in values:
-            v3 = v if v.n == 3 else (
-                CycQ.rational(v.as_fraction()).embed(3) if v.is_rational()
-                else v.embed(12).restrict(3))
-            out.append(tuple(str(c) for c in v3.c))
-        return tuple(out)
-
-    derived_keys = sorted(norm_key(chi) for chi in derived)
-    frozen_keys = sorted(norm_key(CHARACTER_TABLE[i]) for i in CHARACTER_TABLE)
-    assert derived_keys == frozen_keys
+    # the derived characters are the frozen rows, matched one to one by
+    # CycQ equality across conductors
+    unmatched = list(CHARACTER_TABLE.values())
+    for chi in derived:
+        row = next((psi for psi in unmatched
+                    if all(a == b for a, b in zip(chi, psi))), None)
+        assert row is not None
+        unmatched.remove(row)
+    assert not unmatched
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +356,7 @@ def test_aggregated_dual_matches_display():
 def test_isotypic_subspace_dimension():
     sub = isotypic_subspace(REP, 3)
     assert sub.dimension == 5
-    assert len(sub.basis) == 5
+    assert mat_rank(sub.projector.transpose().to_cyc_rows()) == 5
 
 
 def test_special_vectors_all_checks():
@@ -400,13 +397,16 @@ def test_support_coverage():
 def test_o_q_character_norms():
     sub = isotypic_subspace(REP, 3)
     assert o_q_character_norm(REP, sub.projector) == 1
-    zero_idx = REP.index[M.zero()]
-    assert o_q_character_norm(REP, projector_onto_indices(81, [zero_idx])) == 1
+    zero_line = np.zeros((81, 81), dtype=np.int64)
+    zero_line[REP.index[M.zero()], REP.index[M.zero()]] = 1
+    assert o_q_character_norm(REP, OmegaMat(zero_line, np.zeros_like(zero_line))) == 1
     full = o_q_character_norm(REP, OmegaMat.identity(81))
     assert full.denominator == 1 and full > 1
 
 
 def test_o_q_norm_rejects_unstable_projector():
-    bad = projector_onto_indices(81, [REP.index[(1, 0, 0, 0)]])
+    line = np.zeros((81, 81), dtype=np.int64)
+    line[REP.index[(1, 0, 0, 0)], REP.index[(1, 0, 0, 0)]] = 1
+    bad = OmegaMat(line, np.zeros_like(line))
     with pytest.raises(Exception):
         o_q_character_norm(REP, bad)
