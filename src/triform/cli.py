@@ -618,7 +618,7 @@ def main(argv=None) -> int:
         parser.error("--precision must be at least 3")
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

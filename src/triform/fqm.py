@@ -12,9 +12,12 @@ Elements are digit tuples, ordered lexicographically throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .exact import mat_det, mat_identity
 
@@ -262,6 +265,37 @@ def _b3(module: QuadraticModule, x: Element, y: Element) -> int:
     if v.denominator != 1:
         raise ReflectionError("pairing is not third-integer")
     return int(v)
+
+
+def _scaled(rows) -> tuple[np.ndarray, int]:
+    """An integer matrix N and a denominator L with rows = N / L."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return np.array([[int(v * den) for v in row] for row in rows], dtype=np.int64), den
+
+
+def gram3(module: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
+    """Q (N,) and B (N, N): _q3 and _b3 over `module.elements()`, all at once.
+
+    Q(x) = x M x^T with M_ii = (3/2) q(g_i), M_ij = (3/2) b(g_i, g_j), and
+    B(x, y) = x (3 b) y^T, each from an integer matmul of the element array
+    over a common denominator.  Raises ReflectionError where _q3 or _b3
+    would: some value is not an integer before the reduction mod 3.
+    """
+    x = np.array(module.elements(), dtype=np.int64)
+    r = len(module.orders)
+    gb, den_b = _scaled([[3 * v for v in row] for row in module.gen_b])
+    gq, den_q = _scaled([[Fraction(3, 2) * (module.gen_q[i] if i == j else module.gen_b[i][j])
+                          for j in range(r)] for i in range(r)])
+    digits = (max(module.orders) - 1) * r  # bounds sum_i |x_i| over an element
+    if digits * digits * max(int(np.abs(gb).max()), int(np.abs(gq).max())) >= 1 << 63:
+        raise OverflowError("Gram matrix too large for the int64 tables")
+    b = (x @ gb) @ x.T
+    q = ((x @ gq) * x).sum(axis=1)
+    if (q % den_q).any():
+        raise ReflectionError("a quadratic value is not a third-integer")
+    if (b % den_b).any():
+        raise ReflectionError("pairing is not third-integer")
+    return (q // den_q) % 3, (b // den_b) % 3
 
 
 @dataclass(frozen=True)

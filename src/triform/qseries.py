@@ -272,10 +272,8 @@ def evaluate(series: QSeries, tau: complex) -> complex:
 
 def complex_matrix(m) -> list[list[complex]]:
     """OmegaMat or a grid of CycQ values, as complex numbers."""
-    if hasattr(m, "entry"):
-        n, k = m.shape
-        return [[complex(cyc_complex(m.entry(i, j))) for j in range(k)]
-                for i in range(n)]
+    if hasattr(m, "den"):  # one complex128 array; each entry rounds as cyc_complex's
+        return (m.a / m.den + (m.b / m.den) * cyc_complex(OMEGA)).tolist()
     return [[cyc_complex(v) for v in row] for row in m]
 
 

@@ -7,13 +7,20 @@ The representation acts on the 81 basis vectors e_alpha by
 
 and everything here is exact: matrices are stored as (A + B w)/d with
 integer numpy arrays A, B, a positive integer denominator d, and w a
-primitive cube root of unity (w^2 = -1 - w).  That keeps the full
-24 x 24 multiplication-table check and the 81-dimensional projector
-arithmetic fast without ever leaving Z[w].
+primitive cube root of unity (w^2 = -1 - w).  Every int64 kernel checks a
+bound on its entries first and raises OverflowError rather than wrap.
+
+The one use of floating point is the 24 x 24 multiplication-table check:
+it runs the 576 products of Z[w] numerators over the common denominator 9
+as float64 matmuls.  Each entry and partial sum is then an integer of
+absolute value at most 3 n m^2 (n = 81, m the largest numerator), so the
+products are exact; cayley_check asserts 3 n m^2 < 2^53 before it
+compares any float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +30,11 @@ from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank
 from .fqm import (
     OrthoBasis,
     QuadraticModule,
-    apply_matrix,
     classify,
+    gram3,
     orthogonal_bases,
     orthogonal_group,
     type_of,
-    _b3,
-    _q3,
 )
 
 
@@ -53,6 +58,18 @@ class InvarianceError(ValueError):
 # exact matrices over Z[w] with a common denominator
 
 _OVERFLOW_LIMIT = 1 << 61
+
+
+def _guard(bound: int) -> None:
+    """Raise unless `bound`, a bound on every intermediate of an int64 kernel, fits."""
+    if bound >= _OVERFLOW_LIMIT:
+        raise OverflowError("entries too large for the int64 representation")
+
+
+def _zw_mul(x0, x1, y0, y1):
+    """(x0 + x1 w)(y0 + y1 w) as a (1-part, w-part) pair; w^2 = -1 - w."""
+    x1y1 = x1 * y1
+    return x0 * y0 - x1y1, x0 * y1 + x1 * y0 - x1y1
 
 
 class OmegaMat:
@@ -89,14 +106,13 @@ class OmegaMat:
     def shape(self):
         return self.a.shape
 
-    def _guard(self, other: "OmegaMat"):
-        m1 = max(int(np.abs(self.a).max(initial=0)), int(np.abs(self.b).max(initial=0)))
-        m2 = max(int(np.abs(other.a).max(initial=0)), int(np.abs(other.b).max(initial=0)))
-        if m1 * m2 * 3 * self.shape[1] >= _OVERFLOW_LIMIT:
-            raise OverflowError("entries too large for the int64 representation")
+    def max_abs(self) -> int:
+        """The largest |numerator| over both components."""
+        return max(int(np.abs(self.a).max(initial=0)), int(np.abs(self.b).max(initial=0)))
 
     def __matmul__(self, other: "OmegaMat") -> "OmegaMat":
-        self._guard(other)
+        _guard(max(self.max_abs() * other.max_abs() * 3 * self.shape[1],
+                   self.den * other.den))
         a1b2 = self.a @ other.b
         b1a2 = self.b @ other.a
         b1b2 = self.b @ other.b
@@ -105,9 +121,10 @@ class OmegaMat:
         return OmegaMat(a, b, self.den * other.den)
 
     def __add__(self, other: "OmegaMat") -> "OmegaMat":
-        d = np.lcm(self.den, other.den)
-        f1, f2 = int(d // self.den), int(d // other.den)
-        return OmegaMat(self.a * f1 + other.a * f2, self.b * f1 + other.b * f2, int(d))
+        d = math.lcm(self.den, other.den)
+        f1, f2 = d // self.den, d // other.den
+        _guard(max(self.max_abs() * f1 + other.max_abs() * f2, d))
+        return OmegaMat(self.a * f1 + other.a * f2, self.b * f1 + other.b * f2, d)
 
     def __sub__(self, other: "OmegaMat") -> "OmegaMat":
         return self + (-other)
@@ -117,8 +134,8 @@ class OmegaMat:
 
     def scale(self, p: int, q: int, d: int = 1) -> "OmegaMat":
         """Multiply by the scalar (p + q w)/d."""
-        a = self.a * p - self.b * q
-        b = self.a * q + self.b * p - self.b * q
+        _guard(max(self.max_abs() * (abs(p) + 2 * abs(q)), self.den * abs(d)))
+        a, b = _zw_mul(self.a, self.b, p, q)
         return OmegaMat(a, b, self.den * d)
 
     def __eq__(self, other):
@@ -127,10 +144,44 @@ class OmegaMat:
         if self.shape != other.shape:
             return False
         f1, f2 = other.den, self.den
+        _guard(max(self.max_abs() * f1, other.max_abs() * f2))
         return bool(np.array_equal(self.a * f1, other.a * f2)
                     and np.array_equal(self.b * f1, other.b * f2))
 
     __hash__ = None  # type: ignore[assignment]
+
+    def rank(self) -> int:
+        """Rank over Q(w), by fraction-free elimination on the Z[w] numerators.
+
+        Bareiss elimination: each step replaces the rows below the pivot p by
+        (p * row - row[c] * pivot_row) / p_prev, a division that is exact in
+        Z[w] and is checked to be.  The entries are Python ints, so nothing
+        overflows.  Rows that become zero are dropped as they appear.
+        """
+        a, b = self.a.astype(object), self.b.astype(object)
+        rank, p0, p1 = 0, 1, 0
+        while a.size:
+            live = np.flatnonzero((a[:, 0] != 0) | (b[:, 0] != 0))
+            if not live.size:
+                a, b = a[:, 1:], b[:, 1:]
+                continue
+            k = int(live[0])
+            x0, x1 = a[k, 0], b[k, 0]
+            rest = np.arange(len(a)) != k
+            na, nb = _zw_mul(x0, x1, a[rest, 1:], b[rest, 1:])
+            ca, cb = _zw_mul(a[rest, :1], b[rest, :1], a[k, 1:], b[k, 1:])
+            na, nb = na - ca, nb - cb
+            norm = p0 * p0 - p0 * p1 + p1 * p1  # N(p_prev) = p_prev * conj(p_prev)
+            if norm != 1:
+                na, nb = _zw_mul(na, nb, p0 - p1, -p1)
+                if (na % norm).any() or (nb % norm).any():
+                    raise ArithmeticError("Bareiss division is not exact in Z[w]")
+                na, nb = na // norm, nb // norm
+            keep = (na != 0).any(axis=1) | (nb != 0).any(axis=1)
+            a, b = na[keep], nb[keep]
+            p0, p1 = x0, x1
+            rank += 1
+        return rank
 
     def conjugate(self) -> "OmegaMat":
         return OmegaMat(self.a - self.b, -self.b, self.den, normalize=False)
@@ -376,23 +427,13 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     n = len(elements)
     index = {x: i for i, x in enumerate(elements)}
 
+    q, b = gram3(module)
+    one, w = np.array([1, 0, -1]), np.array([0, 1, -1])  # w^k as (1-part, w-part)
     # rho(T): diagonal phases e^(pi i q)
-    ta = np.zeros((n, n), dtype=np.int64)
-    tb = np.zeros((n, n), dtype=np.int64)
-    pair = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}  # w^k as (re-part, w-part)
-    for i, x in enumerate(elements):
-        ta[i, i], tb[i, i] = pair[_q3(module, x)]
-    rho_t = OmegaMat(ta, tb)
-
+    rho_t = OmegaMat(np.diag(one[q]), np.diag(w[q]))
     # rho(S): -(1/9) e^(-2 pi i b(delta, alpha)) at (delta, alpha)
-    sa = np.zeros((n, n), dtype=np.int64)
-    sb = np.zeros((n, n), dtype=np.int64)
-    for i, delta in enumerate(elements):
-        for j, alpha in enumerate(elements):
-            k = (-_b3(module, delta, alpha)) % 3
-            p, q = pair[k]
-            sa[i, j], sb[i, j] = -p, -q
-    rho_s = OmegaMat(sa, sb, 9)
+    k = (-b) % 3
+    rho_s = OmegaMat(-one[k], -w[k], 9)
 
     ident = OmegaMat.identity(n)
     if not (rho_t @ rho_t @ rho_t) == ident:
@@ -424,14 +465,44 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     return WeilRep(module, elements, index, group, rho)
 
 
+_FLOAT_EXACT_LIMIT = 1 << 53
+
+
 def cayley_check(rep: WeilRep) -> int:
-    """rho(g) rho(h) = rho(gh) over every pair; returns the pair count."""
+    """rho(g) rho(h) = rho(gh) over every pair; returns the pair count.
+
+    The 24 matrices become Z[w] numerators over the common denominator 9,
+    and each of the 576 products is four float64 matmuls of n x n numerator
+    blocks, compared exactly with 9 times the numerators of rho(gh).  Every
+    entry and partial sum is an integer of absolute value at most 3 n m^2
+    (m the largest numerator), so the floats are exact once that bound is
+    below 2^53; it is checked first, and OverflowError raised if it fails.
+    """
+    elements = rep.group.elements
+    mats = [rep.rho[g.mat] for g in elements]
+    n = rep.dim()
+    for g, r in zip(elements, mats):
+        if 9 % r.den:
+            raise RelationError(f"rho({g.word or 'E'}) has denominator {r.den}, "
+                                "which does not divide 9")
+    m = max(r.max_abs() * (9 // r.den) for r in mats)
+    if 3 * n * m * m >= _FLOAT_EXACT_LIMIT:
+        raise OverflowError(f"numerators up to {m} are too large for exact "
+                            "float64 products")
+    num_a = np.empty((len(mats), n, n))
+    num_b = np.empty_like(num_a)
+    for i, r in enumerate(mats):
+        num_a[i], num_b[i] = r.a * (9 // r.den), r.b * (9 // r.den)
+    position = {g.mat: i for i, g in enumerate(elements)}
+
     count = 0
-    for g in rep.group.elements:
-        rg = rep.rho[g.mat]
-        for h in rep.group.elements:
-            prod = rg @ rep.rho[h.mat]
-            if not prod == rep.rho[_mul2(g.mat, h.mat)]:
+    for i, g in enumerate(elements):
+        ga, gb = num_a[i], num_b[i]
+        for j, h in enumerate(elements):
+            bb = gb @ num_b[j]
+            k = position[_mul2(g.mat, h.mat)]
+            if not (np.array_equal(ga @ num_a[j] - bb, 9 * num_a[k])
+                    and np.array_equal(ga @ num_b[j] + gb @ num_a[j] - bb, 9 * num_b[k])):
                 raise RelationError(f"rho({g.word or 'E'}) rho({h.word or 'E'}) "
                                     "disagrees with the product element")
             count += 1
@@ -590,7 +661,7 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
         raise RankError(f"projector trace {tr!r} is not an integer")
     dim = int(tr.as_fraction())
 
-    rank = mat_rank(proj.transpose().to_cyc_rows())  # columns of proj as rows
+    rank = proj.rank()
     if rank != dim:
         raise RankError(f"projector rank {rank} != trace {dim}")
     return IsotypicSubspace(rep, char_index, proj, dim)
@@ -606,26 +677,19 @@ class SpecialVector:
     vec: tuple[int, ...]  # over the 81 elements in lex order
 
 
-def special_vector(module: QuadraticModule, basis: OrthoBasis) -> SpecialVector:
+def special_vector(module: QuadraticModule, basis: OrthoBasis,
+                   pairing: np.ndarray) -> SpecialVector:
     """The sign vector supported on the 16 combinations sum(+-alpha_i).
 
     Coefficient at alpha: the product of the four pairings B(alpha, alpha_i)
-    over F_3, read as +1 or -1 (zero kills the element).
+    over F_3, read as +1 or -1 (zero kills the element).  `pairing` is the
+    B table of `gram3(module)`.
     """
     elements = module.elements()
-    coeffs = {}
-    vec = []
-    for x in elements:
-        prod = 1
-        for a in basis.vectors:
-            prod = (prod * _b3(module, x, a)) % 3
-            if prod == 0:
-                break
-        val = {0: 0, 1: 1, 2: -1}[prod]
-        vec.append(val)
-        if val:
-            coeffs[x] = val
-    support = [x for x, v in coeffs.items()]
+    columns = pairing[:, [elements.index(a) for a in basis.vectors]]
+    vec = tuple(np.array([0, 1, -1])[columns.prod(axis=1) % 3].tolist())
+    coeffs = {x: v for x, v in zip(elements, vec) if v}
+    support = list(coeffs)
     if len(support) != 16:
         raise RankError(f"support has {len(support)} elements, expected 16")
     combos = set()
@@ -642,7 +706,9 @@ def special_vector(module: QuadraticModule, basis: OrthoBasis) -> SpecialVector:
 
 
 def special_vectors(rep: WeilRep) -> tuple[SpecialVector, ...]:
-    return tuple(special_vector(rep.module, b) for b in orthogonal_bases(rep.module))
+    _, pairing = gram3(rep.module)
+    return tuple(special_vector(rep.module, b, pairing)
+                 for b in orthogonal_bases(rep.module))
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,21 @@ def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
         "obstruction=skipped: no aggregated action")
 
 
+@pytest.mark.parametrize("error", [
+    OverflowError("injected overflow"),
+    borcherds.AccountingError("injected accounting failure", {}),
+])
+def test_arithmetic_errors_exit_1_without_a_traceback(monkeypatch, capsys, error):
+    def failing_stage(rep):
+        raise error
+
+    monkeypatch.setattr(cli, "cayley_check", failing_stage)
+    code, out, err = run(capsys, "weil")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
 def test_module_entry_point_subprocess():
     # run from the directory holding the package under test, so `-m` finds
     # it whether or not it is installed

@@ -9,12 +9,17 @@ from triform.fqm import (
     BasisError,
     OrthoBasis,
     PairingConventionError,
+    QuadraticModule,
+    ReflectionError,
+    _b3,
+    _q3,
     apply_matrix,
     canonical_sign,
     central_negation,
     classify,
     element_str,
     expand_patterns,
+    gram3,
     involutive_reflections,
     isotropic_incidence,
     orthogonal_bases,
@@ -24,6 +29,7 @@ from triform.fqm import (
     reflect,
     type_of,
 )
+from triform.lattice import alt_spec, discriminant_form
 
 M = paper_module()
 
@@ -201,3 +207,21 @@ def test_canonicalization_and_strings():
     assert canonical_sign(M, (2, 0, 0, 0)) == (1, 0, 0, 0)
     assert canonical_sign(M, (1, 2, 0, 0)) == (1, 2, 0, 0)  # -(1,2,0,0) = (2,1,0,0)
     assert element_str((1, 0, 2, 1)) == "1021"
+
+
+@pytest.mark.parametrize("module", [M, discriminant_form(alt_spec()).module],
+                         ids=["paper", "alt-decomposition"])
+def test_gram3_matches_the_fraction_forms(module):
+    q, b = gram3(module)
+    elems = module.elements()
+    assert q.tolist() == [_q3(module, x) for x in elems]
+    assert b.tolist() == [[_b3(module, x, y) for y in elems] for x in elems]
+
+
+def test_gram3_rejects_what_the_fraction_forms_reject():
+    # on Z/2 with q(g) = 1/2 neither (3/2) q nor 3 b is an integer
+    half = QuadraticModule((2,), (Fraction(1, 2),), ((Fraction(1, 2),),))
+    with pytest.raises(ReflectionError):
+        _b3(half, (1,), (1,))
+    with pytest.raises(ReflectionError):
+        gram3(half)

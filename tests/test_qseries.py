@@ -19,6 +19,7 @@ from triform.qseries import (
     PrecisionError,
     QSeries,
     TYPE_COUNTS,
+    complex_matrix,
     cyc_complex,
     eisenstein_g4,
     eta_power_8,
@@ -273,3 +274,12 @@ def test_eta_times_special_vector_transforms_numerically():
     out = numeric_transform_check(components, rep.rho_T, rep.rho_S, 4,
                                   0.3 + 1.1j)
     assert out["max_deviation"] < 1e-8
+
+
+def test_complex_matrix_rounds_each_entry_as_cyc_complex():
+    # the complex128 view must reproduce the entry-by-entry conversion bit for bit
+    rep = build_weil(paper_module())
+    for m in (rep.rho_S, rep.rho_T, rep.rho_of("ST")):
+        fast = complex_matrix(m)
+        slow = [[complex(cyc_complex(m.entry(i, j))) for j in range(81)] for i in range(81)]
+        assert repr(fast) == repr(slow)

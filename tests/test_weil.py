@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform.exact import (
     CycQ,
@@ -68,6 +71,45 @@ def test_omega_mat_equality_across_denominators():
     assert a == b
 
 
+BIG = OmegaMat([[2**33]], [[0]])
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: BIG @ BIG,
+    lambda: OmegaMat([[2**41]], [[0]], 3) + OmegaMat([[1]], [[0]], 2**23),
+    lambda: BIG.scale(2**31, 0),
+    lambda: BIG == OmegaMat([[2**33]], [[0]], 2**31 + 1),
+], ids=["matmul", "add", "scale", "eq"])
+def test_int64_paths_raise_instead_of_wrapping(operation):
+    # each of these wraps past 2^63 in int64 (the add and eq to a wrong answer)
+    with pytest.raises(OverflowError):
+        operation()
+
+
+@st.composite
+def omega_matrices(draw):
+    """Small Z[w] matrices; half are products through 1-3 columns, so rank-deficient."""
+    def block(rows, cols):
+        parts = [np.array(draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+                 for _ in range(2)]
+        return OmegaMat(*parts)
+
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        m = block(rows, inner) @ block(inner, cols)
+    else:
+        m = block(rows, cols)
+    return OmegaMat(m.a, m.b, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(omega_matrices())
+def test_fraction_free_rank_matches_the_cyclotomic_echelon(m):
+    assert m.rank() == mat_rank(m.to_cyc_rows())
+
+
 # ---------------------------------------------------------------------------
 # the group
 
@@ -114,6 +156,31 @@ def test_generator_matrices():
 
 def test_full_multiplication_table():
     assert cayley_check(REP) == 576
+
+
+def test_cayley_check_names_a_failing_pair():
+    swapped = dataclasses.replace(
+        REP, rho={**REP.rho, _matrix_of_word("ST"): REP.rho_of("TS")})
+    with pytest.raises(RelationError, match=r"rho\(\w+\) rho\(\w+\) disagrees"):
+        cayley_check(swapped)
+
+
+def test_cayley_check_refuses_numerators_past_the_float_bound():
+    # 3 * 81 * (2^23)^2 > 2^53; the inflated matrix would also fail a
+    # comparison, so OverflowError shows the bound is checked first
+    a = REP.rho_S.a.copy()
+    a[0, 0] = 2**23
+    inflated = dataclasses.replace(
+        REP, rho={**REP.rho, S_MAT: OmegaMat(a, REP.rho_S.b, 9)})
+    with pytest.raises(OverflowError):
+        cayley_check(inflated)
+
+
+def test_cayley_check_rejects_a_denominator_outside_nine():
+    thirds = dataclasses.replace(
+        REP, rho={**REP.rho, S_MAT: OmegaMat(REP.rho_S.a, REP.rho_S.b, 27)})
+    with pytest.raises(RelationError, match="does not divide 9"):
+        cayley_check(thirds)
 
 
 def test_rho_inverse_is_conjugate_transpose():
@@ -357,6 +424,7 @@ def test_isotypic_subspace_dimension():
     sub = isotypic_subspace(REP, 3)
     assert sub.dimension == 5
     assert mat_rank(sub.projector.transpose().to_cyc_rows()) == 5
+    assert sub.projector.rank() == 5
 
 
 def test_special_vectors_all_checks():
