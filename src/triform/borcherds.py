@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .fqm import (
     TYPE_Q_DISPLAY,
-    OrthoBasis,
     QuadraticModule,
     canonical_sign,
     classify,

@@ -25,6 +25,10 @@ from typing import Callable, Iterable, Sequence
 # cyclotomic polynomials and reduction data
 
 
+class CyclotomicError(ValueError):
+    """A cyclotomic polynomial failed to divide x^n - 1."""
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be positive")
@@ -69,7 +73,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
         if n % d == 0:
             num, rem = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
             if rem != [0]:
-                raise AssertionError(f"Phi_{d} does not divide x^{n}-1")
+                raise CyclotomicError(f"Phi_{d} does not divide x^{n}-1")
     return tuple(num)
 
 

@@ -1,12 +1,14 @@
 """Finite quadratic modules and the combinatorics of (F_3)^4.
 
 A module is presented by cyclic generators: orders, the quadratic values
-q(g_i) in Q/2Z and the pairings b(g_i, g_j) in Q/Z.  Everything else
-(classification of the 81 elements into types, the pairing-count table,
-reflections, the orthogonal group of order 1440, the 15 orthogonal bases)
-is enumerated from that data.
-
-Elements are digit tuples, ordered lexicographically throughout.
+q(g_i) in Q/2Z and the pairings b(g_i, g_j) in Q/Z.  Elements are digit
+tuples, ordered lexicographically throughout.  For an exponent-3 module,
+`module_table` turns that data into memoized integer tables (Q = (3/2) q
+and B = 3 b mod 3 from `gram3`, the index maps of -x and x + y, a type per
+element), and everything else is enumerated from them: the four types of
+the 81 elements, the pairing-count table, reflections, the orthogonal
+group of order 1440 as one array of index permutations, the 15 orthogonal
+bases.  `QuadraticModule.q`/`b` stay the Fraction definitions.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .exact import mat_det, mat_identity
+from .exact import mat_det
 
 Element = tuple  # digit tuples
 
@@ -39,11 +42,8 @@ class BasisError(ValueError):
 # type labels in display order
 TYPE_LABELS = ("00", "0", "1", "2")
 
-# q values (mod 2Z) that define the nonzero types of the rank-4 module:
-# label "1" is written -4/3 elsewhere, "2" is -2/3; mod 2Z those are 2/3, 4/3.
-TYPE_Q = {"1": Fraction(2, 3), "2": Fraction(4, 3)}
-
-# displayed (negative) representatives of the same classes mod 2Z
+# q of each type mod 2Z, displayed by a negative representative: the types
+# 1 and 2 hold q = 2/3 and 4/3 (Q = 1 and 2 in the integer tables)
 TYPE_Q_DISPLAY = {"00": Fraction(0), "0": Fraction(0),
                   "1": Fraction(-4, 3), "2": Fraction(-2, 3)}
 
@@ -166,31 +166,99 @@ def paper_module() -> QuadraticModule:
     )
 
 
+def _scaled(rows) -> tuple[np.ndarray, int]:
+    """An integer matrix N and a denominator L with rows = N / L."""
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return np.array([[int(v * den) for v in row] for row in rows], dtype=np.int64), den
+
+
+def gram3(module: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
+    """Q (N,) and B (N, N) over `module.elements()`: Q = (3/2) q and B = 3 b mod 3.
+
+    Q(x) = x M x^T with M_ii = (3/2) q(g_i), M_ij = (3/2) b(g_i, g_j), and
+    B(x, y) = x (3 b) y^T, each from an integer matmul of the element array
+    over a common denominator.  Raises ReflectionError if some value is not
+    an integer before the reduction mod 3.
+    """
+    x = np.array(module.elements(), dtype=np.int64)
+    r = len(module.orders)
+    gb, den_b = _scaled([[3 * v for v in row] for row in module.gen_b])
+    gq, den_q = _scaled([[Fraction(3, 2) * (module.gen_q[i] if i == j else module.gen_b[i][j])
+                          for j in range(r)] for i in range(r)])
+    digits = (max(module.orders) - 1) * r  # bounds sum_i |x_i| over an element
+    if digits * digits * max(int(np.abs(gb).max()), int(np.abs(gq).max())) >= 1 << 63:
+        raise OverflowError("Gram matrix too large for the int64 tables")
+    b = (x @ gb) @ x.T
+    q = ((x @ gq) * x).sum(axis=1)
+    if (q % den_q).any():
+        raise ReflectionError("a quadratic value is not a third-integer")
+    if (b % den_b).any():
+        raise ReflectionError("pairing is not third-integer")
+    return (q // den_q) % 3, (b // den_b) % 3
+
+
+@dataclass(frozen=True, eq=False)
+class ModuleTable:
+    """Integer tables of an exponent-3 module, indexed in `elements()` order.
+
+    Index i is the base-3 number with digits elements[i], so index 0 is the
+    zero element and index order is lexicographic order.
+    """
+
+    elements: tuple[Element, ...]
+    index: dict  # element -> index
+    digits: np.ndarray  # (N, r) the elements as rows
+    q: np.ndarray  # (N,) Q(x) = (3/2) q(x) mod 3
+    b: np.ndarray  # (N, N) B(x, y) = 3 b(x, y) mod 3
+    neg: np.ndarray  # (N,) index of -x
+    add: np.ndarray  # (N, N) index of x + y
+    kind: np.ndarray  # (N,) position of the type label in TYPE_LABELS
+    unit: np.ndarray  # (r,) indices of the generators g_i
+
+    def of_type(self, label: str) -> np.ndarray:
+        """Indices of the elements of one type, ascending."""
+        return np.flatnonzero(self.kind == TYPE_LABELS.index(label))
+
+    def groups(self) -> dict[str, np.ndarray]:
+        """Indices by type, labels in display order, empty types left out."""
+        return {label: idx for label in TYPE_LABELS if (idx := self.of_type(label)).size}
+
+
+_TABLE_MEMO: dict = {}
+
+
+def module_table(module: QuadraticModule) -> ModuleTable:
+    """The memoized integer tables of `module` (orders all 3)."""
+    if module in _TABLE_MEMO:
+        return _TABLE_MEMO[module]
+    q, b = gram3(module)
+    if any(m != 3 for m in module.orders):
+        raise ValueError("the integer tables assume exponent 3")
+    elements = module.elements()
+    digits = np.array(elements, dtype=np.int64)
+    unit = 3 ** np.arange(len(module.orders) - 1, -1, -1)  # so index(x) = digits(x) @ unit
+    small = np.min_scalar_type(len(elements) - 1)  # index maps fit uint8 on (F_3)^4
+    kind = q + 1  # Q = 0, 1, 2 give the types 0, 1, 2 (q = 0, 2/3, 4/3) ...
+    kind[0] = 0  # ... and zero is type 00
+    table = ModuleTable(elements, {x: i for i, x in enumerate(elements)}, digits, q, b,
+                        ((-digits % 3) @ unit).astype(small),
+                        (((digits[:, None] + digits[None]) % 3) @ unit).astype(small), kind, unit)
+    for array in (digits, q, b, table.neg, table.add, kind, unit):
+        array.flags.writeable = False  # every caller shares the memoized arrays
+    _TABLE_MEMO[module] = table
+    return table
+
+
 def type_of(module: QuadraticModule, x: Element) -> str:
     """Type label of an element: 00 (zero), 0 (isotropic), 1, 2 by q-value."""
-    if all(d == 0 for d in x):
-        return "00"
-    qv = module.q(x)
-    if qv == 0:
-        return "0"
-    for label, value in TYPE_Q.items():
-        if qv == value:
-            return label
-    return f"q={qv}"
+    t = module_table(module)
+    return TYPE_LABELS[t.kind[t.index[x]]]
 
 
 def classify(module: QuadraticModule) -> dict[str, tuple[Element, ...]]:
     """Elements grouped by type, keys in display order, values lex-sorted."""
-    groups: dict[str, list[Element]] = {}
-    for x in module.elements():
-        groups.setdefault(type_of(module, x), []).append(x)
-    ordered: dict[str, tuple[Element, ...]] = {}
-    for label in TYPE_LABELS:
-        if label in groups:
-            ordered[label] = tuple(groups.pop(label))
-    for label in sorted(groups):
-        ordered[label] = tuple(groups[label])
-    return ordered
+    t = module_table(module)
+    return {label: tuple(t.elements[i] for i in idx) for label, idx in t.groups().items()}
 
 
 # pairing value <-> column index: j = 0, 1, 2 counts b = 0, 2/3, 1/3
@@ -224,78 +292,36 @@ def pairing_table(module: QuadraticModule) -> dict[tuple[str, str], tuple[int, i
     is chosen; this is verified over every u and a PairingConventionError
     is raised otherwise.
     """
-    types = classify(module)
+    t = module_table(module)
+    columns = [int(3 * c) for c in PAIRING_COLUMNS]  # the B value of each column
+    groups = t.groups()
     table: dict[tuple[str, str], tuple[int, int, int]] = {}
-    for ulabel, uelems in types.items():
-        for vlabel, velems in types.items():
-            seen: tuple[int, int, int] | None = None
-            for u in uelems:
-                counts = [0, 0, 0]
-                for v in velems:
-                    bv = module.b(u, v)
-                    try:
-                        counts[PAIRING_COLUMNS.index(bv)] += 1
-                    except ValueError:
-                        raise PairingConventionError(
-                            f"pairing value {bv} outside the three columns")
-                triple = tuple(counts)
-                if seen is None:
-                    seen = triple
-                elif seen != triple:
-                    raise PairingConventionError(
-                        f"({ulabel}, {vlabel}): representative {u} gives {triple}, "
-                        f"earlier representative gave {seen}")
-            table[(ulabel, vlabel)] = seen  # type: ignore[assignment]
+    for ulabel, us in groups.items():
+        rows = np.arange(len(us))[:, None] * 3
+        for vlabel, vs in groups.items():
+            # counts[k, j]: members of the v-type pairing to column j with us[k]
+            counts = np.bincount((rows + t.b[np.ix_(us, vs)]).ravel(),
+                                 minlength=3 * len(us)).reshape(-1, 3)[:, columns]
+            differ = np.flatnonzero((counts != counts[0]).any(axis=1))
+            if differ.size:
+                k = differ[0]
+                raise PairingConventionError(
+                    f"({ulabel}, {vlabel}): representative {t.elements[us[k]]} gives "
+                    f"{tuple(counts[k].tolist())}, earlier representative gave "
+                    f"{tuple(counts[0].tolist())}")
+            table[(ulabel, vlabel)] = tuple(counts[0].tolist())
     return table
 
 
 # -- reflections over F_3
 
-def _q3(module: QuadraticModule, x: Element) -> int:
-    """Integer quadratic form Q(x) = (3/2) q(x) mod 3."""
-    v = (Fraction(3, 2) * module.q(x)) % 3
-    if v.denominator != 1:
-        raise ReflectionError(f"q({x}) = {module.q(x)} is not a third-integer")
-    return int(v)
-
-
-def _b3(module: QuadraticModule, x: Element, y: Element) -> int:
-    """Integer pairing B(x, y) = 3 b(x, y) mod 3; polarization of _q3."""
-    v = (3 * module.b(x, y)) % 3
-    if v.denominator != 1:
-        raise ReflectionError("pairing is not third-integer")
-    return int(v)
-
-
-def _scaled(rows) -> tuple[np.ndarray, int]:
-    """An integer matrix N and a denominator L with rows = N / L."""
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    return np.array([[int(v * den) for v in row] for row in rows], dtype=np.int64), den
-
-
-def gram3(module: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
-    """Q (N,) and B (N, N): _q3 and _b3 over `module.elements()`, all at once.
-
-    Q(x) = x M x^T with M_ii = (3/2) q(g_i), M_ij = (3/2) b(g_i, g_j), and
-    B(x, y) = x (3 b) y^T, each from an integer matmul of the element array
-    over a common denominator.  Raises ReflectionError where _q3 or _b3
-    would: some value is not an integer before the reduction mod 3.
-    """
-    x = np.array(module.elements(), dtype=np.int64)
-    r = len(module.orders)
-    gb, den_b = _scaled([[3 * v for v in row] for row in module.gen_b])
-    gq, den_q = _scaled([[Fraction(3, 2) * (module.gen_q[i] if i == j else module.gen_b[i][j])
-                          for j in range(r)] for i in range(r)])
-    digits = (max(module.orders) - 1) * r  # bounds sum_i |x_i| over an element
-    if digits * digits * max(int(np.abs(gb).max()), int(np.abs(gq).max())) >= 1 << 63:
-        raise OverflowError("Gram matrix too large for the int64 tables")
-    b = (x @ gb) @ x.T
-    q = ((x @ gq) * x).sum(axis=1)
-    if (q % den_q).any():
-        raise ReflectionError("a quadratic value is not a third-integer")
-    if (b % den_b).any():
-        raise ReflectionError("pairing is not third-integer")
-    return (q // den_q) % 3, (b // den_b) % 3
+def _reflected(t: ModuleTable, a: int, xs: np.ndarray) -> np.ndarray:
+    """Indices of r_alpha(x) for the elements at indices xs; alpha at index a."""
+    qa = int(t.q[a])
+    if qa == 0:
+        raise ReflectionError(f"{t.elements[a]} is isotropic; no reflection")
+    c = (t.b[xs, a] * qa) % 3  # B(x, alpha) Q(alpha)^(-1): 1 and 2 are self-inverse mod 3
+    return t.add[xs, np.array([0, t.neg[a], a])[c]]  # x - c alpha, as -2 alpha = alpha
 
 
 @dataclass(frozen=True)
@@ -307,18 +333,9 @@ class Reflection:
     matrix: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        m = self.module
-        qa = _q3(m, self.alpha)
-        if qa == 0:
-            raise ReflectionError(f"{self.alpha} is isotropic; no reflection")
-        inv = qa  # 1 and 2 are their own inverses mod 3
-        n = len(m.orders)
-        cols = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            coeff = (_b3(m, e, self.alpha) * inv) % 3
-            cols.append(tuple((e[i] - coeff * self.alpha[i]) % 3 for i in range(n)))
-        object.__setattr__(self, "matrix", tuple(zip(*cols)))
+        t = module_table(self.module)
+        images = _reflected(t, t.index[self.alpha], t.unit)
+        object.__setattr__(self, "matrix", tuple(map(tuple, t.digits[images].T.tolist())))
 
     def __call__(self, x: Element) -> Element:
         return apply_matrix(self.matrix, x)
@@ -336,16 +353,59 @@ def apply_matrix(matrix: tuple[tuple[int, ...], ...], x: Element) -> Element:
 
 # -- orthogonal group
 
+def _keys(images: np.ndarray, n: int) -> np.ndarray:
+    """Rows of indices (m, r) as base-n numbers: sorted iff the rows are."""
+    return images.astype(np.int64) @ n ** np.arange(images.shape[-1] - 1, -1, -1)
+
+
+def _locate(keys: np.ndarray, images: np.ndarray, n: int) -> np.ndarray:
+    """Positions in `keys` of the rows of `images` (m, r), -1 where absent."""
+    k = _keys(images, n)
+    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    return np.where(keys[pos] == k, pos, -1)
+
+
 @dataclass(frozen=True)
 class OrthogonalGroup:
+    """O(q) as permutations of the element indices.
+
+    perm[k, i] is the index of the k-th map applied to elements[i].  The maps
+    are sorted lexicographically by the indices of their images of the module
+    generators g_j, and `keys` holds those index rows as base-N numbers.
+    """
+
     module: QuadraticModule
-    elements: tuple[tuple[tuple[int, ...], ...], ...]
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
+    perm: np.ndarray = field(repr=False, compare=False)  # (order, N), small dtype
+    generator_rows: tuple[int, ...]
     orbits: tuple[tuple[Element, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perm)
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        return _keys(self.perm[:, module_table(self.module).unit], self.perm.shape[1])
+
+    @cached_property
+    def elements(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The maps as F_3 matrices: column j is the image of g_j."""
+        t = module_table(self.module)
+        cols = t.digits[self.perm[:, t.unit]].transpose(0, 2, 1).tolist()
+        return tuple(tuple(map(tuple, m)) for m in cols)
+
+    @property
+    def generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(self.elements[k] for k in self.generator_rows)
+
+    def locate(self, images: np.ndarray) -> np.ndarray:
+        """Rows of the maps sending g_j to images[:, j] (m, r); -1 where none does."""
+        return _locate(self.keys, images, self.perm.shape[1])
+
+    def reflection(self, alpha: Element) -> int:
+        """Row of the reflection in alpha, -1 if it is not in the group."""
+        t = module_table(self.module)
+        return int(self.locate(_reflected(t, t.index[alpha], t.unit)[None, :])[0])
 
 
 _GROUP_MEMO: dict = {}
@@ -354,113 +414,88 @@ _GROUP_MEMO: dict = {}
 def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
     """All linear maps preserving q, by backtracking over generator images.
 
-    A linear map preserves q on the whole module iff it preserves q on the
-    generators and their pairwise pairings, because q of a combination is
-    determined by that data.
+    A linear map preserves q on the whole module iff it preserves Q on the
+    generators and B on pairs of them, because q of a combination is
+    determined by that data.  Level k extends each partial map by every
+    index c with Q(c) = Q(g_k) and B(image of g_i, c) = B(g_i, g_k) for
+    i < k, in index order, so the maps come out sorted.
     """
     if module in _GROUP_MEMO:
         return _GROUP_MEMO[module]
-    if any(m != 3 for m in module.orders):
-        raise ValueError("orthogonal-group enumeration assumes exponent 3")
-    n = len(module.orders)
-    gens = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    elems = module.elements()
-    qval = {x: module.q(x) for x in elems}
-    bval = {(x, y): module.b(x, y) for x in elems for y in elems}
-    matrices: list[tuple[tuple[int, ...], ...]] = []
+    t = module_table(module)
+    n = len(t.elements)
+    images = np.zeros((1, 0), dtype=np.intp)
+    for k, gk in enumerate(t.unit):
+        ok = np.broadcast_to(t.q == t.q[gk], (len(images), n))
+        for i in range(k):
+            ok = ok & (t.b[images[:, i]] == t.b[t.unit[i], gk])
+        parent, cand = np.nonzero(ok)
+        images = np.column_stack([images[parent], cand])
 
-    def extend(images: list[Element]):
-        k = len(images)
-        if k == n:
-            matrices.append(tuple(zip(*images)))
-            return
-        for cand in elems:
-            if qval[cand] != qval[gens[k]]:
-                continue
-            ok = True
-            for i in range(k):
-                if bval[(images[i], cand)] != bval[(gens[i], gens[k])]:
-                    ok = False
-                    break
-            if ok:
-                extend(images + [cand])
-
-    extend([])
-    group = tuple(matrices)
+    # g(x) = sum_i x_i g(g_i), one digit at a time through the add table
+    perm = np.zeros((len(images), 1), dtype=t.add.dtype)
+    for i in range(len(t.unit)):
+        img = images[:, i].astype(t.add.dtype)
+        multiples = np.stack([np.zeros_like(img), img, t.neg[img]], axis=1)
+        perm = t.add[perm[:, :, None], multiples[:, None, :]].reshape(len(images), -1)
 
     # orbit partition of the nonzero elements
-    seen: set[Element] = set()
-    orbits: list[tuple[Element, ...]] = []
-    for x in elems:
-        if x == module.zero() or x in seen:
-            continue
-        orbit = sorted({apply_matrix(g, x) for g in group})
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    orbits = []
+    for i in range(n):
+        if not seen[i]:
+            orbit = np.unique(perm[:, i])
+            seen[orbit] = True
+            orbits.append(tuple(t.elements[j] for j in orbit))
 
-    # a small deterministic generating set
-    generators: list[tuple[tuple[int, ...], ...]] = []
-    closure = {_matrix_key(mat_identity(n))}
-    for g in group:
-        if _matrix_key(g) in closure:
-            continue
-        generators.append(g)
-        closure = _close(generators, n)
-        if len(closure) == len(group):
-            break
-
-    result = OrthogonalGroup(module, group, tuple(generators), tuple(orbits))
+    perm.flags.writeable = False
+    keys = _keys(images, n)
+    result = OrthogonalGroup(module, perm, _generating_rows(perm, keys, t.unit), tuple(orbits))
     _GROUP_MEMO[module] = result
     return result
 
 
-def _matrix_key(m) -> tuple:
-    return tuple(map(tuple, m))
-
-
-def _mat_mul3(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % 3
-                       for j in range(n)) for i in range(n))
-
-
-def _close(generators, n):
-    frontier = [mat_identity(n)]
-    seen = {_matrix_key(frontier[0])}
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                p = _mat_mul3(m, g)
-                k = _matrix_key(p)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(p)
-        frontier = nxt
-    return seen
+def _generating_rows(perm: np.ndarray, keys: np.ndarray, unit: np.ndarray) -> tuple[int, ...]:
+    """A small deterministic generating set: each row the earlier ones miss."""
+    n = perm.shape[1]
+    identity = int(_locate(keys, unit[None, :], n)[0])
+    rows: list[int] = []
+    closure = np.zeros(len(perm), dtype=bool)
+    closure[identity] = True
+    for k in range(len(perm)):
+        if closure[k]:
+            continue
+        rows.append(k)
+        frontier = np.flatnonzero(closure)  # the group generated so far, grown by g_k
+        while frontier.size:
+            # m h sends g_j to m(h(g_j)): gather the frontier rows at h's images
+            found = np.concatenate([_locate(keys, perm[frontier[:, None], perm[h, unit]], n)
+                                    for h in rows])
+            if (found < 0).any():
+                raise ValueError("the enumerated isometries are not closed under composition")
+            frontier = np.unique(found[~closure[found]])
+            closure[frontier] = True
+        if closure.all():
+            break
+    return tuple(rows)
 
 
 def central_negation(group: OrthogonalGroup) -> bool:
     """True iff -identity belongs to the group (it is automatically central)."""
-    n = len(group.module.orders)
-    neg = tuple(tuple((-v) % 3 for v in row) for row in mat_identity(n))
-    return neg in group.elements
+    t = module_table(group.module)
+    return bool(group.locate(t.neg[t.unit][None, :])[0] >= 0)
 
 
 def involutive_reflections(group: OrthogonalGroup) -> tuple[Element, ...]:
     """Canonical non-isotropic classes whose reflection is an involution in the group."""
-    m = group.module
+    t = module_table(group.module)
+    idx = np.arange(len(t.elements))
     out = []
-    element_set = set(group.elements)
-    for alpha in m.elements():
-        if type_of(m, alpha) not in ("1", "2"):
-            continue
-        if canonical_sign(m, alpha) != alpha:
-            continue
-        r = reflect(m, alpha)
-        if (r.matrix in element_set
-                and _mat_mul3(r.matrix, r.matrix) == mat_identity(len(m.orders))):
-            out.append(alpha)
+    for a in np.flatnonzero((t.kind >= TYPE_LABELS.index("1")) & (idx <= t.neg)):
+        k = group.reflection(t.elements[a])
+        if k >= 0 and np.array_equal(group.perm[k][group.perm[k]], idx):
+            out.append(t.elements[a])
     return tuple(out)
 
 
@@ -495,24 +530,22 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
     a BasisError reports any ambiguity.  The completion is also checked to
     span, i.e. the four vectors form an F_3-basis.
     """
-    types = classify(module)
+    t = module_table(module)
+    canonical = np.arange(len(t.elements)) <= t.neg  # x is the lex-least of x, -x
+    short = np.flatnonzero((t.kind == TYPE_LABELS.index("2")) & canonical)
     bases = []
-    for alpha0 in types.get("1", ()):
-        if canonical_sign(module, alpha0) != alpha0:
-            continue
-        candidates = sorted({
-            canonical_sign(module, v) for v in types.get("2", ())
-            if module.b(v, alpha0) == 0
-        })
+    for a0 in np.flatnonzero((t.kind == TYPE_LABELS.index("1")) & canonical):
+        alpha0 = t.elements[a0]
+        candidates = short[t.b[short, a0] == 0]
+        ortho = t.b[np.ix_(candidates, candidates)] == 0
         completions = [
-            triple for triple in itertools.combinations(candidates, 3)
-            if all(module.b(triple[i], triple[j]) == 0
-                   for i in range(3) for j in range(i + 1, 3))
+            triple for triple in itertools.combinations(range(len(candidates)), 3)
+            if all(ortho[triple[i], triple[j]] for i in range(3) for j in range(i + 1, 3))
         ]
         if len(completions) != 1:
             raise BasisError(
                 f"alpha0 = {alpha0}: {len(completions)} orthogonal completions")
-        rest = completions[0]
+        rest = tuple(t.elements[candidates[i]] for i in completions[0])
         if mat_det((alpha0,) + rest) % 3 == 0:  # not invertible over F_3
             raise BasisError(f"alpha0 = {alpha0}: completion does not span")
         bases.append(OrthoBasis(alpha0, rest))
@@ -525,11 +558,11 @@ def isotropic_incidence(module: QuadraticModule, basis: OrthoBasis) -> dict[Elem
     Every nonzero isotropic element must pair to zero with at least one
     basis member; the returned dict records which.
     """
-    out: dict[Element, tuple[int, ...]] = {}
-    for x in classify(module).get("0", ()):
-        hits = tuple(i for i, a in enumerate(basis.vectors) if module.b(x, a) == 0)
-        out[x] = hits
-    return out
+    t = module_table(module)
+    isotropic = t.of_type("0")
+    zero = t.b[np.ix_(isotropic, [t.index[a] for a in basis.vectors])] == 0
+    return {t.elements[x]: tuple(np.flatnonzero(row).tolist())
+            for x, row in zip(isotropic, zero)}
 
 
 def element_str(x: Element) -> str:

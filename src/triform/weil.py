@@ -28,13 +28,12 @@ import numpy as np
 
 from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank
 from .fqm import (
+    TYPE_LABELS,
     OrthoBasis,
     QuadraticModule,
-    classify,
-    gram3,
+    module_table,
     orthogonal_bases,
     orthogonal_group,
-    type_of,
 )
 
 
@@ -52,6 +51,10 @@ class RankError(ValueError):
 
 class InvarianceError(ValueError):
     pass
+
+
+class GroupTableError(ValueError):
+    """The enumeration of SL(2, F_3) or its character table failed a check."""
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def build_sl2f3() -> SL2F3:
                     nxt.append(el)
         queue = nxt
     if len(elements) != 24:
-        raise AssertionError(f"SL(2, F_3) enumeration found {len(elements)} elements")
+        raise GroupTableError(f"SL(2, F_3) enumeration found {len(elements)} elements")
     by_mat = {g.mat: g for g in elements}
 
     # conjugacy classes
@@ -325,15 +328,15 @@ def build_sl2f3() -> SL2F3:
         rep = named[label]
         orbit = next((o for o in raw_classes if rep in o), None)
         if orbit is None:
-            raise AssertionError(f"no conjugacy class contains {label}")
+            raise GroupTableError(f"no conjugacy class contains {label}")
         classes[label] = tuple(sorted((by_mat[m] for m in orbit), key=lambda g: g.word))
         for m in orbit:
             class_of[m] = label
     if len(class_of) != 24:
-        raise AssertionError("conjugacy classes do not partition the group")
+        raise GroupTableError("conjugacy classes do not partition the group")
     for label, size in zip(CLASS_ORDER, CLASS_SIZES):
         if len(classes[label]) != size:
-            raise AssertionError(
+            raise GroupTableError(
                 f"class {label} has size {len(classes[label])}, expected {size}")
     return SL2F3(tuple(elements), by_mat, class_of, classes)
 
@@ -371,7 +374,7 @@ def validate_character_table() -> None:
                 acc = acc + Fraction(size) * a * b.conjugate()
             expected = order if i == j else 0
             if acc != expected:
-                raise AssertionError(f"row orthogonality fails for ({i}, {j})")
+                raise GroupTableError(f"row orthogonality fails for ({i}, {j})")
     for c in range(len(CLASS_ORDER)):
         for d in range(len(CLASS_ORDER)):
             acc = CycQ.rational(0)
@@ -379,7 +382,7 @@ def validate_character_table() -> None:
                 acc = acc + chi[c] * chi[d].conjugate()
             expected = Fraction(order, CLASS_SIZES[c]) if c == d else 0
             if acc != expected:
-                raise AssertionError(f"column orthogonality fails for ({c}, {d})")
+                raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +426,9 @@ class WeilRep:
 
 def build_weil(module: QuadraticModule) -> WeilRep:
     """Construct rho on C[A] and certify its defining relations."""
-    elements = module.elements()
-    n = len(elements)
-    index = {x: i for i, x in enumerate(elements)}
-
-    q, b = gram3(module)
+    table = module_table(module)
+    n = len(table.elements)
+    q, b = table.q, table.b
     one, w = np.array([1, 0, -1]), np.array([0, 1, -1])  # w^k as (1-part, w-part)
     # rho(T): diagonal phases e^(pi i q)
     rho_t = OmegaMat(np.diag(one[q]), np.diag(w[q]))
@@ -440,8 +441,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
         raise RelationError("rho(T)^3 != 1")
     s2 = rho_s @ rho_s
     neg_perm = np.zeros((n, n), dtype=np.int64)
-    for i, x in enumerate(elements):
-        neg_perm[index[module.neg(x)], i] = 1
+    neg_perm[table.neg, np.arange(n)] = 1
     if not s2 == OmegaMat(neg_perm, np.zeros_like(neg_perm)):
         raise RelationError("rho(S)^2 is not the negation permutation")
     if not s2 @ s2 == ident:
@@ -462,7 +462,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
         for ch in prefix:
             pm = _mul2(pm, S_MAT if ch == "S" else T_MAT)
         rho[g.mat] = rho[pm] @ gens[letter]
-    return WeilRep(module, elements, index, group, rho)
+    return WeilRep(module, table.elements, table.index, group, rho)
 
 
 _FLOAT_EXACT_LIMIT = 1 << 53
@@ -573,47 +573,26 @@ def aggregated_dual(rep: WeilRep):
     enumerated.  Returns (rho*_T, rho*_S) as exact 4x4 matrices and raises
     DualMismatchError if they differ from the frozen display values.
     """
-    module = rep.module
-    types = classify(module)
-    labels = tuple(types)
+    groups = module_table(rep.module).groups()
+    labels = tuple(groups)
     s_conj = rep.rho_S.conjugate()
-    by_label_rows = {t: [rep.index[x] for x in types[t]] for t in labels}
+    _guard(s_conj.max_abs() * rep.dim())
+    # sums[i, part, j]: 1- and w-parts of the column-j sum over the type-i rows
+    sums = np.stack([np.stack([s_conj.a[rows].sum(axis=0), s_conj.b[rows].sum(axis=0)])
+                     for rows in groups.values()])
+    for t, cols in groups.items():
+        if (sums[:, :, cols] != sums[:, :, cols[:1]]).any():
+            raise DualMismatchError(f"column sums depend on the representative of type {t}")
+    agg_s = tuple(tuple(CycQ(3, [Fraction(int(sums[i, 0, cols[0]]), s_conj.den),
+                                 Fraction(int(sums[i, 1, cols[0]]), s_conj.den)])
+                        for cols in groups.values()) for i in range(len(labels)))
 
-    per_alpha: dict[int, tuple] = {}
-    for j, alpha in enumerate(rep.elements):
-        col_a = s_conj.a[:, j]
-        col_b = s_conj.b[:, j]
-        sums = tuple(
-            CycQ(3, [Fraction(int(col_a[rows].sum()), s_conj.den),
-                     Fraction(int(col_b[rows].sum()), s_conj.den)])
-            for rows in (by_label_rows[t] for t in labels)
-        )
-        per_alpha[j] = sums
-
-    agg_cols = {}
-    for t in labels:
-        rep_sums = None
-        for x in types[t]:
-            sums = per_alpha[rep.index[x]]
-            if rep_sums is None:
-                rep_sums = sums
-            elif not all(a == b for a, b in zip(rep_sums, sums)):
-                raise DualMismatchError(
-                    f"column sums depend on the representative of type {t}")
-        agg_cols[t] = rep_sums
-
-    agg_s = tuple(tuple(agg_cols[s][i] for s in labels) for i in range(len(labels)))
-
+    diag = np.stack([np.diag(rep.rho_T.a), np.diag(rep.rho_T.b)])
     t_phase = {}
-    for x in rep.elements:
-        i = rep.index[x]
-        val = rep.rho_T.entry(i, i).conjugate()
-        t = type_of(module, x)
-        if t in t_phase:
-            if not t_phase[t] == val:
-                raise DualMismatchError(f"diagonal phase not constant on type {t}")
-        else:
-            t_phase[t] = val
+    for t, idx in groups.items():
+        if (diag[:, idx] != diag[:, idx[:1]]).any():
+            raise DualMismatchError(f"diagonal phase not constant on type {t}")
+        t_phase[t] = rep.rho_T.entry(int(idx[0]), int(idx[0])).conjugate()
     agg_t = tuple(tuple(t_phase[s] if s == t else CycQ.rational(0) for s in labels)
                   for t in labels)
 
@@ -677,38 +656,31 @@ class SpecialVector:
     vec: tuple[int, ...]  # over the 81 elements in lex order
 
 
-def special_vector(module: QuadraticModule, basis: OrthoBasis,
-                   pairing: np.ndarray) -> SpecialVector:
+def special_vector(module: QuadraticModule, basis: OrthoBasis) -> SpecialVector:
     """The sign vector supported on the 16 combinations sum(+-alpha_i).
 
     Coefficient at alpha: the product of the four pairings B(alpha, alpha_i)
-    over F_3, read as +1 or -1 (zero kills the element).  `pairing` is the
-    B table of `gram3(module)`.
+    over F_3, read as +1 or -1 (zero kills the element).
     """
-    elements = module.elements()
-    columns = pairing[:, [elements.index(a) for a in basis.vectors]]
-    vec = tuple(np.array([0, 1, -1])[columns.prod(axis=1) % 3].tolist())
-    coeffs = {x: v for x, v in zip(elements, vec) if v}
-    support = list(coeffs)
+    t = module_table(module)
+    cols = [t.index[a] for a in basis.vectors]
+    vec = tuple(np.array([0, 1, -1])[t.b[:, cols].prod(axis=1) % 3].tolist())
+    support = np.flatnonzero(vec)
     if len(support) != 16:
         raise RankError(f"support has {len(support)} elements, expected 16")
-    combos = set()
-    for signs in np.ndindex(2, 2, 2, 2):
-        y = module.zero()
-        for s, a in zip(signs, basis.vectors):
-            y = module.add(y, a if s == 0 else module.neg(a))
-        combos.add(y)
-    if combos != set(support):
+    combos = np.zeros(1, dtype=t.add.dtype)
+    for a in cols:
+        combos = t.add[combos[:, None], [a, t.neg[a]]].ravel()
+    if set(combos.tolist()) != set(support.tolist()):
         raise RankError("support is not the set of signed basis sums")
-    if any(type_of(module, x) != "1" for x in support):
+    if (t.kind[support] != TYPE_LABELS.index("1")).any():
         raise RankError("support contains an element outside the q = -4/3 type")
-    return SpecialVector(basis, coeffs, tuple(vec))
+    coeffs = {t.elements[i]: vec[i] for i in support}
+    return SpecialVector(basis, coeffs, vec)
 
 
 def special_vectors(rep: WeilRep) -> tuple[SpecialVector, ...]:
-    _, pairing = gram3(rep.module)
-    return tuple(special_vector(rep.module, b, pairing)
-                 for b in orthogonal_bases(rep.module))
+    return tuple(special_vector(rep.module, b) for b in orthogonal_bases(rep.module))
 
 
 @dataclass(frozen=True)
@@ -735,14 +707,12 @@ def verify_special(rep: WeilRep, sv: SpecialVector,
     # w * v has a-part 0 and b-part v
     t_eigen = bool(den == 1 and np.array_equal(bv, v) and not av.any())
 
+    # the reflection r in alpha negates v iff v[r(x)] = -v[x] for every x
+    group = orthogonal_group(rep.module)
     negations = []
-    from .fqm import reflect
     for alpha in sv.basis.vectors:
-        r = reflect(rep.module, alpha)
-        permuted = np.empty_like(v)
-        for i, x in enumerate(rep.elements):
-            permuted[rep.index[r(x)]] = v[i]
-        negations.append(bool(np.array_equal(permuted, -v)))
+        k = group.reflection(alpha)
+        negations.append(k >= 0 and bool(np.array_equal(v[group.perm[k]], -v)))
 
     in_v = subspace.contains_int_vector(v) if subspace is not None else True
     return SpecialChecks(s_fixed, t_eigen, tuple(negations), in_v)
@@ -764,34 +734,20 @@ def o_q_character_norm(rep: WeilRep, projector: OmegaMat) -> Fraction:
     is O(q)-irreducible.  Raises InvarianceError if the image is not
     O(q)-stable (checked on the generators).
     """
-    module = rep.module
-    group = orthogonal_group(module)
-    elems = np.array(rep.elements, dtype=np.int64)
-    weights = np.array([3 ** (len(module.orders) - 1 - i)
-                        for i in range(len(module.orders))], dtype=np.int64)
-
-    def perm_of(g) -> np.ndarray:
-        images = (elems @ np.array(g, dtype=np.int64).T) % 3
-        return images @ weights  # lex order = base-3 encoding
-
-    n = rep.dim()
-    idx = np.arange(n)
-    for g in group.generators:
-        p = perm_of(g)
-        pinv = np.empty_like(p)
-        pinv[p] = idx
+    group = orthogonal_group(rep.module)
+    inverse = np.argsort(group.perm, axis=1)  # each row is a permutation
+    for k in group.generator_rows:
+        pinv = inverse[k]
         if not (np.array_equal(projector.a[np.ix_(pinv, pinv)], projector.a)
                 and np.array_equal(projector.b[np.ix_(pinv, pinv)], projector.b)):
             raise InvarianceError("projector image is not stable under the "
                                   "orthogonal group")
 
-    total = Fraction(0)
-    den2 = projector.den * projector.den
-    for g in group.elements:
-        p = perm_of(g)
-        pinv = np.empty_like(p)
-        pinv[p] = idx
-        x = int(projector.a[pinv, idx].sum())
-        y = int(projector.b[pinv, idx].sum())
-        total += Fraction(x * x - x * y + y * y, den2)
-    return total / group.order
+    # trace(P_g P) = sum_i P[g^-1(i), i] for every g at once, as int64 sums of n entries
+    n = rep.dim()
+    _guard(n * projector.max_abs())
+    idx = np.arange(n)
+    xs = projector.a[inverse, idx].sum(axis=1).tolist()
+    ys = projector.b[inverse, idx].sum(axis=1).tolist()
+    total = sum(x * x - x * y + y * y for x, y in zip(xs, ys))
+    return Fraction(total, projector.den * projector.den * group.order)

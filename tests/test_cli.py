@@ -1,5 +1,6 @@
 """Subcommand smoke tests, byte stability, JSON schemas, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from triform import borcherds, cli
+from triform import borcherds, cli, exact, weil
 from triform.cli import main, run_checks
 from triform.weil import DualMismatchError, build_weil
 
@@ -218,6 +219,83 @@ def test_arithmetic_errors_exit_1_without_a_traceback(monkeypatch, capsys, error
     assert code == 1
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+def _corrupt_output(monkeypatch, name, corrupt):
+    """Make the stage `cli.<name>` return a corrupted copy of its result."""
+    stage = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: corrupt(stage(*args, **kwargs)))
+
+
+def _drop_a_type_1_pattern(monkeypatch):
+    monkeypatch.setitem(cli.TYPE_PATTERNS, "1", cli.TYPE_PATTERNS["1"][1:])
+
+
+def _miscount_a_triple(monkeypatch):
+    _corrupt_output(monkeypatch, "pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)})
+
+
+def _lose_an_isometry(monkeypatch):
+    _corrupt_output(monkeypatch, "orthogonal_group",
+                    lambda group: dataclasses.replace(group, perm=group.perm[:-1]))
+
+
+def _miscount_the_short_incidence(monkeypatch):
+    _corrupt_output(monkeypatch, "accounting_report",
+                    lambda report: dataclasses.replace(report, short_incidence=2))
+
+
+@pytest.mark.parametrize("perturb,check,actual", [
+    (_drop_a_type_1_pattern, "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
+    (_miscount_a_triple, "pairing-table", "1 triples differ"),
+    (_lose_an_isometry, "orthogonal-group",
+     "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
+    (_miscount_the_short_incidence, "orthogonal-bases",
+     "bases=15 incidence=2 isotropic=covered cusps=10"),
+], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases"])
+def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, perturb, check, actual):
+    perturb(monkeypatch)
+    checks = run_checks()
+    assert [c.name for c in checks if c.status == "fail"] == [check]
+    assert next(c for c in checks if c.name == check).actual == actual
+
+
+def _wrong_class_sizes(monkeypatch):
+    monkeypatch.setattr(weil, "CLASS_SIZES", (2, 2, 6, 4, 4, 4, 2))
+
+
+def _wrong_character(monkeypatch):
+    monkeypatch.setitem(weil.CHARACTER_TABLE, 2, weil.CHARACTER_TABLE[1])
+
+
+@pytest.mark.parametrize("perturb,message", [
+    (_wrong_class_sizes, "error: class E has size 1, expected 2\n"),
+    (_wrong_character, "error: row orthogonality fails for (1, 2)\n"),
+], ids=["build_sl2f3", "validate_character_table"])
+def test_group_table_failures_exit_1_without_a_traceback(monkeypatch, capsys,
+                                                          perturb, message):
+    perturb(monkeypatch)
+    code, out, err = run(capsys, "character")
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
+def test_a_cyclotomic_failure_exits_1_without_a_traceback(monkeypatch, capsys):
+    def clear_caches():
+        exact.cyclotomic_poly.cache_clear()
+        exact._reduction_rows.cache_clear()
+
+    monkeypatch.setattr(exact, "_poly_divmod_monic", lambda num, den: ([0], [1]))
+    clear_caches()
+    try:
+        code, out, err = run(capsys, "eisenstein", "--precision", "3")
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Phi_1 does not divide x^")
 
 
 def test_module_entry_point_subprocess():

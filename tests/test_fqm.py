@@ -1,18 +1,23 @@
+import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from triform import fqm
+from triform.exact import mat_det
 from triform.fqm import (
+    PAIRING_COLUMNS,
     REFERENCE_TABLE,
+    TYPE_LABELS,
     TYPE_PATTERNS,
     BasisError,
     OrthoBasis,
     PairingConventionError,
     QuadraticModule,
     ReflectionError,
-    _b3,
-    _q3,
     apply_matrix,
     canonical_sign,
     central_negation,
@@ -22,6 +27,7 @@ from triform.fqm import (
     gram3,
     involutive_reflections,
     isotropic_incidence,
+    module_table,
     orthogonal_bases,
     orthogonal_group,
     paper_module,
@@ -32,6 +38,34 @@ from triform.fqm import (
 from triform.lattice import alt_spec, discriminant_form
 
 M = paper_module()
+ALT = discriminant_form(alt_spec()).module
+BOTH = pytest.mark.parametrize("module", [M, ALT], ids=["paper", "alt-decomposition"])
+
+
+# -- the Fraction oracle: every integer table is checked against q and b
+
+
+def _q3(module: QuadraticModule, x) -> int:
+    """Integer quadratic form Q(x) = (3/2) q(x) mod 3."""
+    v = (Fraction(3, 2) * module.q(x)) % 3
+    if v.denominator != 1:
+        raise ReflectionError(f"q({x}) = {module.q(x)} is not a third-integer")
+    return int(v)
+
+
+def _b3(module: QuadraticModule, x, y) -> int:
+    """Integer pairing B(x, y) = 3 b(x, y) mod 3; polarization of _q3."""
+    v = (3 * module.b(x, y)) % 3
+    if v.denominator != 1:
+        raise ReflectionError("pairing is not third-integer")
+    return int(v)
+
+
+def _type_oracle(module, x) -> str:
+    if not any(x):
+        return "00"
+    return {Fraction(0): "0", Fraction(2, 3): "1", Fraction(4, 3): "2"}[module.q(x)]
+
 
 # the frozen 16-triple pairing-count table (m_0, m_1, m_2)
 EXPECTED_TABLE = {
@@ -209,8 +243,7 @@ def test_canonicalization_and_strings():
     assert element_str((1, 0, 2, 1)) == "1021"
 
 
-@pytest.mark.parametrize("module", [M, discriminant_form(alt_spec()).module],
-                         ids=["paper", "alt-decomposition"])
+@BOTH
 def test_gram3_matches_the_fraction_forms(module):
     q, b = gram3(module)
     elems = module.elements()
@@ -225,3 +258,144 @@ def test_gram3_rejects_what_the_fraction_forms_reject():
         _b3(half, (1,), (1,))
     with pytest.raises(ReflectionError):
         gram3(half)
+
+
+@BOTH
+def test_module_table_matches_the_fraction_forms(module):
+    t = module_table(module)
+    elems = module.elements()
+    assert t.elements == elems
+    assert [t.index[x] for x in elems] == list(range(len(elems)))
+    assert t.digits.tolist() == [list(x) for x in elems]
+    assert [elems[i] for i in t.neg] == [module.neg(x) for x in elems]
+    assert [[elems[k] for k in row] for row in t.add] == [
+        [module.add(x, y) for y in elems] for x in elems]
+    assert [TYPE_LABELS[k] for k in t.kind] == [_type_oracle(module, x) for x in elems]
+    assert [elems[i] for i in t.unit] == [
+        tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert module_table(module) is t  # memoized
+
+
+@BOTH
+def test_classify_and_type_of_match_the_fraction_oracle(module):
+    groups: dict = {}
+    for x in module.elements():
+        groups.setdefault(_type_oracle(module, x), []).append(x)
+    assert classify(module) == {label: tuple(groups[label])
+                                for label in TYPE_LABELS if label in groups}
+    assert list(classify(module)) == [label for label in TYPE_LABELS if label in groups]
+    assert all(type_of(module, x) == _type_oracle(module, x) for x in module.elements())
+
+
+@BOTH
+def test_pairing_table_matches_a_pair_by_pair_count(module):
+    types = classify(module)
+    expected = {}
+    for ulabel, us in types.items():
+        for vlabel, vs in types.items():
+            triples = {tuple(sum(1 for v in vs if module.b(u, v) == c) for c in PAIRING_COLUMNS)
+                       for u in us}
+            assert len(triples) == 1
+            expected[(ulabel, vlabel)] = triples.pop()
+    assert pairing_table(module) == expected
+
+
+def _bases_oracle(module):
+    types = classify(module)
+    bases = []
+    for alpha0 in types["1"]:
+        if canonical_sign(module, alpha0) != alpha0:
+            continue
+        candidates = sorted({canonical_sign(module, v) for v in types["2"]
+                             if module.b(v, alpha0) == 0})
+        completions = [t for t in itertools.combinations(candidates, 3)
+                       if all(module.b(t[i], t[j]) == 0 for i in range(3) for j in range(i))]
+        assert len(completions) == 1
+        assert mat_det((alpha0,) + completions[0]) % 3 != 0
+        bases.append(OrthoBasis(alpha0, completions[0]))
+    return tuple(bases)
+
+
+@BOTH
+def test_bases_and_incidence_match_a_pair_by_pair_search(module):
+    bases = orthogonal_bases(module)
+    assert bases == _bases_oracle(module)
+    for basis in bases:
+        assert isotropic_incidence(module, basis) == {
+            x: tuple(i for i, a in enumerate(basis.vectors) if module.b(x, a) == 0)
+            for x in classify(module)["0"]}
+
+
+@BOTH
+def test_reflection_matrices_match_the_fraction_formula(module):
+    for alpha in module.elements():
+        qa = _q3(module, alpha)
+        if qa == 0:
+            continue
+        cols = []
+        for j in range(4):
+            e = tuple(int(i == j) for i in range(4))
+            c = _b3(module, e, alpha) * qa % 3
+            cols.append(tuple((e[i] - c * alpha[i]) % 3 for i in range(4)))
+        assert reflect(module, alpha).matrix == tuple(zip(*cols))
+
+
+def _matrix_keys(mats: np.ndarray) -> np.ndarray:
+    return mats.reshape(len(mats), -1) @ 3 ** np.arange(16)
+
+
+@BOTH
+def test_group_is_the_closure_of_the_involutive_reflections(module):
+    """Cartan-Dieudonne over F_3: the 30 reflections generate O(q)."""
+    group = orthogonal_group(module)
+    alphas = involutive_reflections(group)
+    assert len(alphas) == 30
+    gens = np.array([reflect(module, a).matrix for a in alphas])
+    frontier = np.eye(4, dtype=np.int64)[None]
+    seen = set(_matrix_keys(frontier).tolist())
+    while len(frontier):
+        products = (frontier[:, None] @ gens[None]).reshape(-1, 4, 4) % 3
+        keys, first = np.unique(_matrix_keys(products), return_index=True)
+        fresh = [k not in seen for k in keys.tolist()]
+        frontier = products[first[fresh]]
+        seen.update(keys[fresh].tolist())
+    assert seen == set(_matrix_keys(np.array(group.elements)).tolist())
+    assert len(seen) == group.order == 1440
+
+
+def test_group_permutations_agree_with_the_matrices():
+    group = orthogonal_group(M)
+    elems = M.elements()
+    assert group.perm.dtype == np.uint8 and group.perm.shape == (1440, 81)
+    for k in random.Random(7).sample(range(group.order), 40):
+        g = group.elements[k]
+        assert [elems[i] for i in group.perm[k]] == [apply_matrix(g, x) for x in elems]
+    assert group.generators == tuple(group.elements[k] for k in group.generator_rows)
+
+
+# -- negative controls
+
+
+def _perturbed_table(monkeypatch, module, relabel: dict):
+    """Make every integer-table consumer see `module` with some types relabeled."""
+    t = module_table(module)
+    kind = t.kind.copy()
+    for x, label in relabel.items():
+        kind[t.index[x]] = TYPE_LABELS.index(label)
+    fake, original = dataclasses.replace(t, kind=kind), fqm.module_table
+    monkeypatch.setattr(fqm, "module_table", lambda m: fake if m == module else original(m))
+
+
+def test_a_representative_dependent_split_raises(monkeypatch):
+    # move one type-1 element into type 2: the type-2 rows now disagree
+    _perturbed_table(monkeypatch, M, {(1, 0, 0, 0): "2"})
+    with pytest.raises(PairingConventionError, match="representative"):
+        pairing_table(M)
+
+
+def test_an_ambiguous_completion_raises(monkeypatch):
+    # calling the class of 0110 short gives 1000 a second completion 0001, 0110, 0120
+    relabel = {x: "2" for x in expand_patterns([(0, 1, 1, 0)])}
+    _perturbed_table(monkeypatch, M, relabel)
+    with pytest.raises(BasisError, match="2 orthogonal completions"):
+        orthogonal_bases(M)

@@ -23,6 +23,7 @@ from triform.weil import (
     CHARACTER_TABLE,
     CLASS_ORDER,
     CLASS_SIZES,
+    DualMismatchError,
     OmegaMat,
     RelationError,
     S_MAT,
@@ -414,6 +415,21 @@ def test_aggregated_dual_matches_display():
     assert mat_eq(mat_mul(agg_s, agg_s), mat_identity(4))
     st = mat_mul(agg_s, agg_t)
     assert mat_eq(mat_mul(st, mat_mul(st, st)), mat_identity(4))
+
+
+@pytest.mark.parametrize("matrix,message", [
+    (S_MAT, "column sums depend on the representative of type 1"),
+    (T_MAT, "diagonal phase not constant on type 1"),
+], ids=["rho_S", "rho_T"])
+def test_aggregated_dual_rejects_a_representative_dependent_action(matrix, message):
+    # add 1 to the diagonal entry of rho(S) or rho(T) at 1000, a type-1 element
+    j = REP.index[(1, 0, 0, 0)]
+    m = REP.rho[matrix]
+    a = m.a.copy()
+    a[j, j] += m.den
+    rep = dataclasses.replace(REP, rho={**REP.rho, matrix: OmegaMat(a, m.b, m.den)})
+    with pytest.raises(DualMismatchError, match=message):
+        aggregated_dual(rep)
 
 
 # ---------------------------------------------------------------------------
