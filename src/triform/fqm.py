@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -177,13 +176,17 @@ def gram3(module: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
 
     Q(x) = x M x^T with M_ii = (3/2) q(g_i), M_ij = (3/2) b(g_i, g_j), and
     B(x, y) = x (3 b) y^T, each from an integer matmul of the element array
-    over a common denominator.  Raises ReflectionError if some value is not
-    an integer before the reduction mod 3.
+    over a common denominator.  The values on the generators come from the
+    Fraction forms `module.q`/`b`, already reduced mod 2 and mod 1.  Raises
+    ReflectionError if some value is not an integer before the reduction
+    mod 3.
     """
     x = np.array(module.elements(), dtype=np.int64)
     r = len(module.orders)
-    gb, den_b = _scaled([[3 * v for v in row] for row in module.gen_b])
-    gq, den_q = _scaled([[Fraction(3, 2) * (module.gen_q[i] if i == j else module.gen_b[i][j])
+    g = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    pair = [[module.b(gi, gj) for gj in g] for gi in g]
+    gb, den_b = _scaled([[3 * v for v in row] for row in pair])
+    gq, den_q = _scaled([[Fraction(3, 2) * (module.q(g[i]) if i == j else pair[i][j])
                           for j in range(r)] for i in range(r)])
     digits = (max(module.orders) - 1) * r  # bounds sum_i |x_i| over an element
     if digits * digits * max(int(np.abs(gb).max()), int(np.abs(gq).max())) >= 1 << 63:
@@ -376,27 +379,13 @@ class OrthogonalGroup:
 
     module: QuadraticModule
     perm: np.ndarray = field(repr=False, compare=False)  # (order, N), small dtype
+    keys: np.ndarray = field(repr=False, compare=False)  # (order,) ascending
     generator_rows: tuple[int, ...]
     orbits: tuple[tuple[Element, ...], ...]
 
     @property
     def order(self) -> int:
         return len(self.perm)
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        return _keys(self.perm[:, module_table(self.module).unit], self.perm.shape[1])
-
-    @cached_property
-    def elements(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The maps as F_3 matrices: column j is the image of g_j."""
-        t = module_table(self.module)
-        cols = t.digits[self.perm[:, t.unit]].transpose(0, 2, 1).tolist()
-        return tuple(tuple(map(tuple, m)) for m in cols)
-
-    @property
-    def generators(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(self.elements[k] for k in self.generator_rows)
 
     def locate(self, images: np.ndarray) -> np.ndarray:
         """Rows of the maps sending g_j to images[:, j] (m, r); -1 where none does."""
@@ -449,9 +438,10 @@ def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
             seen[orbit] = True
             orbits.append(tuple(t.elements[j] for j in orbit))
 
-    perm.flags.writeable = False
     keys = _keys(images, n)
-    result = OrthogonalGroup(module, perm, _generating_rows(perm, keys, t.unit), tuple(orbits))
+    perm.flags.writeable = keys.flags.writeable = False
+    result = OrthogonalGroup(module, perm, keys, _generating_rows(perm, keys, t.unit),
+                             tuple(orbits))
     _GROUP_MEMO[module] = result
     return result
 

@@ -67,6 +67,13 @@ def _type_oracle(module, x) -> str:
     return {Fraction(0): "0", Fraction(2, 3): "1", Fraction(4, 3): "2"}[module.q(x)]
 
 
+def _matrices(group) -> list:
+    """The maps of O(q) as F_3 matrices, in row order: column j is the image of g_j."""
+    t = module_table(group.module)
+    cols = t.digits[group.perm[:, t.unit]].transpose(0, 2, 1).tolist()
+    return [tuple(map(tuple, m)) for m in cols]
+
+
 # the frozen 16-triple pairing-count table (m_0, m_1, m_2)
 EXPECTED_TABLE = {
     ("00", "00"): (1, 0, 0),
@@ -171,13 +178,13 @@ def test_orthogonal_group_structure():
     refl = involutive_reflections(group)
     assert len(refl) == 30
     # the generating set actually generates (enumeration already closed it)
-    assert 1 <= len(group.generators) <= 6
+    assert 1 <= len(group.generator_rows) <= 6
 
 
 def test_orthogonal_group_closure_seeded():
     group = orthogonal_group(M)
     rng = random.Random(5)
-    elems = group.elements
+    elems = _matrices(group)
     elemset = set(elems)
     for _ in range(50):
         a, b = rng.choice(elems), rng.choice(elems)
@@ -193,7 +200,7 @@ def test_orthogonal_group_preserves_q_seeded():
     rng = random.Random(31)
     elems = M.elements()
     for _ in range(60):
-        g = rng.choice(group.elements)
+        g = rng.choice(_matrices(group))
         x = rng.choice(elems)
         assert M.q(apply_matrix(g, x)) == M.q(x)
 
@@ -249,6 +256,15 @@ def test_gram3_matches_the_fraction_forms(module):
     elems = module.elements()
     assert q.tolist() == [_q3(module, x) for x in elems]
     assert b.tolist() == [[_b3(module, x, y) for y in elems] for x in elems]
+
+
+def test_gram3_is_unchanged_by_unreduced_generator_data():
+    # q(g_i) + 2 and b(g_i, g_j) + 1 present the same module
+    r = range(4)
+    shifted = QuadraticModule(M.orders, tuple(v + 2 for v in M.gen_q),
+                              tuple(tuple(M.gen_b[i][j] + 1 for j in r) for i in r))
+    for got, want in zip(gram3(shifted), gram3(M)):
+        assert np.array_equal(got, want)
 
 
 def test_gram3_rejects_what_the_fraction_forms_reject():
@@ -359,7 +375,7 @@ def test_group_is_the_closure_of_the_involutive_reflections(module):
         fresh = [k not in seen for k in keys.tolist()]
         frontier = products[first[fresh]]
         seen.update(keys[fresh].tolist())
-    assert seen == set(_matrix_keys(np.array(group.elements)).tolist())
+    assert seen == set(_matrix_keys(np.array(_matrices(group))).tolist())
     assert len(seen) == group.order == 1440
 
 
@@ -367,10 +383,12 @@ def test_group_permutations_agree_with_the_matrices():
     group = orthogonal_group(M)
     elems = M.elements()
     assert group.perm.dtype == np.uint8 and group.perm.shape == (1440, 81)
+    matrices = _matrices(group)
     for k in random.Random(7).sample(range(group.order), 40):
-        g = group.elements[k]
-        assert [elems[i] for i in group.perm[k]] == [apply_matrix(g, x) for x in elems]
-    assert group.generators == tuple(group.elements[k] for k in group.generator_rows)
+        assert [elems[i] for i in group.perm[k]] == [apply_matrix(matrices[k], x) for x in elems]
+    assert group.keys.tolist() == sorted(group.keys.tolist())
+    assert [group.locate(group.perm[k, module_table(M).unit][None, :])[0]
+            for k in range(group.order)] == list(range(group.order))
 
 
 # -- negative controls

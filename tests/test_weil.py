@@ -217,11 +217,9 @@ def test_multiplicities():
 
 def test_rho_commutes_with_orthogonal_group():
     group = orthogonal_group(M)
-    elems = np.array(REP.elements, dtype=np.int64)
-    weights = np.array([27, 9, 3, 1], dtype=np.int64)
     idx = np.arange(81)
-    for g in group.generators:
-        p = (elems @ np.array(g, dtype=np.int64).T % 3) @ weights
+    for k in group.generator_rows:
+        p = group.perm[k].astype(np.intp)
         pinv = np.empty_like(p)
         pinv[p] = idx
         for m in (REP.rho_S, REP.rho_T):
