@@ -177,7 +177,6 @@ def eisenstein_g4(a: int, b: int, precision: int = DEFAULT_PRECISION) -> QSeries
     return QSeries(out, precision)
 
 
-TYPE_ORDER = ("00", "0", "1", "2")
 TYPE_COUNTS = {"00": 1, "0": 20, "1": 30, "2": 30}
 
 

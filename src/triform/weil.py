@@ -10,17 +10,15 @@ integer numpy arrays A, B, a positive integer denominator d, and w a
 primitive cube root of unity (w^2 = -1 - w).  Every int64 kernel checks a
 bound on its entries first and raises OverflowError rather than wrap.
 
-The one use of floating point is the 24 x 24 multiplication-table check:
-it runs the 576 products of Z[w] numerators over the common denominator 9
-as float64 matmuls.  Each entry and partial sum is then an integer of
-absolute value at most 3 n m^2 (n = 81, m the largest numerator), so the
-products are exact; cayley_check asserts 3 n m^2 < 2^53 before it
-compares any float.
+Every product of Z[w] numerators goes through one kernel, _zw_matmul: four
+float64 matmuls.  For an inner dimension k and numerators of absolute value
+at most m1 and m2, every entry and partial sum is an integer of absolute
+value at most 3 k m1 m2, so the products are exact; the kernel asserts
+3 k m1 m2 < 2^53 before it multiplies and raises OverflowError otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,6 +67,31 @@ def _guard(bound: int) -> None:
         raise OverflowError("entries too large for the int64 representation")
 
 
+def _max_abs(x) -> int:
+    """The largest |entry| of an integer array, as a Python int (0 if empty)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+_FLOAT_EXACT_LIMIT = 1 << 53
+
+
+def _zw_matmul(a1, b1, a2, b2):
+    """(A1 + B1 w)(A2 + B2 w) as a float64 (1-part, w-part) pair of exact integers.
+
+    The operands hold integers (any numeric dtype).  With k the inner
+    dimension and m1, m2 the largest numerators of the two factors, every
+    entry and partial sum has absolute value at most 3 k m1 m2; that bound
+    is checked against 2^53 before any product, so the floats are exact.
+    """
+    m1, m2 = max(_max_abs(a1), _max_abs(b1)), max(_max_abs(a2), _max_abs(b2))
+    if 3 * a1.shape[-1] * m1 * m2 >= _FLOAT_EXACT_LIMIT:
+        raise OverflowError(f"numerators up to {m1} and {m2} are too large for "
+                            "exact float64 products")
+    a1, b1, a2, b2 = (np.asarray(x, dtype=np.float64) for x in (a1, b1, a2, b2))
+    b1b2 = b1 @ b2
+    return a1 @ a2 - b1b2, a1 @ b2 + b1 @ a2 - b1b2
+
+
 def _zw_mul(x0, x1, y0, y1):
     """(x0 + x1 w)(y0 + y1 w) as a (1-part, w-part) pair; w^2 = -1 - w."""
     x1y1 = x1 * y1
@@ -100,46 +123,18 @@ class OmegaMat:
     def identity(n: int) -> "OmegaMat":
         return OmegaMat(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
 
-    @staticmethod
-    def zeros(n: int) -> "OmegaMat":
-        z = np.zeros((n, n), dtype=np.int64)
-        return OmegaMat(z, z.copy())
-
     @property
     def shape(self):
         return self.a.shape
 
     def max_abs(self) -> int:
         """The largest |numerator| over both components."""
-        return max(int(np.abs(self.a).max(initial=0)), int(np.abs(self.b).max(initial=0)))
+        return max(_max_abs(self.a), _max_abs(self.b))
 
     def __matmul__(self, other: "OmegaMat") -> "OmegaMat":
-        _guard(max(self.max_abs() * other.max_abs() * 3 * self.shape[1],
-                   self.den * other.den))
-        a1b2 = self.a @ other.b
-        b1a2 = self.b @ other.a
-        b1b2 = self.b @ other.b
-        a = self.a @ other.a - b1b2
-        b = a1b2 + b1a2 - b1b2
+        _guard(self.den * other.den)
+        a, b = _zw_matmul(self.a, self.b, other.a, other.b)
         return OmegaMat(a, b, self.den * other.den)
-
-    def __add__(self, other: "OmegaMat") -> "OmegaMat":
-        d = math.lcm(self.den, other.den)
-        f1, f2 = d // self.den, d // other.den
-        _guard(max(self.max_abs() * f1 + other.max_abs() * f2, d))
-        return OmegaMat(self.a * f1 + other.a * f2, self.b * f1 + other.b * f2, d)
-
-    def __sub__(self, other: "OmegaMat") -> "OmegaMat":
-        return self + (-other)
-
-    def __neg__(self) -> "OmegaMat":
-        return OmegaMat(-self.a, -self.b, self.den, normalize=False)
-
-    def scale(self, p: int, q: int, d: int = 1) -> "OmegaMat":
-        """Multiply by the scalar (p + q w)/d."""
-        _guard(max(self.max_abs() * (abs(p) + 2 * abs(q)), self.den * abs(d)))
-        a, b = _zw_mul(self.a, self.b, p, q)
-        return OmegaMat(a, b, self.den * d)
 
     def __eq__(self, other):
         if not isinstance(other, OmegaMat):
@@ -187,12 +182,11 @@ class OmegaMat:
         return rank
 
     def conjugate(self) -> "OmegaMat":
+        _guard(2 * self.max_abs())
         return OmegaMat(self.a - self.b, -self.b, self.den, normalize=False)
 
-    def transpose(self) -> "OmegaMat":
-        return OmegaMat(self.a.T.copy(), self.b.T.copy(), self.den, normalize=False)
-
     def trace(self) -> CycQ:
+        _guard(len(self.a) * self.max_abs())
         ta, tb = int(np.trace(self.a)), int(np.trace(self.b))
         return CycQ(3, [Fraction(ta, self.den), Fraction(tb, self.den)])
 
@@ -202,10 +196,8 @@ class OmegaMat:
 
     def matvec_int(self, v) -> tuple[np.ndarray, np.ndarray, int]:
         v = np.asarray(v, dtype=np.int64)
-        return self.a @ v, self.b @ v, self.den
-
-    def is_zero(self) -> bool:
-        return not (self.a.any() or self.b.any())
+        av, bv = _zw_matmul(self.a, self.b, v, np.zeros_like(v))
+        return av, bv, self.den
 
     def to_cyc_rows(self):
         n, m = self.shape
@@ -213,14 +205,6 @@ class OmegaMat:
 
     def __repr__(self):
         return f"OmegaMat(shape={self.shape}, den={self.den})"
-
-
-def scalar_as_pair(value: CycQ) -> tuple[int, int, int]:
-    """(p, q, d) with value = (p + q w)/d, for conductor-3 values."""
-    v = value if value.n == 3 else value.embed(3)
-    a, b = v.c
-    d = a.denominator * b.denominator // np.gcd(a.denominator, b.denominator)
-    return int(a * d), int(b * d), int(d)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +253,6 @@ class SL2F3:
     by_mat: dict
     class_of: dict  # mat -> label
     classes: dict   # label -> tuple of GroupElement
-
-    def mul(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.by_mat[_mul2(g.mat, h.mat)]
-
-    def inv(self, g: GroupElement) -> GroupElement:
-        return self.by_mat[_inv2(g.mat)]
 
     @property
     def order(self) -> int:
@@ -404,22 +382,6 @@ class WeilRep:
     def rho_T(self) -> OmegaMat:
         return self.rho[T_MAT]
 
-    def rho_of(self, g) -> OmegaMat:
-        """rho at a GroupElement, a 2x2 matrix mod 3, or a word in S and T."""
-        if isinstance(g, GroupElement):
-            return self.rho[g.mat]
-        if isinstance(g, str):
-            m: Mat2 = ((1, 0), (0, 1))
-            for letter in g:
-                if letter == "S":
-                    m = _mul2(m, S_MAT)
-                elif letter == "T":
-                    m = _mul2(m, T_MAT)
-                else:
-                    raise ValueError(f"word may contain only S and T, got {letter!r}")
-            return self.rho[m]
-        return self.rho[tuple(map(tuple, g))]
-
     def dim(self) -> int:
         return len(self.elements)
 
@@ -452,57 +414,51 @@ def build_weil(module: QuadraticModule) -> WeilRep:
 
     group = build_sl2f3()
     rho: dict = {}
-    gens = {"S": rho_s, "T": rho_t}
-    for g in group.elements:  # BFS order: prefixes come first
+    gens = {S_MAT: rho_s, T_MAT: rho_t}
+    for g in group.elements:  # BFS order: g = parent * (last letter), parent first
         if not g.word:
             rho[g.mat] = ident
             continue
-        prefix, letter = g.word[:-1], g.word[-1]
-        pm: Mat2 = ((1, 0), (0, 1))
-        for ch in prefix:
-            pm = _mul2(pm, S_MAT if ch == "S" else T_MAT)
-        rho[g.mat] = rho[pm] @ gens[letter]
+        gen = S_MAT if g.word[-1] == "S" else T_MAT
+        rho[g.mat] = rho[_mul2(g.mat, _inv2(gen))] @ gens[gen]
     return WeilRep(module, table.elements, table.index, group, rho)
 
 
-_FLOAT_EXACT_LIMIT = 1 << 53
+def _den9_stack(rep: WeilRep) -> tuple[np.ndarray, np.ndarray]:
+    """The 24 rho(g), in group order, as float64 Z[w] numerators over the denominator 9.
+
+    Raises RelationError if some rho(g) has a denominator that does not divide 9.
+    """
+    n = rep.dim()
+    num_a = np.empty((rep.group.order, n, n))
+    num_b = np.empty_like(num_a)
+    for i, g in enumerate(rep.group.elements):
+        r = rep.rho[g.mat]
+        if 9 % r.den:
+            raise RelationError(f"rho({g.word or 'E'}) has denominator {r.den}, "
+                                "which does not divide 9")
+        num_a[i], num_b[i] = r.a, r.b
+        num_a[i] *= 9 // r.den
+        num_b[i] *= 9 // r.den
+    return num_a, num_b
 
 
 def cayley_check(rep: WeilRep) -> int:
     """rho(g) rho(h) = rho(gh) over every pair; returns the pair count.
 
-    The 24 matrices become Z[w] numerators over the common denominator 9,
-    and each of the 576 products is four float64 matmuls of n x n numerator
-    blocks, compared exactly with 9 times the numerators of rho(gh).  Every
-    entry and partial sum is an integer of absolute value at most 3 n m^2
-    (m the largest numerator), so the floats are exact once that bound is
-    below 2^53; it is checked first, and OverflowError raised if it fails.
+    Each of the 576 products is one _zw_matmul of den-9 numerators, compared
+    exactly with 9 times the numerators of rho(gh).
     """
     elements = rep.group.elements
-    mats = [rep.rho[g.mat] for g in elements]
-    n = rep.dim()
-    for g, r in zip(elements, mats):
-        if 9 % r.den:
-            raise RelationError(f"rho({g.word or 'E'}) has denominator {r.den}, "
-                                "which does not divide 9")
-    m = max(r.max_abs() * (9 // r.den) for r in mats)
-    if 3 * n * m * m >= _FLOAT_EXACT_LIMIT:
-        raise OverflowError(f"numerators up to {m} are too large for exact "
-                            "float64 products")
-    num_a = np.empty((len(mats), n, n))
-    num_b = np.empty_like(num_a)
-    for i, r in enumerate(mats):
-        num_a[i], num_b[i] = r.a * (9 // r.den), r.b * (9 // r.den)
+    num_a, num_b = _den9_stack(rep)
     position = {g.mat: i for i, g in enumerate(elements)}
 
     count = 0
     for i, g in enumerate(elements):
-        ga, gb = num_a[i], num_b[i]
         for j, h in enumerate(elements):
-            bb = gb @ num_b[j]
+            a, b = _zw_matmul(num_a[i], num_b[i], num_a[j], num_b[j])
             k = position[_mul2(g.mat, h.mat)]
-            if not (np.array_equal(ga @ num_a[j] - bb, 9 * num_a[k])
-                    and np.array_equal(ga @ num_b[j] + gb @ num_a[j] - bb, 9 * num_b[k])):
+            if not (np.array_equal(a, 9 * num_a[k]) and np.array_equal(b, 9 * num_b[k])):
                 raise RelationError(f"rho({g.word or 'E'}) rho({h.word or 'E'}) "
                                     "disagrees with the product element")
             count += 1
@@ -620,16 +576,22 @@ class IsotypicSubspace:
 
 
 def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
-    """Image of the isotypic projector (1/24) sum conj(chi(g)) rho(g)."""
-    chi = CHARACTER_TABLE[char_index]
-    by_label = dict(zip(CLASS_ORDER, chi))
-    n = rep.dim()
-    acc = OmegaMat.zeros(n)
-    for g in rep.group.elements:
-        p, q, d = scalar_as_pair(by_label[rep.group.class_of[g.mat]].conjugate())
-        acc = acc + rep.rho[g.mat].scale(p, q, d)
-    dim_chi = int(chi[0].as_fraction())
-    proj = acc.scale(dim_chi, 0, 24)
+    """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g).
+
+    The sum is one _zw_matmul: the 1 x 24 row of dim chi * conj(chi(g)) in
+    Z[w] times the 24 den-9 numerator matrices, each flattened to a row.
+    """
+    chi = dict(zip(CLASS_ORDER, CHARACTER_TABLE[char_index]))
+    dim_chi = int(chi["E"].as_fraction())
+    group, n = rep.group, rep.dim()
+    coeffs = [chi[group.class_of[g.mat]].conjugate().embed(3).c for g in group.elements]
+    if any(x.denominator != 1 for c in coeffs for x in c):
+        raise GroupTableError(f"character {char_index} takes a value outside Z[w]")
+    ca, cb = (dim_chi * np.array([[int(c[part]) for c in coeffs]]) for part in (0, 1))
+    num_a, num_b = _den9_stack(rep)
+    a, b = _zw_matmul(ca, cb, num_a.reshape(group.order, n * n),
+                      num_b.reshape(group.order, n * n))
+    proj = OmegaMat(a.reshape(n, n), b.reshape(n, n), 9 * group.order)
     if not proj @ proj == proj:
         raise RankError("isotypic operator is not idempotent")
     for gen in (rep.rho_S, rep.rho_T):

@@ -29,7 +29,7 @@ from triform.qseries import (
     one_series,
     zero_series,
 )
-from triform.weil import aggregated_dual, build_weil, special_vectors
+from triform.weil import S_MAT, T_MAT, _mul2, aggregated_dual, build_weil, special_vectors
 
 
 def series(pairs, precision):
@@ -279,7 +279,7 @@ def test_eta_times_special_vector_transforms_numerically():
 def test_complex_matrix_rounds_each_entry_as_cyc_complex():
     # the complex128 view must reproduce the entry-by-entry conversion bit for bit
     rep = build_weil(paper_module())
-    for m in (rep.rho_S, rep.rho_T, rep.rho_of("ST")):
+    for m in (rep.rho_S, rep.rho_T, rep.rho[_mul2(S_MAT, T_MAT)]):
         fast = complex_matrix(m)
         slow = [[complex(cyc_complex(m.entry(i, j))) for j in range(81)] for i in range(81)]
         assert repr(fast) == repr(slow)

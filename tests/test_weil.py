@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from triform.weil import (
     CLASS_ORDER,
     CLASS_SIZES,
     DualMismatchError,
+    GroupTableError,
     OmegaMat,
     RelationError,
     S_MAT,
@@ -32,6 +34,7 @@ from triform.weil import (
     _inv2,
     _mul2,
     _neg2,
+    _zw_matmul,
     aggregated_dual,
     build_sl2f3,
     build_weil,
@@ -59,11 +62,8 @@ def test_omega_mat_arithmetic():
     # w^2 = -1 - w
     assert np.array_equal(w2.a, [[-1]]) and np.array_equal(w2.b, [[-1]])
     assert (w2 @ w_scalar) == OmegaMat.identity(1)
-    third = OmegaMat(np.array([[1]]), np.array([[0]]), 3)
-    assert third + third + third == OmegaMat.identity(1)
     assert w_scalar.conjugate() == w2
     assert w_scalar.trace() == OMEGA
-    assert (w_scalar.scale(0, 1)) == w2
 
 
 def test_omega_mat_equality_across_denominators():
@@ -73,18 +73,61 @@ def test_omega_mat_equality_across_denominators():
 
 
 BIG = OmegaMat([[2**33]], [[0]])
+HUGE = 2**62
 
 
 @pytest.mark.parametrize("operation", [
     lambda: BIG @ BIG,
-    lambda: OmegaMat([[2**41]], [[0]], 3) + OmegaMat([[1]], [[0]], 2**23),
-    lambda: BIG.scale(2**31, 0),
     lambda: BIG == OmegaMat([[2**33]], [[0]], 2**31 + 1),
-], ids=["matmul", "add", "scale", "eq"])
+    lambda: OmegaMat(np.diag([HUGE, HUGE]), np.zeros((2, 2)), 3, normalize=False).trace(),
+    lambda: OmegaMat([[HUGE]], [[-HUGE]], normalize=False).conjugate(),
+], ids=["matmul", "eq", "trace", "conjugate"])
 def test_int64_paths_raise_instead_of_wrapping(operation):
-    # each of these wraps past 2^63 in int64 (the add and eq to a wrong answer)
+    # unguarded, the eq, trace and conjugate wrap past 2^63 in int64 to a
+    # wrong answer; the matmul is past the exact float64 range
     with pytest.raises(OverflowError):
         operation()
+
+
+def _object_zw_matmul(a1, b1, a2, b2):
+    """The Z[w] product over Python ints, the oracle for _zw_matmul."""
+    a1, b1, a2, b2 = (np.asarray(x).astype(object) for x in (a1, b1, a2, b2))
+    b1b2 = b1 @ b2
+    return a1 @ a2 - b1b2, a1 @ b2 + b1 @ a2 - b1b2
+
+
+@st.composite
+def zw_operands(draw):
+    """Two Z[w] factors whose numerator bounds m1, m2 sit at 3 k m1 m2 < 2^53."""
+    rows, k, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    m1 = draw(st.integers(1, (2**53 - 1) // (3 * k)))
+    m2 = (2**53 - 1) // (3 * k * m1)
+
+    def block(r, c, m):
+        entries = st.lists(st.integers(-m, m), min_size=r * c, max_size=r * c)
+        return np.array(draw(entries), dtype=np.int64).reshape(r, c)
+
+    return (block(rows, k, m1), block(rows, k, m1), block(k, cols, m2), block(k, cols, m2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zw_operands())
+def test_zw_matmul_matches_python_int_products(operands):
+    a, b = _zw_matmul(*operands)
+    want_a, want_b = _object_zw_matmul(*operands)
+    assert a.astype(object).tolist() == want_a.tolist()
+    assert b.astype(object).tolist() == want_b.tolist()
+
+
+def test_zw_matmul_bound_is_sharp():
+    # (m - m w)^2 = -3 m^2 w: the w-part reaches the bound 3 k m^2 itself
+    m = math.isqrt((2**53 - 1) // 3)
+    x = np.array([[m]]), np.array([[-m]])
+    a, b = _zw_matmul(*x, *x)
+    assert int(a[0, 0]) == 0 and int(b[0, 0]) == -3 * m * m
+    y = np.array([[m + 1]]), np.array([[-m - 1]])
+    with pytest.raises(OverflowError):
+        _zw_matmul(*y, *y)
 
 
 @st.composite
@@ -161,7 +204,7 @@ def test_full_multiplication_table():
 
 def test_cayley_check_names_a_failing_pair():
     swapped = dataclasses.replace(
-        REP, rho={**REP.rho, _matrix_of_word("ST"): REP.rho_of("TS")})
+        REP, rho={**REP.rho, _matrix_of_word("ST"): REP.rho[_matrix_of_word("TS")]})
     with pytest.raises(RelationError, match=r"rho\(\w+\) rho\(\w+\) disagrees"):
         cayley_check(swapped)
 
@@ -187,11 +230,10 @@ def test_cayley_check_rejects_a_denominator_outside_nine():
 def test_rho_inverse_is_conjugate_transpose():
     # the representation is unitary with real structure constants
     for word in ("S", "T", "ST", "TS", "STT"):
-        m = REP.rho_of(word)
-        g = REP.group.by_mat[_matrix_of_word(word)]
-        inv = REP.rho[_inv2(g.mat)]
+        g = _matrix_of_word(word)
+        m, inv = REP.rho[g], REP.rho[_inv2(g)]
         assert m @ inv == OmegaMat.identity(81)
-        assert inv == m.conjugate().transpose()
+        assert inv == _transpose(m.conjugate())
 
 
 def _matrix_of_word(word):
@@ -199,6 +241,10 @@ def _matrix_of_word(word):
     for ch in word:
         m = _mul2(m, S_MAT if ch == "S" else T_MAT)
     return m
+
+
+def _transpose(m):
+    return OmegaMat(m.a.T, m.b.T, m.den)
 
 
 def test_traces_on_classes():
@@ -437,8 +483,25 @@ def test_aggregated_dual_rejects_a_representative_dependent_action(matrix, messa
 def test_isotypic_subspace_dimension():
     sub = isotypic_subspace(REP, 3)
     assert sub.dimension == 5
-    assert mat_rank(sub.projector.transpose().to_cyc_rows()) == 5
+    assert mat_rank(_transpose(sub.projector).to_cyc_rows()) == 5
     assert sub.projector.rank() == 5
+
+
+def test_isotypic_projectors_of_all_characters_sum_to_the_identity():
+    subs = [isotypic_subspace(REP, i) for i in sorted(CHARACTER_TABLE)]
+    assert tuple(sub.dimension for sub in subs) == (1, 30, 5, 5, 10, 20, 10)
+    den = math.lcm(*(sub.projector.den for sub in subs))
+    total_a = sum(sub.projector.a * (den // sub.projector.den) for sub in subs)
+    total_b = sum(sub.projector.b * (den // sub.projector.den) for sub in subs)
+    assert np.array_equal(total_a, den * np.eye(81)) and not total_b.any()
+
+
+def test_isotypic_subspace_rejects_a_character_value_outside_z_w(monkeypatch):
+    chi = list(CHARACTER_TABLE[3])
+    chi[CLASS_ORDER.index("S")] = CycQ.rational(Fraction(1, 2))
+    monkeypatch.setitem(CHARACTER_TABLE, 3, tuple(chi))
+    with pytest.raises(GroupTableError, match="outside Z"):
+        isotypic_subspace(REP, 3)
 
 
 def test_special_vectors_all_checks():
