@@ -342,25 +342,43 @@ CHARACTER_TABLE: dict[int, tuple[CycQ, ...]] = {
 }
 
 
+def _zw_rows(rows: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Character rows as (1-part, w-part) integer arrays, one row per key.
+
+    Raises GroupTableError naming the first row with a value outside Z[w].
+    """
+    parts = []
+    for i, row in rows.items():
+        coeffs = [v.embed(3).c for v in row if 3 % v.n == 0]
+        if len(coeffs) < len(row) or any(x.denominator != 1 for c in coeffs for x in c):
+            raise GroupTableError(f"character {i} takes a value outside Z[w]")
+        parts.append([[int(x) for x in c] for c in coeffs])
+    table = np.array(parts, dtype=np.int64).reshape(len(rows), -1, 2)
+    return table[..., 0], table[..., 1]
+
+
 def validate_character_table() -> None:
-    """First and second orthogonality for the frozen table; raises on failure."""
-    order = sum(CLASS_SIZES)
-    for i, chi in CHARACTER_TABLE.items():
-        for j, psi in CHARACTER_TABLE.items():
-            acc = CycQ.rational(0)
-            for size, a, b in zip(CLASS_SIZES, chi, psi):
-                acc = acc + Fraction(size) * a * b.conjugate()
-            expected = order if i == j else 0
-            if acc != expected:
-                raise GroupTableError(f"row orthogonality fails for ({i}, {j})")
-    for c in range(len(CLASS_ORDER)):
-        for d in range(len(CLASS_ORDER)):
-            acc = CycQ.rational(0)
-            for chi in CHARACTER_TABLE.values():
-                acc = acc + chi[c] * chi[d].conjugate()
-            expected = Fraction(order, CLASS_SIZES[c]) if c == d else 0
-            if acc != expected:
-                raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
+    """First and second orthogonality for the frozen table; raises on failure.
+
+    Both relations are integer sums in Z[w]; conj(x + y w) = (x - y) - y w.
+    """
+    keys = list(CHARACTER_TABLE)
+    a, b = _zw_rows(CHARACTER_TABLE)
+    ca, cb = a - b, -b
+    sizes = np.array(CLASS_SIZES)
+    order = int(sizes.sum())
+    # [i, j, c] = chi_i(c) conj(chi_j(c)), summed over classes c with sizes
+    p, q = _zw_mul(a[:, None], b[:, None], ca[None], cb[None])
+    bad = ((p * sizes).sum(-1) != order * np.eye(len(keys))) | ((q * sizes).sum(-1) != 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
+    # [chi, c, d] = chi(c) conj(chi(d)), summed over characters, times size_c
+    p, q = _zw_mul(a[:, :, None], b[:, :, None], ca[:, None], cb[:, None])
+    bad = (p.sum(0) * sizes[:, None] != order * np.eye(len(sizes))) | (q.sum(0) != 0)
+    if bad.any():
+        c, d = np.argwhere(bad)[0]
+        raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +599,12 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     The sum is one _zw_matmul: the 1 x 24 row of dim chi * conj(chi(g)) in
     Z[w] times the 24 den-9 numerator matrices, each flattened to a row.
     """
-    chi = dict(zip(CLASS_ORDER, CHARACTER_TABLE[char_index]))
-    dim_chi = int(chi["E"].as_fraction())
+    chi = CHARACTER_TABLE[char_index]
+    dim_chi = int(chi[CLASS_ORDER.index("E")].as_fraction())
+    xa, xb = _zw_rows({char_index: chi})
     group, n = rep.group, rep.dim()
-    coeffs = [chi[group.class_of[g.mat]].conjugate().embed(3).c for g in group.elements]
-    if any(x.denominator != 1 for c in coeffs for x in c):
-        raise GroupTableError(f"character {char_index} takes a value outside Z[w]")
-    ca, cb = (dim_chi * np.array([[int(c[part]) for c in coeffs]]) for part in (0, 1))
+    cls = [CLASS_ORDER.index(group.class_of[g.mat]) for g in group.elements]
+    ca, cb = dim_chi * (xa - xb)[:, cls], -dim_chi * xb[:, cls]
     num_a, num_b = _den9_stack(rep)
     a, b = _zw_matmul(ca, cb, num_a.reshape(group.order, n * n),
                       num_b.reshape(group.order, n * n))

@@ -260,6 +260,23 @@ def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, perturb, c
     assert next(c for c in checks if c.name == check).actual == actual
 
 
+def _bump_f00_at_q2(form):
+    f00 = form.component("00")
+    bumped = dataclasses.replace(f00, coeffs={**f00.coeffs, 6: f00.coeff_at(6) + 1})
+    return dataclasses.replace(form, components={**form.components, "00": bumped})
+
+
+def test_a_perturbed_f00_coefficient_fails_the_lattice_sum_oracle(monkeypatch):
+    # +1 at q^(6/3) moves f_00(1.3i) by a relative 1.6e-7: within the former
+    # 1e-6 threshold, far outside the 1e-10 one; no other line reads f_00
+    _corrupt_output(monkeypatch, "obstruction_eisenstein", _bump_f00_at_q2)
+    checks = run_checks()
+    assert [c.name for c in checks if c.status == "fail"] == ["eisenstein-normalization"]
+    assert next(c for c in checks if c.name == "eisenstein-normalization").actual == (
+        "const=-1/2 f_0=270 q f_1=135 q^(2/3) f_2=15 q^(1/3) f_00_q=15 "
+        "oracle=relative deviation 1.622e-07")
+
+
 def _wrong_class_sizes(monkeypatch):
     monkeypatch.setattr(weil, "CLASS_SIZES", (2, 2, 6, 4, 4, 4, 2))
 

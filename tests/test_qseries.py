@@ -12,7 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from triform import cli
 from triform.exact import CycQ, OMEGA, root_of_unity
 from triform.fqm import paper_module
 from triform.qseries import (
@@ -183,9 +186,39 @@ def lattice_sum(a, b, tau, box=2000):
 def test_eisenstein_lattice_sum_oracle(a, b):
     tau = 1.3j
     c = (2 * math.pi) ** 4 / 486
-    direct = lattice_sum(a, b, tau) / c
+    grid = lattice_sum(a, b, tau)
     expansion = evaluate(eisenstein_g4(a, b, 60), tau)
-    assert abs(direct - expansion) < 1e-6
+    assert abs(grid / c - expansion) < 1e-6
+    # the closed-form rows of the gauntlet's oracle, within the grid's truncation
+    assert abs(cli._lattice_sum(a, b, tau) - grid) < 1e-7 * abs(grid)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(-0.5, 0.5), st.floats(0.8, 3.0), st.integers(-6, 6), st.integers(0, 2))
+def test_closed_form_row_matches_a_direct_sum(x, y, m, b):
+    """One row of the oracle, sum_k (w + k)^-4, against |k| <= K summed directly.
+
+    For |k| > K, |w + k| >= |k| - |Re w|, so the rest is at most
+    2 / (3 (K - |Re w|)^3); rounding adds at most 1e-13 of sum |w + k|^-4.
+    """
+    assume(m or b)
+    w = (m * complex(x, y) + b) / 3
+    big_k = 10 ** 4
+    terms = (w + np.arange(-big_k, big_k + 1)) ** -4.0
+    tail = 2 / (3 * (big_k - abs(w.real)) ** 3)
+    rounding = 1e-13 * np.abs(terms).sum()
+    assert abs(cli._shifted_quartic_sum(w) - terms.sum()) <= tail + rounding
+
+
+@pytest.mark.parametrize("a,b,tau,match", [
+    (0, 0, 1.3j, "excluded origin"),
+    (0, 1, 0.05j, "tail bound"),  # too near the real line for 40 rows
+    (0, 1, -0.05j, "tail bound"),  # the same, below the real line
+    (0, 1, 0.5 + 0j, "tail bound"),  # on the real line the rows do not decay
+], ids=["origin-class", "tau-near-real-line", "tau-below-real-line", "tau-real"])
+def test_closed_form_rows_reject(a, b, tau, match):
+    with pytest.raises(ValueError, match=match):
+        cli._lattice_sum(a, b, tau)
 
 
 # ---------------------------------------------------------------------------
