@@ -23,7 +23,7 @@ from .fqm import (
     orthogonal_bases,
     paper_module,
 )
-from .qseries import VVForm, obstruction_eisenstein
+from .qseries import VVForm
 from .vvmf import DimensionReport, RepSpec, dimension_report
 from .weil import SpecialVector, aggregated_dual, build_weil
 
@@ -77,14 +77,12 @@ def short_root_divisor() -> DivisorSpec:
     return DivisorSpec({("2", Fraction(-2, 3)): 1})
 
 
-def borcherds_weight(divisor: DivisorSpec, form: VVForm | None = None) -> Fraction:
+def borcherds_weight(divisor: DivisorSpec, form: VVForm) -> Fraction:
     """Product weight on the ten-dimensional domain: the Eisenstein pairing.
 
     Each entry (label, n, mult) contributes mult times the coefficient of
     q^(-n/2) in the aggregated component for the label.
     """
-    if form is None:
-        form = obstruction_eisenstein(12)
     total = Fraction(0)
     for (label, norm), mult in divisor.entries.items():
         numerator = Fraction(-3, 2) * norm
@@ -97,7 +95,7 @@ def borcherds_weight(divisor: DivisorSpec, form: VVForm | None = None) -> Fracti
     return total
 
 
-def ball_weight(divisor: DivisorSpec, form: VVForm | None = None) -> Fraction:
+def ball_weight(divisor: DivisorSpec, form: VVForm) -> Fraction:
     """Weight of the restriction to the fixed four-ball: a third of the above."""
     return borcherds_weight(divisor, form) / 3
 
@@ -162,8 +160,7 @@ class AccountingReport:
         }
 
 
-def accounting_report(module: QuadraticModule | None = None,
-                      form: VVForm | None = None) -> AccountingReport:
+def accounting_report(module: QuadraticModule, form: VVForm) -> AccountingReport:
     """Certify the combinatorial identities behind the weight bookkeeping.
 
     Raises AccountingError (with the partial numbers) if any of these fail:
@@ -171,8 +168,6 @@ def accounting_report(module: QuadraticModule | None = None,
     uniform, every nonzero isotropic class pairs to zero with some member
     of every basis, and the per-basis weight equals six per basis.
     """
-    module = module if module is not None else paper_module()
-    form = form if form is not None else obstruction_eisenstein(12)
     types = classify(module)
     bases = orthogonal_bases(module)
     partial: dict = {"bases": len(bases)}

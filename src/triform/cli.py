@@ -308,7 +308,7 @@ def cmd_special_vectors(args) -> int:
 
 
 def cmd_accounting(args) -> int:
-    report = accounting_report()
+    report = accounting_report(paper_module(), obstruction_eisenstein(args.precision))
     if args.format == "json":
         return _emit_json(report.to_json())
     print(f"bases: {report.n_bases}")
@@ -438,7 +438,7 @@ def run_checks() -> list[CheckResult]:
          f"reflections={len(involutive_reflections(group))}"),
         "enumerated isometry group of the quadratic module"))
 
-    acct = accounting_report(form=form)
+    acct = accounting_report(module, form)
     out.append(_check(
         "orthogonal-bases",
         "bases=15 incidence=3 isotropic=covered cusps=10",
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", parents=[common],
                        help="dimension report for the aggregated action")
     p.add_argument("--weight", type=int, default=4,
-                   help="modular weight (default 4)")
+                   help="modular weight (at least 3, default 4)")
     sub.add_parser("eisenstein", parents=[common],
                    help="normalized Eisenstein combination")
     p = sub.add_parser("borcherds", parents=[common],
@@ -648,6 +648,8 @@ def main(argv=None) -> int:
         parser.error(f"--preset only applies to {', '.join(MODULE_COMMANDS)}")
     if args.precision < 3:  # the reports read coefficients up to q^(3/3)
         parser.error("--precision must be at least 3")
+    if getattr(args, "weight", 3) < 3:  # the dimension formula needs k >= 3
+        parser.error("--weight must be at least 3")
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ArithmeticError) as e:

@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields and small exact linear algebra.
 
-A `CycQ` is an element of Q(zeta_n), stored as its coefficient vector over
-the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) of Q[x]/Phi_n(x).  Values
-of different conductors mix by embedding both into Q(zeta_lcm).  Everything
-is built on `fractions.Fraction`; this module never touches floats.
+A `CycQ` is an element of Q(zeta_n), stored as integer numerators over one
+positive denominator on the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) of
+Q[x]/Phi_n(x) (Cohen, A Course in Computational Algebraic Number Theory,
+4.2).  Values of different conductors mix by embedding both into
+Q(zeta_lcm); inverses come from the Galois norm.  This module never touches
+floats.
 
 The matrix helpers at the bottom operate on tuples of tuples and, except
 for `mat_from_rows` (which lifts to CycQ), keep the entry type: ints stay
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 
@@ -29,20 +31,16 @@ class CyclotomicError(ValueError):
     """A cyclotomic polynomial failed to divide x^n - 1."""
 
 
-def euler_phi(n: int) -> int:
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The k in 1..n prime to n: the Galois automorphisms sigma_k, zeta_n -> zeta_n^k."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def euler_phi(n: int) -> int:
+    return len(_units(n))
 
 
 def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -78,23 +76,27 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # rows[e] = coefficients of x^e mod Phi_n over the power basis, 0 <= e < n.
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # rows[e] = the nonzero (i, c) of x^e mod Phi_n over the power basis, 0 <= e < n.
     phi = euler_phi(n)
-    top = cyclotomic_poly(n)
     # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})
-    fold = tuple(-c for c in top[:phi])
-    rows: list[tuple[int, ...]] = []
-    for e in range(phi):
-        rows.append(tuple(1 if i == e else 0 for i in range(phi)))
+    fold = [-c for c in cyclotomic_poly(n)[:phi]]
+    rows = [[int(i == e) for i in range(phi)] for e in range(phi)]
     for _ in range(phi, n):
-        prev = rows[-1]
-        carry = prev[phi - 1]
-        shifted = [0] + list(prev[:-1])
-        if carry:
-            shifted = [s + carry * f for s, f in zip(shifted, fold)]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+        carry = rows[-1][-1]
+        rows.append([s + carry * f for s, f in zip([0] + rows[-1][:-1], fold)])
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
+def _fold(n: int, acc: list[int], den: int) -> "CycQ":
+    """The value sum_e acc[e] zeta_n^e / den, for a list acc of n ints."""
+    rows = _reduction_rows(n)
+    num = acc[:euler_phi(n)]
+    for e in range(len(num), n):
+        if acc[e]:
+            for i, c in rows[e]:
+                num[i] += c * acc[e]
+    return CycQ._make(n, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -102,48 +104,68 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class CycQ:
-    """An element of Q(zeta_n), exact.
+    """An element of Q(zeta_n), exact: sum_i num[i] zeta_n^i / den.
 
-    Instances are immutable.  Arithmetic coerces ints and Fractions, and
-    joins differing conductors through Q(zeta_lcm).  Not hashable: equal
-    values can live at different conductors.
+    The ints num[i] and den > 0 have no common factor, so a value has one
+    representation per conductor; `c` is a read-only view of num / den as
+    Fractions.  Instances are immutable.  Arithmetic coerces ints and
+    Fractions, and joins differing conductors through Q(zeta_lcm).  Not
+    hashable: equal values can live at different conductors.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs: Sequence[Fraction | int]):
-        phi = euler_phi(n)
-        if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coefficients for conductor {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in coeffs))
+    def __new__(cls, n: int, coeffs: Sequence[Fraction | int], den: int = 1):
+        """The value sum_i coeffs[i] zeta_n^i / den, for den > 0."""
+        if len(coeffs) != euler_phi(n) or den < 1:
+            raise ValueError(f"need {euler_phi(n)} coefficients and den > 0 for conductor {n}")
+        qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        common = lcm(*(x.denominator for x in qs))
+        return CycQ._make(n, [x.numerator * (common // x.denominator) for x in qs],
+                          int(den) * common)
+
+    @staticmethod
+    def _make(n: int, num: list[int], den: int) -> "CycQ":
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [x // g for x in num], den // g
+        v = object.__new__(CycQ)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "num", tuple(num))
+        object.__setattr__(v, "den", den)
+        return v
 
     def __setattr__(self, *_):
         raise AttributeError("CycQ is immutable")
+
+    @property
+    def c(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- constructors
 
     @staticmethod
     def rational(x: Fraction | int) -> "CycQ":
-        return CycQ(1, [Fraction(x)])
+        return CycQ(1, [x])
 
     @staticmethod
     def from_exponents(n: int, pairs: Iterable[tuple[int, Fraction | int]]) -> "CycQ":
         """Value sum coeff * zeta_n^e from (e, coeff) pairs."""
-        rows = _reduction_rows(n)
-        phi = euler_phi(n)
-        acc = [Fraction(0)] * phi
-        for e, coeff in pairs:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            row = rows[e % n]
-            for i in range(phi):
-                if row[i]:
-                    acc[i] += coeff * row[i]
-        return CycQ(n, acc)
+        pairs = [(e, x) for e, x in pairs if x]
+        den = lcm(*(x.denominator for _, x in pairs))
+        acc = [0] * n
+        for e, x in pairs:
+            acc[e % n] += x.numerator * (den // x.denominator)
+        return _fold(n, acc, den)
 
     # -- structure
+
+    def _map(self, m: int, k: int) -> "CycQ":
+        # zeta_n -> zeta_m^k: the embedding for m = k n, sigma_k for m = n
+        acc = [0] * m
+        for i, x in enumerate(self.num):
+            acc[i * k % m] += x
+        return _fold(m, acc, self.den)
 
     def embed(self, m: int) -> "CycQ":
         """The same value viewed in Q(zeta_m); requires n | m."""
@@ -151,26 +173,25 @@ class CycQ:
             return self
         if m % self.n != 0:
             raise ValueError(f"no embedding: {self.n} does not divide {m}")
-        step = m // self.n
-        return CycQ.from_exponents(m, ((i * step, c) for i, c in enumerate(self.c)))
+        return self._map(m, m // self.n)
 
     def conjugate(self) -> "CycQ":
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        return CycQ.from_exponents(self.n, ((-i, c) for i, c in enumerate(self.c)))
+        """Complex conjugation sigma_(-1), zeta -> zeta^(-1)."""
+        return self._map(self.n, -1)
 
     def is_zero(self) -> bool:
         return not self
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic
 
@@ -193,12 +214,14 @@ class CycQ:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._join(other)
-        return CycQ(a.n, [x + y for x, y in zip(a.c, b.c)])
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return CycQ._make(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycQ(self.n, [-x for x in self.c])
+        return CycQ._make(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         other = CycQ._coerce(other)
@@ -214,41 +237,26 @@ class CycQ:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._join(other)
-        pairs: dict[int, Fraction] = {}
-        for i, x in enumerate(a.c):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.c):
-                if y == 0:
-                    continue
-                e = (i + j) % a.n
-                pairs[e] = pairs.get(e, Fraction(0)) + x * y
-        return CycQ.from_exponents(a.n, pairs.items())
+        acc = [0] * a.n
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    acc[(i + j) % a.n] += x * y
+        return _fold(a.n, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
     def invert(self) -> "CycQ":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """x^(-1) = prod_(k in (Z/n)*, k != 1) sigma_k(x) / N(x), N(x) rational."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in a cyclotomic field")
-        # extended Euclid for self (as a polynomial) against Phi_n over Q
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi_poly, list(self.c)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while len(r1) > 1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _frac_poly_divmod(r0, r1)
-            s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1, s0, s1 = r1, r, s1, s
-        const = r1[0]
-        inv_coeffs = [x / const for x in s1]
-        phi = euler_phi(self.n)
-        inv_coeffs += [Fraction(0)] * (phi - len(inv_coeffs))
-        result = CycQ.from_exponents(self.n, enumerate(inv_coeffs[:phi]))
-        return result
+        prod = CycQ.rational(1).embed(self.n)
+        for k in _units(self.n)[1:]:
+            prod = prod * self._map(self.n, k)
+        norm = self * prod
+        scale = norm.den if norm.num[0] > 0 else -norm.den
+        return CycQ._make(self.n, [x * scale for x in prod.num],
+                          prod.den * abs(norm.num[0]))
 
     def __truediv__(self, other):
         other = CycQ._coerce(other)
@@ -264,7 +272,7 @@ class CycQ:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._join(other)
-        return a.c == b.c
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -273,15 +281,6 @@ class CycQ:
 
     def __str__(self):
         return format_cyc(self)
-
-    # -- serialization
-
-    def to_json(self) -> dict:
-        return {"conductor": self.n, "coeffs": [str(x) for x in self.c]}
-
-    @staticmethod
-    def from_json(data: dict) -> "CycQ":
-        return CycQ(int(data["conductor"]), [Fraction(s) for s in data["coeffs"]])
 
 
 def root_of_unity(k: int, n: int) -> CycQ:
@@ -297,7 +296,7 @@ OMEGA = root_of_unity(1, 3)
 def format_cyc(v: CycQ) -> str:
     """Readable rendering: rationals bare, conductor 3 in terms of w."""
     if v.is_rational():
-        return str(v.c[0])
+        return str(v.as_fraction())
     if v.n == 3:
         a, b = v.c
         parts = []
@@ -315,46 +314,6 @@ def format_cyc(v: CycQ) -> str:
         return " ".join(parts) if parts else "0"
     terms = [f"{c}*z{v.n}^{i}" for i, c in enumerate(v.c) if c != 0]
     return " + ".join(terms) if terms else "0"
-
-
-# fraction-coefficient polynomial helpers (ascending lists)
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-    d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - d, 1)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c / lead
-        quot[i - d] = q
-        for j, dj in enumerate(den):
-            num[i - d + j] -= q * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

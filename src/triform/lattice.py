@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .exact import (
     CycQ,
-    OMEGA,
     mat_det,
     mat_identity,
     mat_inverse,
@@ -137,20 +136,6 @@ def iota_apply(spec: LatticeSpec, x):
     if spec.iota is None:
         raise LatticeError(f"preset {spec.name!r} carries no isometry")
     return mat_vec(spec.iota, x)
-
-
-def hermitian_value(spec: LatticeSpec, x, y) -> CycQ:
-    """The hermitian form refining the bilinear one.
-
-    h(x, y) = (1/2) { <x, y> - ((2w+1)/3) <2 iota(x) + x, y> } with w a
-    primitive cube root of unity; linear in x against w-scaling by iota,
-    conjugate-linear in y, and h(x, x) = <x, x> / 2.
-    """
-    ix = iota_apply(spec, x)
-    t1 = inner(spec, x, y)
-    t2 = inner(spec, tuple(2 * a + b for a, b in zip(ix, x)), y)
-    s = 1 + 2 * OMEGA  # a square root of -3
-    return Fraction(1, 2) * t1 - Fraction(t2, 6) * s
 
 
 @dataclass(frozen=True)

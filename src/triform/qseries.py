@@ -111,10 +111,6 @@ class QSeries:
     __hash__ = None  # type: ignore[assignment]
 
 
-def zero_series(precision: int = DEFAULT_PRECISION) -> QSeries:
-    return QSeries({}, precision)
-
-
 def one_series(precision: int = DEFAULT_PRECISION) -> QSeries:
     return QSeries({0: CycQ.rational(1)}, precision)
 
@@ -192,11 +188,6 @@ class VVForm:
     def component(self, label: str) -> QSeries:
         return self.components[label]
 
-    def per_element_coeff(self, label: str, numerator: int) -> CycQ:
-        """Coefficient at one element of the type: aggregated / type size."""
-        return self.component(label).coeff_at(numerator) * Fraction(
-            1, self.type_counts[label])
-
 
 def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
     """The T-invariant Eisenstein combination with constant term -1/2 e_0.
@@ -257,8 +248,8 @@ def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
 
 
 def cyc_complex(v: CycQ) -> complex:
-    return sum(float(c) * cmath.exp(2j * cmath.pi * k / v.n)
-               for k, c in enumerate(v.c) if c != 0) if not v.is_zero() else 0j
+    return sum(x / v.den * cmath.exp(2j * cmath.pi * k / v.n)
+               for k, x in enumerate(v.num) if x) if not v.is_zero() else 0j
 
 
 def evaluate(series: QSeries, tau: complex) -> complex:

@@ -157,7 +157,3 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
             f"Eisenstein dimension {eis} exceeds the total {int(total)}")
     return DimensionReport(weight, d, alpha_s, alpha_st, alpha_t,
                            int(total), eis, cusp)
-
-
-def trivial_rep() -> RepSpec:
-    return RepSpec(((1,),), ((1,),))

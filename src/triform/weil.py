@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank
+from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank, root_of_unity
 from .fqm import (
     TYPE_LABELS,
     OrthoBasis,
@@ -188,20 +188,15 @@ class OmegaMat:
     def trace(self) -> CycQ:
         _guard(len(self.a) * self.max_abs())
         ta, tb = int(np.trace(self.a)), int(np.trace(self.b))
-        return CycQ(3, [Fraction(ta, self.den), Fraction(tb, self.den)])
+        return CycQ(3, [ta, tb], self.den)
 
     def entry(self, i: int, j: int) -> CycQ:
-        return CycQ(3, [Fraction(int(self.a[i, j]), self.den),
-                        Fraction(int(self.b[i, j]), self.den)])
+        return CycQ(3, [int(self.a[i, j]), int(self.b[i, j])], self.den)
 
     def matvec_int(self, v) -> tuple[np.ndarray, np.ndarray, int]:
         v = np.asarray(v, dtype=np.int64)
         av, bv = _zw_matmul(self.a, self.b, v, np.zeros_like(v))
         return av, bv, self.den
-
-    def to_cyc_rows(self):
-        n, m = self.shape
-        return tuple(tuple(self.entry(i, j) for j in range(m)) for i in range(n))
 
     def __repr__(self):
         return f"OmegaMat(shape={self.shape}, den={self.den})"
@@ -322,23 +317,19 @@ def build_sl2f3() -> SL2F3:
 # ---------------------------------------------------------------------------
 # the character table of SL(2, F_3)
 
-def _w(k: int) -> CycQ:
-    return CycQ.from_exponents(3, [(k, 1)])
-
-
 CHARACTER_TABLE: dict[int, tuple[CycQ, ...]] = {
     1: tuple(CycQ.rational(x) for x in (1, 1, 1, 1, 1, 1, 1)),
     2: tuple(CycQ.rational(x) for x in (3, 3, -1, 0, 0, 0, 0)),
     3: (CycQ.rational(1), CycQ.rational(1), CycQ.rational(1),
-        _w(2), _w(2), _w(1), _w(1)),
+        root_of_unity(2, 3), root_of_unity(2, 3), root_of_unity(1, 3), root_of_unity(1, 3)),
     4: (CycQ.rational(1), CycQ.rational(1), CycQ.rational(1),
-        _w(1), _w(1), _w(2), _w(2)),
+        root_of_unity(1, 3), root_of_unity(1, 3), root_of_unity(2, 3), root_of_unity(2, 3)),
     5: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
-        -_w(1), _w(1), _w(2), -_w(2)),
+        -root_of_unity(1, 3), root_of_unity(1, 3), root_of_unity(2, 3), -root_of_unity(2, 3)),
     6: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
         CycQ.rational(-1), CycQ.rational(1), CycQ.rational(1), CycQ.rational(-1)),
     7: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
-        -_w(2), _w(2), _w(1), -_w(1)),
+        -root_of_unity(2, 3), root_of_unity(2, 3), root_of_unity(1, 3), -root_of_unity(1, 3)),
 }
 
 
@@ -349,10 +340,10 @@ def _zw_rows(rows: dict) -> tuple[np.ndarray, np.ndarray]:
     """
     parts = []
     for i, row in rows.items():
-        coeffs = [v.embed(3).c for v in row if 3 % v.n == 0]
-        if len(coeffs) < len(row) or any(x.denominator != 1 for c in coeffs for x in c):
+        values = [v.embed(3) for v in row if 3 % v.n == 0]
+        if len(values) < len(row) or any(v.den != 1 for v in values):
             raise GroupTableError(f"character {i} takes a value outside Z[w]")
-        parts.append([[int(x) for x in c] for c in coeffs])
+        parts.append([v.num for v in values])
     table = np.array(parts, dtype=np.int64).reshape(len(rows), -1, 2)
     return table[..., 0], table[..., 1]
 
@@ -557,8 +548,8 @@ def aggregated_dual(rep: WeilRep):
     for t, cols in groups.items():
         if (sums[:, :, cols] != sums[:, :, cols[:1]]).any():
             raise DualMismatchError(f"column sums depend on the representative of type {t}")
-    agg_s = tuple(tuple(CycQ(3, [Fraction(int(sums[i, 0, cols[0]]), s_conj.den),
-                                 Fraction(int(sums[i, 1, cols[0]]), s_conj.den)])
+    agg_s = tuple(tuple(CycQ(3, [int(sums[i, 0, cols[0]]), int(sums[i, 1, cols[0]])],
+                             s_conj.den)
                         for cols in groups.values()) for i in range(len(labels)))
 
     diag = np.stack([np.diag(rep.rho_T.a), np.diag(rep.rho_T.b)])

@@ -91,7 +91,7 @@ def test_every_special_vector_has_a_witness(rep):
 
 
 def test_accounting_report(form):
-    report = accounting_report(form=form)
+    report = accounting_report(paper_module(), form)
     assert report.n_bases == 15
     assert report.long_pairs == 15
     assert report.short_pairs == 15
@@ -109,7 +109,7 @@ def test_accounting_report(form):
 
 
 def test_accounting_json_round_trip(form):
-    report = accounting_report(form=form)
+    report = accounting_report(paper_module(), form)
     j = report.to_json()
     assert j["per_basis_weight"] == "90"
     assert j["cusps"] == 10
@@ -122,5 +122,5 @@ def test_accounting_rejects_a_wrong_form(form):
         {k: v.scale(2) for k, v in form.components.items()},
         form.type_counts, form.weights, form.notes)
     with pytest.raises(AccountingError) as info:
-        accounting_report(form=doubled)
+        accounting_report(paper_module(), doubled)
     assert info.value.partial["weight_long"] == 270

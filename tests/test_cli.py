@@ -86,9 +86,13 @@ def test_dimension_report(capsys):
 
 
 def test_dimension_rejects_low_weight(capsys):
-    code, out, err = run(capsys, "dimension", "--weight", "2")
-    assert code == 1
-    assert "error:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["dimension", "--weight", "2"])
+    assert info.value.code == 2
+    assert "--weight must be at least 3" in capsys.readouterr().err
+    code, out, _ = run(capsys, "dimension", "--weight", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["weight"] == 3
 
 
 def test_eisenstein_output_and_stability(capsys):
@@ -163,7 +167,8 @@ def test_usage_errors_exit_2():
     for argv in (["eisenstein", "--precision", "0"],
                  ["eisenstein", "--precision", "1"],
                  ["eisenstein", "--precision", "2"],
-                 ["borcherds", "--divisor", "long", "--precision", "2"]):
+                 ["borcherds", "--divisor", "long", "--precision", "2"],
+                 ["dimension", "--weight", "2"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -245,6 +250,16 @@ def _miscount_the_short_incidence(monkeypatch):
                     lambda report: dataclasses.replace(report, short_incidence=2))
 
 
+def _miscount_a_character(monkeypatch):
+    _corrupt_output(monkeypatch, "character_decompose", lambda dec: dataclasses.replace(
+        dec, multiplicities=dec.multiplicities[:-1] + (4,)))
+
+
+def _shift_alpha_t(monkeypatch):
+    _corrupt_output(monkeypatch, "dimension_report",
+                    lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1))
+
+
 @pytest.mark.parametrize("perturb,check,actual", [
     (_drop_a_type_1_pattern, "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
     (_miscount_a_triple, "pairing-table", "1 triples differ"),
@@ -252,7 +267,11 @@ def _miscount_the_short_incidence(monkeypatch):
      "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
     (_miscount_the_short_incidence, "orthogonal-bases",
      "bases=15 incidence=2 isotropic=covered cusps=10"),
-], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases"])
+    (_miscount_a_character, "weil-traces",
+     "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
+    (_shift_alpha_t, "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
+], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases",
+        "weil-traces", "dimension-report"])
 def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, perturb, check, actual):
     perturb(monkeypatch)
     checks = run_checks()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from triform.exact import OMEGA
+from triform.exact import CycQ, OMEGA
 from triform.fqm import paper_module, reflect, type_of
 from triform.lattice import (
     DiscriminantData,
@@ -14,7 +14,6 @@ from triform.lattice import (
     RootError,
     alt_spec,
     discriminant_form,
-    hermitian_value,
     inner,
     iota_apply,
     milgram_signature,
@@ -27,6 +26,20 @@ from triform.lattice import (
 
 SPEC = paper_spec()
 E = [tuple(1 if i == j else 0 for i in range(8)) for j in range(8)]
+
+
+def hermitian_value(spec: LatticeSpec, x, y) -> CycQ:
+    """The hermitian form refining the bilinear one, an oracle for iota and G.
+
+    h(x, y) = (1/2) { <x, y> - ((2w+1)/3) <2 iota(x) + x, y> } with w a
+    primitive cube root of unity; linear in x against w-scaling by iota,
+    conjugate-linear in y, and h(x, x) = <x, x> / 2.
+    """
+    ix = iota_apply(spec, x)
+    t1 = inner(spec, x, y)
+    t2 = inner(spec, tuple(2 * a + b for a, b in zip(ix, x)), y)
+    s = 1 + 2 * OMEGA  # a square root of -3
+    return Fraction(1, 2) * t1 - Fraction(t2, 6) * s
 
 
 def test_presets():

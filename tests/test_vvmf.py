@@ -9,7 +9,6 @@ from triform.vvmf import (
     DimensionError,
     RepSpec,
     dimension_report,
-    trivial_rep,
 )
 from triform.weil import aggregated_dual, build_weil
 
@@ -17,6 +16,11 @@ from triform.weil import aggregated_dual, build_weil
 def _paper_repspec() -> RepSpec:
     agg_t, agg_s = aggregated_dual(build_weil(paper_module()))
     return RepSpec(agg_t, agg_s)
+
+
+def trivial_rep() -> RepSpec:
+    """The trivial character: its dimensions are those of M_k(SL(2, Z))."""
+    return RepSpec(((1,),), ((1,),))
 
 
 def test_trivial_rep_reproduces_classical_dimensions():
