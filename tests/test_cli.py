@@ -167,8 +167,7 @@ def test_usage_errors_exit_2():
     for argv in (["eisenstein", "--precision", "0"],
                  ["eisenstein", "--precision", "1"],
                  ["eisenstein", "--precision", "2"],
-                 ["borcherds", "--divisor", "long", "--precision", "2"],
-                 ["dimension", "--weight", "2"]):
+                 ["borcherds", "--divisor", "long", "--precision", "2"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
