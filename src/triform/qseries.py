@@ -7,10 +7,18 @@ support.
 
 All Eisenstein data is normalized by the constant c = (2 pi)^4 / 486, which
 turns every coefficient into a cyclotomic integer (and the constant term of
-the a = 0 series into exactly 1/3, via the exact zeta(4) ratio).  The only
-floating-point code in the package lives at the bottom: evaluation of a
-series at a point of the upper half plane and the modular-transformation
-spot check.
+the a = 0 series into exactly 1/3, via the exact zeta(4) ratio).
+
+The kernels compute on Python ints and build one CycQ per stored
+coefficient.  The Eisenstein sums come from a divisor sieve into two int
+lists over the basis 1, w of Z[w], O(P log P) at precision P; the
+T-invariant combination is an integer combination of those lists over one
+denominator.  eta^8 multiplies a dense int list eight times by the sparse
+pentagonal series, O(P^1.5).
+
+The only floating-point code in the package lives at the bottom:
+evaluation of a series at a point of the upper half plane and the
+modular-transformation spot check.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .exact import CycQ, OMEGA, mat_det, mat_solve, root_of_unity
+from .exact import CycQ, OMEGA, mat_det, mat_solve
 
 
 class PrecisionError(ValueError):
@@ -64,7 +73,8 @@ class QSeries:
         return n, self.coeffs[n]
 
     def _low(self) -> int:
-        return min(self.coeffs) if self.coeffs else 0
+        # the lowest exponent that may carry a nonzero coefficient
+        return min(self.coeffs) if self.coeffs else self.precision + 1
 
     # -- arithmetic
 
@@ -119,26 +129,68 @@ def one_series(precision: int = DEFAULT_PRECISION) -> QSeries:
 # eta^8
 
 
-_BINOM8 = (1, -8, 28, -56, 70, -56, 28, -8, 1)
-
-
 def eta_power_8(precision: int = DEFAULT_PRECISION) -> QSeries:
-    """q^(1/3) prod_(n>=1) (1 - q^n)^8, with exact integer coefficients."""
+    """q^(1/3) prod_(n>=1) (1 - q^n)^8, with exact integer coefficients.
+
+    The Euler product is the sparse pentagonal series sum_k (-1)^k
+    q^(k (3k - 1) / 2) over all integers k; eight multiplications of a dense
+    int list by it give the coefficients up to q^K in O(K^1.5).
+    """
     if precision < 1:
         raise PrecisionError("need precision >= 1 to see the leading term")
-    inner_prec = precision - 1
-    prod = one_series(inner_prec)
-    n = 1
-    while 3 * n <= inner_prec:
-        factor = QSeries(
-            {3 * n * j: CycQ.rational(c) for j, c in enumerate(_BINOM8)}, inner_prec)
-        prod = prod * factor
-        n += 1
-    return prod.shift(1)
+    top = (precision - 1) // 3  # the last integral exponent within precision
+    pentagonal = [(k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in range(-top, top + 1)
+                  if 0 < k * (3 * k - 1) // 2 <= top]
+    coeffs = [1] + [0] * top
+    for _ in range(8):
+        prod = list(coeffs)
+        for e, sign in pentagonal:
+            prod[e:] = [p + sign * c for p, c in zip(prod[e:], coeffs)]
+        coeffs = prod
+    return QSeries({3 * n + 1: c for n, c in enumerate(coeffs)}, precision)
 
 
 # ---------------------------------------------------------------------------
 # Eisenstein components
+
+
+_W_POWERS = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 = -1 - w over 1, w
+
+
+def _twist(p: int, x: list, y: list) -> tuple[list, list]:
+    """The entries x[l] + y[l] w times w^p, as two lists."""
+    for _ in range(p % 3):
+        x, y = [-v for v in y], [u - v for u, v in zip(x, y)]
+    return x, y
+
+
+def _divisor_sieve(a: int, b: int, precision: int) -> tuple[list, list[int]]:
+    """The coefficients x[l] + y[l] w of eisenstein_g4(a, b) at q^(l/3), a and b reduced.
+
+    x[0] is the rational constant term and y[0] = 0; all other entries are
+    ints.  Each pair (m, r) with m = +-a mod 3 adds r^3 w^(+-r b) at l = m r,
+    so the sieve takes sum_m precision/m = O(P log P) steps.
+    """
+    # zeta(4) (1 - 3^(-4)) / c with zeta(4) = pi^4/90 and c = 8 pi^4/243
+    constant = Fraction(1, 90) * (1 - Fraction(1, 81)) * Fraction(243, 8) if a == 0 else 0
+    x = [constant] + [0] * precision
+    y = [0] * (precision + 1)
+    for m in range(1, precision + 1):
+        for sign in (1, -1):
+            if m % 3 != sign * a % 3:
+                continue
+            for r, l in enumerate(range(m, precision + 1, m), 1):
+                u, v = _W_POWERS[sign * r * b % 3]
+                cube = r ** 3
+                x[l] += u * cube
+                y[l] += v * cube
+    return x, y
+
+
+def _series(x: list, y: list, den: int, precision: int) -> QSeries:
+    """sum_l (x[l] + y[l] w) / den q^(l/3); one CycQ per nonzero l."""
+    return QSeries({l: CycQ(3, (x[l], y[l]), den)
+                    for l in range(precision + 1) if x[l] or y[l]}, precision)
 
 
 def eisenstein_g4(a: int, b: int, precision: int = DEFAULT_PRECISION) -> QSeries:
@@ -153,24 +205,7 @@ def eisenstein_g4(a: int, b: int, precision: int = DEFAULT_PRECISION) -> QSeries
     b %= 3
     if a == 0 and b == 0:
         raise ValueError("the congruence class (0, 0) contains the excluded origin")
-    out: dict[int, CycQ] = {}
-    if a == 0:
-        # zeta(4) (1 - 3^(-4)) / c with zeta(4) = pi^4/90 and c = 8 pi^4/243
-        const = Fraction(1, 90) * (1 - Fraction(1, 81)) * Fraction(243, 8)
-        out[0] = CycQ.rational(const)
-    for l in range(1, precision + 1):
-        acc = CycQ.rational(0)
-        for m in range(1, l + 1):
-            if l % m:
-                continue
-            r = l // m
-            if m % 3 == a:
-                acc = acc + Fraction(r ** 3) * root_of_unity(r * b, 3)
-            if m % 3 == (-a) % 3:
-                acc = acc + Fraction(r ** 3) * root_of_unity(-r * b, 3)
-        if not acc.is_zero():
-            out[l] = acc
-    return QSeries(out, precision)
+    return _series(*_divisor_sieve(a, b, precision), 1, precision)
 
 
 TYPE_COUNTS = {"00": 1, "0": 20, "1": 30, "2": 30}
@@ -192,33 +227,44 @@ class VVForm:
 def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
     """The T-invariant Eisenstein combination with constant term -1/2 e_0.
 
-    Built from the four congruence sums; the two combination coefficients
-    are solved exactly from the constant-term constraints (the zero class
-    gets -1/2, the isotropic class gets 0).
+    Built from the four congruence sums e1..e4 of the classes (0, 1), (1, 0),
+    (1, 1), (1, 2); the two combination coefficients are solved exactly from
+    the constant-term constraints (the zero class gets -1/2, the isotropic
+    class gets 0).  Each component is an integer combination of the sieve
+    lists over one common denominator.
     """
-    e1 = eisenstein_g4(0, 1, precision)
-    e2 = eisenstein_g4(1, 0, precision)
-    e3 = eisenstein_g4(1, 1, precision)
-    e4 = eisenstein_g4(1, 2, precision)
-    esum = e2 + e3 + e4
+    classes = ((0, 1), (1, 0), (1, 1), (1, 2))
+    sieves = [_divisor_sieve(a, b, precision) for a, b in classes]
 
-    # f_00 = a e1 + b esum, f_0 = (-a - 9b) e1 + (-3a - 7b) esum;
-    # constants: f_00 -> -1/2, f_0 -> 0
-    c1 = e1.coeff_at(0).as_fraction()
-    cs = esum.coeff_at(0).as_fraction()
+    # f_00 = a e1 + b esum, f_0 = (-a - 9b) e1 + (-3a - 7b) esum with
+    # esum = e2 + e3 + e4; constants: f_00 -> -1/2, f_0 -> 0
+    c1, cs = sieves[0][0][0], sum(x[0] for x, _ in sieves[1:])
     constraints = ((c1, cs), (-c1 - 3 * cs, -9 * c1 - 7 * cs))
     if mat_det(constraints) == 0:
         raise ValueError("constant-term constraints are singular")
     a_coef, b_coef = mat_solve(constraints, (Fraction(-1, 2), 0))
 
-    w = OMEGA
-    f00 = e1.scale(a_coef) + esum.scale(b_coef)
-    f0 = e1.scale(-a_coef - 9 * b_coef) + esum.scale(-3 * a_coef - 7 * b_coef)
+    # each component as sum_i coef_i w^(p_i) e_i, one (coef_i, p_i) per e_i;
+    # f_1 = outer (e2 + w e3 + w^2 e4), f_2 = outer (e2 + w^2 e3 + w e4)
     outer = -3 * a_coef + 3 * b_coef
-    f1 = (e2 + e3.scale(w) + e4.scale(w * w)).scale(outer)
-    f2 = (e2 + e3.scale(w * w) + e4.scale(w)).scale(outer)
+    f0_sum = -3 * a_coef - 7 * b_coef
+    combinations = {
+        "00": ((a_coef, 0), (b_coef, 0), (b_coef, 0), (b_coef, 0)),
+        "0": ((-a_coef - 9 * b_coef, 0), (f0_sum, 0), (f0_sum, 0), (f0_sum, 0)),
+        "1": ((0, 0), (outer, 0), (outer, 1), (outer, 2)),
+        "2": ((0, 0), (outer, 0), (outer, 2), (outer, 1)),
+    }
+    den = lcm(*(Fraction(c).denominator for terms in combinations.values() for c, _ in terms))
+    components = {}
+    for label, terms in combinations.items():
+        xs, ys = [0] * (precision + 1), [0] * (precision + 1)
+        for (coef, p), (x, y) in zip(terms, sieves):
+            k = int(coef * den)
+            tx, ty = _twist(p, x, y)
+            xs = [s + k * t for s, t in zip(xs, tx)]
+            ys = [s + k * t for s, t in zip(ys, ty)]
+        components[label] = _series(xs, ys, den, precision)
 
-    components = {"00": f00, "0": f0, "1": f1, "2": f2}
     residues = {"00": 0, "0": 0, "1": 2, "2": 1}
     for label, series in components.items():
         for n in series.support():
@@ -226,6 +272,7 @@ def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
                 raise ValueError(
                     f"component {label} has support at q^({n}/3), breaking "
                     "translation equivariance")
+    f00, f0 = components["00"], components["0"]
     if not f00.coeff_at(0) == Fraction(-1, 2):
         raise ValueError("zero-class constant term is not -1/2")
     if not f0.coeff_at(0).is_zero():

@@ -259,6 +259,11 @@ def _shift_alpha_t(monkeypatch):
                     lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1))
 
 
+def _bump_eta8_at_q7_3(monkeypatch):
+    _corrupt_output(monkeypatch, "eta_power_8", lambda eta8: dataclasses.replace(
+        eta8, coeffs={**eta8.coeffs, 7: eta8.coeff_at(7) + 1}))
+
+
 @pytest.mark.parametrize("perturb,check,actual", [
     (_drop_a_type_1_pattern, "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
     (_miscount_a_triple, "pairing-table", "1 triples differ"),
@@ -269,8 +274,9 @@ def _shift_alpha_t(monkeypatch):
     (_miscount_a_character, "weil-traces",
      "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
     (_shift_alpha_t, "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
+    (_bump_eta8_at_q7_3, "numeric-transform", "max deviation 3.946e-06"),
 ], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases",
-        "weil-traces", "dimension-report"])
+        "weil-traces", "dimension-report", "numeric-transform"])
 def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, perturb, check, actual):
     perturb(monkeypatch)
     checks = run_checks()

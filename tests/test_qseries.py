@@ -8,13 +8,17 @@ evaluated numerically at an interior point.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import triform
 from triform import cli
 from triform.exact import CycQ, OMEGA, root_of_unity
 from triform.fqm import paper_module
@@ -88,6 +92,23 @@ def test_coefficients_beyond_precision_are_dropped():
     assert a.support() == (3,)
 
 
+integer_series = st.dictionaries(st.integers(-6, 30), st.integers(-4, 4), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_series, integer_series, st.integers(-8, 40), st.integers(-8, 40))
+@example({-2: 1}, {-2: 1}, -3, -3)  # both truncations empty below the support
+def test_truncations_never_over_claim_precision(f, g, pf, pg):
+    """A product or sum of truncations agrees with the untruncated result on
+    every exponent up to the precision it claims."""
+    full_f, full_g = series(f.items(), 100), series(g.items(), 100)
+    cut_f, cut_g = series(f.items(), pf), series(g.items(), pg)
+    for cut, full in ((cut_f * cut_g, full_f * full_g), (cut_f + cut_g, full_f + full_g)):
+        assert full.precision >= cut.precision
+        for n in range(-12, cut.precision + 1):
+            assert cut.coeff_at(n) == full.coeff_at(n), (n, cut.precision)
+
+
 # ---------------------------------------------------------------------------
 # eta^8 against the pentagonal-number expansion
 
@@ -131,10 +152,18 @@ def test_eta_power_8_leading_coefficients():
 
 
 def test_eta_power_8_matches_pentagonal_eighth_power():
-    phi = euler_product_pentagonal(60)
-    p2 = phi * phi
-    p8 = (p2 * p2) * (p2 * p2)
-    assert p8.shift(1) == eta_power_8(61)
+    for precision in (1, 2, 4, 61, 137, 300):
+        phi = euler_product_pentagonal(precision - 1)
+        p2 = phi * phi
+        p8 = (p2 * p2) * (p2 * p2)
+        eta8 = eta_power_8(precision)
+        assert eta8.precision == p8.shift(1).precision == precision
+        assert p8.shift(1) == eta8
+
+
+def test_eta_power_8_needs_the_leading_term():
+    with pytest.raises(PrecisionError):
+        eta_power_8(0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +178,62 @@ def test_eisenstein_constant_terms():
         assert eisenstein_g4(2, b, 6).coeff_at(0).is_zero()
     with pytest.raises(ValueError):
         eisenstein_g4(0, 0, 6)
+
+
+def divisor_sum_g4(a, b, precision):
+    """The former eisenstein_g4: scans every m <= l for every l, adding CycQ values."""
+    a %= 3
+    b %= 3
+    out = {}
+    if a == 0:
+        out[0] = CycQ.rational(Fraction(1, 90) * (1 - Fraction(1, 81)) * Fraction(243, 8))
+    for l in range(1, precision + 1):
+        acc = CycQ.rational(0)
+        for m in range(1, l + 1):
+            if l % m:
+                continue
+            r = l // m
+            if m % 3 == a:
+                acc = acc + Fraction(r ** 3) * root_of_unity(r * b, 3)
+            if m % 3 == (-a) % 3:
+                acc = acc + Fraction(r ** 3) * root_of_unity(-r * b, 3)
+        if not acc.is_zero():
+            out[l] = acc
+    return QSeries(out, precision)
+
+
+NONZERO_CLASSES = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+
+@pytest.mark.parametrize("a,b", NONZERO_CLASSES)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 300))
+@example(0, 0, 300)
+def test_divisor_sieve_matches_the_divisor_sum(a, b, i, j, precision):
+    # unreduced representatives of the class, such as (4, -1) or (-2, 5)
+    a, b = a + 3 * i, b + 3 * j
+    sieve, reference = eisenstein_g4(a, b, precision), divisor_sum_g4(a, b, precision)
+    assert sieve.precision == reference.precision == precision
+    assert sieve.support() == reference.support()
+    assert all(sieve.coeff_at(n) == reference.coeff_at(n) for n in sieve.support())
+
+
+@pytest.mark.parametrize("a,b", [(4, -1), (-2, 5)])
+def test_divisor_sieve_reduces_its_class(a, b):
+    assert eisenstein_g4(a, b, 40) == divisor_sum_g4(a % 3, b % 3, 40)
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (3, 0), (0, -3)])
+def test_eisenstein_rejects_the_origin_class(a, b):
+    with pytest.raises(ValueError, match="excluded origin"):
+        eisenstein_g4(a, b, 30)
+
+
+def test_qseries_imports_without_numpy():
+    src = os.path.dirname(os.path.dirname(triform.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import triform.qseries; import sys; assert 'numpy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_eisenstein_hand_checked_coefficients():

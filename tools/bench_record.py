@@ -5,21 +5,25 @@ Usage (from the root of a checkout):
     python3 tools/bench_record.py \
         --side PARENT_DIR:BENCH_0.json:"parent" --side .:BENCH_6.json:"change"
 
-Each --side names a checkout, the file to write and a label.  Every timing
-comes from that checkout's own perfbench/run.py at its default run length:
-for each workload, run i (of RUNS) of every side uses seed i, and the sides
-alternate which goes first, so they are measured in pairs under the same
-host load.  Then each side gets
-one traced gauntlet run and one timed tier-1 test run.  A file holds the
-context line run.py prints (commit, source digest and line count, Python
-and numpy versions, CPU count), per workload the median and quartiles of
-each end-to-end metric with every run's values, the traced per-layer
-metrics, and the tier-1 wall time and summary.
+Each --side names a checkout, the file to write and a label.  The workload
+timings come from that checkout's own perfbench/run.py at its default run
+length: for each workload, run i (of RUNS) of every side uses seed i, and
+the sides alternate which goes first, so they are measured in pairs under
+the same host load.  A precision sweep follows, in the same alternating
+pairs: SWEEP_RUNS fresh `triform eisenstein --format json --precision P`
+per P in SWEEP_PRECISIONS.  Then each side gets one traced gauntlet run and
+one timed tier-1 test run.  A file holds the context line run.py prints
+(commit, source digest and line count, Python and numpy versions, CPU
+count), per workload the median and quartiles of each end-to-end metric
+with every run's values, per sweep precision the median wall time with
+every run's and the sha256 of the output, the traced per-layer metrics,
+and the tier-1 wall time and summary.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -30,6 +34,8 @@ from pathlib import Path
 
 WORKLOADS = ("gauntlet", "series", "commands")
 RUNS = 10  # alternating pairs per workload
+SWEEP_PRECISIONS = (30, 300, 3000)  # thirds
+SWEEP_RUNS = 3  # alternating pairs per precision
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -41,6 +47,16 @@ def bench(checkout: Path, *args: str) -> tuple[dict, dict]:
     context = next(json.loads(line.removeprefix("context "))
                    for line in out if line.startswith("context "))
     return context, json.loads(out[-1])
+
+
+def eisenstein_run(checkout: Path, precision: int) -> tuple[float, str]:
+    """Wall time and output sha256 of one fresh `eisenstein` JSON run."""
+    argv = [sys.executable, "-m", "triform.cli", "eisenstein", "--format", "json",
+            "--precision", str(precision)]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    start = time.perf_counter()
+    out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, check=True).stdout
+    return time.perf_counter() - start, hashlib.sha256(out).hexdigest()
 
 
 def summary(values: list[float]) -> dict:
@@ -81,6 +97,17 @@ def main(argv=None) -> int:
                     "cpu_count")}
                 print(f"{workload} seed {i} {side['record']['label']}: latency_s_p50 "
                       f"{runs[-1]['latency_s_p50']:.4f}", file=sys.stderr, flush=True)
+
+    for precision in SWEEP_PRECISIONS:
+        for i in range(SWEEP_RUNS):
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                wall, digest = eisenstein_run(side["checkout"], precision)
+                entry = side["record"].setdefault("precision_sweep", {}).setdefault(
+                    str(precision), {"runs_s": [], "output_sha256": digest})
+                entry["runs_s"].append(round(wall, 4))
+                entry["median_s"] = round(statistics.median(entry["runs_s"]), 4)
+                print(f"eisenstein --precision {precision} {side['record']['label']}: "
+                      f"{wall:.4f} s", file=sys.stderr, flush=True)
 
     for side in sides:
         record = side["record"]
