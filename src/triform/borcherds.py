@@ -109,7 +109,7 @@ class ObstructionReport:
         return self.dims.dim_cusp == 0
 
 
-def obstruction_check(weight: int = 4) -> ObstructionReport:
+def obstruction_check(weight: int) -> ObstructionReport:
     """Cusp-form dimension for the aggregated conjugate action.
 
     A vanishing cusp space means the coefficient constraints on candidate

@@ -74,9 +74,6 @@ from .weil import (
     verify_special,
 )
 
-MODULE_COMMANDS = ("classify", "pairing-table")  # honor --preset
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -587,12 +584,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    common.add_argument("--preset", choices=("paper", "alt-decomposition"),
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=("paper", "alt-decomposition"),
                         default="paper",
-                        help="which rank-8 decomposition feeds the module "
-                             "(classify and pairing-table only)")
-    common.add_argument("--precision", type=int, default=30,
-                        help="expansion depth in thirds (at least 3, default 30)")
+                        help="which rank-8 decomposition feeds the module")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, default=30,
+                           help="expansion depth in thirds (at least 3, default 30)")
 
     parser = argparse.ArgumentParser(
         prog="triform",
@@ -600,9 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "action, and the product weights")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classify", parents=[common],
+    sub.add_parser("classify", parents=[common, preset],
                    help="the 81 elements by type")
-    sub.add_parser("pairing-table", parents=[common],
+    sub.add_parser("pairing-table", parents=[common, preset],
                    help="pairing multiplicity table")
     sub.add_parser("weil", parents=[common],
                    help="generator action, traces, aggregated dual")
@@ -612,15 +610,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimension report for the aggregated action")
     p.add_argument("--weight", type=int, default=4,
                    help="modular weight (at least 3, default 4)")
-    sub.add_parser("eisenstein", parents=[common],
+    sub.add_parser("eisenstein", parents=[common, precision],
                    help="normalized Eisenstein combination")
-    p = sub.add_parser("borcherds", parents=[common],
+    p = sub.add_parser("borcherds", parents=[common, precision],
                        help="product weights for a root divisor")
     p.add_argument("--divisor", choices=("long", "short"), required=True,
                    help="which root divisor")
     sub.add_parser("special-vectors", parents=[common],
                    help="the fifteen sign vectors and their verification")
-    sub.add_parser("accounting", parents=[common],
+    sub.add_parser("accounting", parents=[common, precision],
                    help="basis and weight bookkeeping")
     sub.add_parser("verify-all", parents=[common],
                    help="run every frozen-value check")
@@ -644,9 +642,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.preset != "paper" and args.command not in MODULE_COMMANDS:
-        parser.error(f"--preset only applies to {', '.join(MODULE_COMMANDS)}")
-    if args.precision < 3:  # the reports read coefficients up to q^(3/3)
+    if getattr(args, "precision", 3) < 3:  # the reports read coefficients up to q^(3/3)
         parser.error("--precision must be at least 3")
     if getattr(args, "weight", 3) < 3:  # the dimension formula needs k >= 3
         parser.error("--weight must be at least 3")

@@ -103,9 +103,6 @@ class QuadraticModule:
     def elements(self) -> tuple[Element, ...]:
         return tuple(itertools.product(*(range(m) for m in self.orders)))
 
-    def zero(self) -> Element:
-        return tuple(0 for _ in self.orders)
-
     def neg(self, x: Element) -> Element:
         return tuple((-xi) % m for xi, m in zip(x, self.orders))
 
@@ -340,18 +337,10 @@ class Reflection:
         images = _reflected(t, t.index[self.alpha], t.unit)
         object.__setattr__(self, "matrix", tuple(map(tuple, t.digits[images].T.tolist())))
 
-    def __call__(self, x: Element) -> Element:
-        return apply_matrix(self.matrix, x)
-
 
 def reflect(module: QuadraticModule, alpha: Element) -> Reflection:
     """r_alpha(x) = x - B(x, alpha) Q(alpha)^(-1) alpha over F_3."""
     return Reflection(module, alpha)
-
-
-def apply_matrix(matrix: tuple[tuple[int, ...], ...], x: Element) -> Element:
-    n = len(matrix)
-    return tuple(sum(matrix[i][j] * x[j] for j in range(n)) % 3 for i in range(n))
 
 
 # -- orthogonal group

@@ -1,9 +1,7 @@
 """Exact q-series with third-integer exponents, Eisenstein components, eta.
 
 A QSeries stores coefficients at exponents n/3 as a dict {n: CycQ} together
-with the largest trustworthy numerator (`precision`).  Arithmetic tracks
-truncation honestly: a product is only claimed up to the point both factors
-support.
+with the largest trustworthy numerator (`precision`).
 
 All Eisenstein data is normalized by the constant c = (2 pi)^4 / 486, which
 turns every coefficient into a cyclotomic integer (and the constant term of
@@ -16,15 +14,16 @@ T-invariant combination is an integer combination of those lists over one
 denominator.  eta^8 multiplies a dense int list eight times by the sparse
 pentagonal series, O(P^1.5).
 
-The only floating-point code in the package lives at the bottom:
-evaluation of a series at a point of the upper half plane and the
-modular-transformation spot check.
+Floating-point code lives at the bottom of this module: evaluation of a
+series at a point of the upper half plane and the modular-transformation
+spot check.  The package's other floats are the lattice-sum oracle
+(cli._lattice_sum) and the bounded-exact Z[w] product (weil._zw_matmul).
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -33,9 +32,6 @@ from .exact import CycQ, OMEGA, mat_det, mat_solve
 
 class PrecisionError(ValueError):
     """A coefficient beyond the trustworthy range was requested."""
-
-
-DEFAULT_PRECISION = 30  # numerator units, i.e. coefficients up to q^10
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,6 @@ class QSeries:
                 cleaned[int(n)] = v
         object.__setattr__(self, "coeffs", cleaned)
 
-    # -- queries
-
     def coeff_at(self, numerator: int) -> CycQ:
         if numerator > self.precision:
             raise PrecisionError(
@@ -72,64 +66,16 @@ class QSeries:
         n = min(self.coeffs)
         return n, self.coeffs[n]
 
-    def _low(self) -> int:
-        # the lowest exponent that may carry a nonzero coefficient
-        return min(self.coeffs) if self.coeffs else self.precision + 1
-
-    # -- arithmetic
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        prec = min(self.precision, other.precision)
-        out = dict(self.coeffs)
-        for n, v in other.coeffs.items():
-            out[n] = out.get(n, CycQ.rational(0)) + v
-        return QSeries(out, prec)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries({n: -v for n, v in self.coeffs.items()}, self.precision)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        prec = min(self.precision + other._low(), other.precision + self._low())
-        out: dict[int, CycQ] = {}
-        for n1, v1 in self.coeffs.items():
-            for n2, v2 in other.coeffs.items():
-                n = n1 + n2
-                if n > prec:
-                    continue
-                prod = v1 * v2
-                out[n] = out.get(n, CycQ.rational(0)) + prod
-        return QSeries(out, prec)
-
     def scale(self, s) -> "QSeries":
         s = s if isinstance(s, CycQ) else CycQ.rational(s)
         return QSeries({n: s * v for n, v in self.coeffs.items()}, self.precision)
-
-    def shift(self, thirds: int) -> "QSeries":
-        return QSeries({n + thirds: v for n, v in self.coeffs.items()},
-                       self.precision + thirds)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        prec = min(self.precision, other.precision)
-        keys = {n for n in (*self.coeffs, *other.coeffs) if n <= prec}
-        return all(self.coeff_at(n) == other.coeff_at(n) for n in keys)
-
-    __hash__ = None  # type: ignore[assignment]
-
-
-def one_series(precision: int = DEFAULT_PRECISION) -> QSeries:
-    return QSeries({0: CycQ.rational(1)}, precision)
 
 
 # ---------------------------------------------------------------------------
 # eta^8
 
 
-def eta_power_8(precision: int = DEFAULT_PRECISION) -> QSeries:
+def eta_power_8(precision: int) -> QSeries:
     """q^(1/3) prod_(n>=1) (1 - q^n)^8, with exact integer coefficients.
 
     The Euler product is the sparse pentagonal series sum_k (-1)^k
@@ -193,7 +139,7 @@ def _series(x: list, y: list, den: int, precision: int) -> QSeries:
                     for l in range(precision + 1) if x[l] or y[l]}, precision)
 
 
-def eisenstein_g4(a: int, b: int, precision: int = DEFAULT_PRECISION) -> QSeries:
+def eisenstein_g4(a: int, b: int, precision: int) -> QSeries:
     """The normalized congruence Eisenstein sum of weight 4 for (a, b) mod 3.
 
     Coefficient of q^(l/3), l >= 1:
@@ -208,30 +154,27 @@ def eisenstein_g4(a: int, b: int, precision: int = DEFAULT_PRECISION) -> QSeries
     return _series(*_divisor_sieve(a, b, precision), 1, precision)
 
 
-TYPE_COUNTS = {"00": 1, "0": 20, "1": 30, "2": 30}
-
-
 @dataclass(frozen=True)
 class VVForm:
     """A four-component form indexed by the element types."""
 
     components: dict
-    type_counts: dict
     weights: tuple  # the solved combination coefficients (a, b)
-    notes: tuple = field(default=())
 
     def component(self, label: str) -> QSeries:
         return self.components[label]
 
 
-def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
+def obstruction_eisenstein(precision: int) -> VVForm:
     """The T-invariant Eisenstein combination with constant term -1/2 e_0.
 
     Built from the four congruence sums e1..e4 of the classes (0, 1), (1, 0),
     (1, 1), (1, 2); the two combination coefficients are solved exactly from
     the constant-term constraints (the zero class gets -1/2, the isotropic
     class gets 0).  Each component is an integer combination of the sieve
-    lists over one common denominator.
+    lists over one common denominator.  The zero-class q-coefficient is 15,
+    where an alternative reading of the integral-exponent series constant
+    would give 54; the divisor sum and the lattice-sum cross-check agree on 15.
     """
     classes = ((0, 1), (1, 0), (1, 1), (1, 2))
     sieves = [_divisor_sieve(a, b, precision) for a, b in classes]
@@ -278,16 +221,7 @@ def obstruction_eisenstein(precision: int = DEFAULT_PRECISION) -> VVForm:
     if not f0.coeff_at(0).is_zero():
         raise ValueError("isotropic-class constant term is not 0")
 
-    q1 = f00.coeff_at(3)
-    notes = (
-        "combination coefficients solved from the constant terms: "
-        f"a = {a_coef}, b = {b_coef}",
-        f"zero-class q-coefficient from direct divisor summation: {q1}; "
-        "an alternative reading of the integral-exponent series constant "
-        "would give 54 here; the divisor sum and the lattice-sum cross-check "
-        "agree on the value above",
-    )
-    return VVForm(components, dict(TYPE_COUNTS), (a_coef, b_coef), notes)
+    return VVForm(components, (a_coef, b_coef))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +242,8 @@ def evaluate(series: QSeries, tau: complex) -> complex:
 
 
 def complex_matrix(m) -> list[list[complex]]:
-    """OmegaMat or a grid of CycQ values, as complex numbers."""
-    if hasattr(m, "den"):  # one complex128 array; each entry rounds as cyc_complex's
-        return (m.a / m.den + (m.b / m.den) * cyc_complex(OMEGA)).tolist()
-    return [[cyc_complex(v) for v in row] for row in m]
+    """An OmegaMat as complex numbers; each entry rounds as cyc_complex's."""
+    return (m.a / m.den + (m.b / m.den) * cyc_complex(OMEGA)).tolist()
 
 
 def numeric_transform_check(components, rho_t, rho_s, weight: int,

@@ -99,11 +99,15 @@ def _zw_mul(x0, x1, y0, y1):
 
 
 class OmegaMat:
-    """(A + B w) / den with int64 arrays A, B; w = e^(2 pi i / 3)."""
+    """(A + B w) / den with int64 arrays A, B; w = e^(2 pi i / 3).
+
+    Always in lowest terms: den > 0 and gcd(A, B, den) = 1, so equal
+    matrices have equal den, A and B.
+    """
 
     __slots__ = ("a", "b", "den")
 
-    def __init__(self, a, b, den: int = 1, normalize: bool = True):
+    def __init__(self, a, b, den: int = 1):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if a.shape != b.shape:
@@ -112,11 +116,9 @@ class OmegaMat:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             a, b, den = -a, -b, -den
-        if normalize:
-            g = int(np.gcd.reduce(np.concatenate(
-                [np.abs(a).ravel(), np.abs(b).ravel(), [den]])))
-            if g > 1:
-                a, b, den = a // g, b // g, den // g
+        g = int(np.gcd.reduce(np.concatenate([np.abs(a).ravel(), np.abs(b).ravel(), [den]])))
+        if g > 1:
+            a, b, den = a // g, b // g, den // g
         self.a, self.b, self.den = a, b, int(den)
 
     @staticmethod
@@ -139,12 +141,8 @@ class OmegaMat:
     def __eq__(self, other):
         if not isinstance(other, OmegaMat):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        f1, f2 = other.den, self.den
-        _guard(max(self.max_abs() * f1, other.max_abs() * f2))
-        return bool(np.array_equal(self.a * f1, other.a * f2)
-                    and np.array_equal(self.b * f1, other.b * f2))
+        return (self.den == other.den and np.array_equal(self.a, other.a)
+                and np.array_equal(self.b, other.b))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -183,7 +181,7 @@ class OmegaMat:
 
     def conjugate(self) -> "OmegaMat":
         _guard(2 * self.max_abs())
-        return OmegaMat(self.a - self.b, -self.b, self.den, normalize=False)
+        return OmegaMat(self.a - self.b, -self.b, self.den)
 
     def trace(self) -> CycQ:
         _guard(len(self.a) * self.max_abs())
@@ -573,8 +571,6 @@ def aggregated_dual(rep: WeilRep):
 
 @dataclass(frozen=True)
 class IsotypicSubspace:
-    rep: WeilRep
-    character: int
     projector: OmegaMat
     dimension: int
 
@@ -613,7 +609,7 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     rank = proj.rank()
     if rank != dim:
         raise RankError(f"projector rank {rank} != trace {dim}")
-    return IsotypicSubspace(rep, char_index, proj, dim)
+    return IsotypicSubspace(proj, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +663,7 @@ class SpecialChecks:
 
 
 def verify_special(rep: WeilRep, sv: SpecialVector,
-                   subspace: IsotypicSubspace | None = None) -> SpecialChecks:
+                   subspace: IsotypicSubspace) -> SpecialChecks:
     v = np.array(sv.vec, dtype=np.int64)
 
     av, bv, den = rep.rho_S.matvec_int(v)
@@ -684,8 +680,7 @@ def verify_special(rep: WeilRep, sv: SpecialVector,
         k = group.reflection(alpha)
         negations.append(k >= 0 and bool(np.array_equal(v[group.perm[k]], -v)))
 
-    in_v = subspace.contains_int_vector(v) if subspace is not None else True
-    return SpecialChecks(s_fixed, t_eigen, tuple(negations), in_v)
+    return SpecialChecks(s_fixed, t_eigen, tuple(negations), subspace.contains_int_vector(v))
 
 
 def special_vector_rank(vectors) -> int:

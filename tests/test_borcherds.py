@@ -118,9 +118,7 @@ def test_accounting_json_round_trip(form):
 
 def test_accounting_rejects_a_wrong_form(form):
     # scaling the form breaks the per-basis identity but not the combinatorics
-    doubled = type(form)(
-        {k: v.scale(2) for k, v in form.components.items()},
-        form.type_counts, form.weights, form.notes)
+    doubled = type(form)({k: v.scale(2) for k, v in form.components.items()}, form.weights)
     with pytest.raises(AccountingError) as info:
         accounting_report(paper_module(), doubled)
     assert info.value.partial["weight_long"] == 270

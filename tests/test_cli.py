@@ -154,23 +154,32 @@ def test_verify_all_json(capsys):
                for c in data["checks"])
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["borcherds"])  # missing --divisor
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["weil", "--preset", "alt-decomposition"])  # preset not honored here
-    assert info.value.code == 2
     for argv in (["eisenstein", "--precision", "0"],
                  ["eisenstein", "--precision", "1"],
                  ["eisenstein", "--precision", "2"],
-                 ["borcherds", "--divisor", "long", "--precision", "2"]):
+                 ["borcherds", "--divisor", "long", "--precision", "2"],
+                 ["accounting", "--precision", "2"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+    capsys.readouterr()
+    # each subcommand takes only its own options
+    for argv in (["weil", "--preset", "alt-decomposition"],
+                 ["weil", "--preset", "paper"],
+                 ["verify-all", "--precision", "600"],
+                 ["classify", "--precision", "2"],
+                 ["eisenstein", "--weight", "4"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_precision_three_is_the_floor(capsys):
@@ -181,6 +190,7 @@ def test_precision_three_is_the_floor(capsys):
                        "--format", "json")
     assert code == 0
     assert out == '{"weight_on_D":"135","weight_on_ball":"45","obstruction_ok":true}\n'
+    assert run(capsys, "accounting", "--precision", "3") == run(capsys, "accounting")
 
 
 def test_gauntlet_builds_the_weil_representation_once(monkeypatch):
@@ -231,54 +241,39 @@ def _corrupt_output(monkeypatch, name, corrupt):
     monkeypatch.setattr(cli, name, lambda *args, **kwargs: corrupt(stage(*args, **kwargs)))
 
 
-def _drop_a_type_1_pattern(monkeypatch):
-    monkeypatch.setitem(cli.TYPE_PATTERNS, "1", cli.TYPE_PATTERNS["1"][1:])
-
-
-def _miscount_a_triple(monkeypatch):
-    _corrupt_output(monkeypatch, "pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)})
-
-
-def _lose_an_isometry(monkeypatch):
-    _corrupt_output(monkeypatch, "orthogonal_group",
-                    lambda group: dataclasses.replace(group, perm=group.perm[:-1]))
-
-
-def _miscount_the_short_incidence(monkeypatch):
-    _corrupt_output(monkeypatch, "accounting_report",
-                    lambda report: dataclasses.replace(report, short_incidence=2))
-
-
-def _miscount_a_character(monkeypatch):
-    _corrupt_output(monkeypatch, "character_decompose", lambda dec: dataclasses.replace(
-        dec, multiplicities=dec.multiplicities[:-1] + (4,)))
-
-
-def _shift_alpha_t(monkeypatch):
-    _corrupt_output(monkeypatch, "dimension_report",
-                    lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1))
-
-
-def _bump_eta8_at_q7_3(monkeypatch):
-    _corrupt_output(monkeypatch, "eta_power_8", lambda eta8: dataclasses.replace(
-        eta8, coeffs={**eta8.coeffs, 7: eta8.coeff_at(7) + 1}))
-
-
-@pytest.mark.parametrize("perturb,check,actual", [
-    (_drop_a_type_1_pattern, "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
-    (_miscount_a_triple, "pairing-table", "1 triples differ"),
-    (_lose_an_isometry, "orthogonal-group",
-     "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
-    (_miscount_the_short_incidence, "orthogonal-bases",
-     "bases=15 incidence=2 isotropic=covered cusps=10"),
-    (_miscount_a_character, "weil-traces",
-     "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
-    (_shift_alpha_t, "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
-    (_bump_eta8_at_q7_3, "numeric-transform", "max deviation 3.946e-06"),
+@pytest.mark.parametrize("stage,corrupt,check,actual", [
+    ("expand_patterns", lambda elements: elements - {(1, 0, 0, 0)},
+     "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
+    ("pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)},
+     "pairing-table", "1 triples differ"),
+    ("orthogonal_group", lambda group: dataclasses.replace(group, perm=group.perm[:-1]),
+     "orthogonal-group", "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
+    ("accounting_report", lambda report: dataclasses.replace(report, short_incidence=2),
+     "orthogonal-bases", "bases=15 incidence=2 isotropic=covered cusps=10"),
+    ("character_decompose", lambda dec: dataclasses.replace(
+        dec, multiplicities=dec.multiplicities[:-1] + (4,)),
+     "weil-traces", "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
+    ("dimension_report", lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1),
+     "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
+    ("eta_power_8", lambda eta8: dataclasses.replace(
+        eta8, coeffs={**eta8.coeffs, 7: eta8.coeff_at(7) + 1}),
+     "numeric-transform", "max deviation 3.946e-06"),
+    ("borcherds_weight", lambda weight: weight + 1,
+     "borcherds-weights", "long=136 ball=136/3 short=16 ball=16/3 obstruction=ok"),
+    ("special_vector_rank", lambda rank: rank - 1,
+     "special-vectors", "count=15 checks=ok rank=4 norm=1"),
+    ("lift_witness", lambda witness: (witness[0], 0),
+     "lift-witness", "all=broken standard=1111->0"),
+    ("milgram_signature", lambda signature: (signature + 1) % 8, "lattice-layer",
+     "trireflection=identity reflection=F3-reflection histograms=equal milgram=(5, 5)"),
+    ("accounting_report", lambda report: dataclasses.replace(report, short_multiplicity=8),
+     "accounting", "45 + 8 * 5 = 90 = 6 * 15 multiplicity=broken"),
 ], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases",
-        "weil-traces", "dimension-report", "numeric-transform"])
-def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, perturb, check, actual):
-    perturb(monkeypatch)
+        "weil-traces", "dimension-report", "numeric-transform", "borcherds-weights",
+        "special-vectors", "lift-witness", "lattice-layer", "accounting"])
+def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, stage, corrupt,
+                                                         check, actual):
+    _corrupt_output(monkeypatch, stage, corrupt)
     checks = run_checks()
     assert [c.name for c in checks if c.status == "fail"] == [check]
     assert next(c for c in checks if c.name == check).actual == actual

@@ -1,0 +1,73 @@
+"""Every function and method in src/triform is reached from src/triform.
+
+A module-level function must be referenced in the package outside its own
+body; a method other than a dunder must be reached there as an attribute
+`.name`.  The only exceptions are the names the benchmark's tracer wraps
+(STAGES and LEAVES of perfbench/tracer.py) and the names the frozen
+acceptance test imports.  Code that only tests call belongs in the tests.
+"""
+
+import ast
+import runpy
+from collections import Counter
+from pathlib import Path
+
+import triform
+
+SRC = Path(triform.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _allowlist() -> set:
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    names = {name for layer in tracer["STAGES"].values() for name in layer}
+    names |= {name for *_, methods in tracer["LEAVES"] for name in methods}
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    return names | {alias.name for node in ast.walk(acceptance)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _uses(tree) -> Counter:
+    """How often each name is read, imported or accessed as an attribute."""
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            uses.update(alias.name for alias in node.names)
+    return uses
+
+
+def unreached(src: Path = SRC) -> list[str]:
+    """`module.function` and `module.Class.method` that nothing in `src` reaches."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    attrs = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    allowed = _allowlist()
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in allowed \
+                    and uses[node.name] <= _uses(node)[node.name]:
+                out.append(f"{module}.{node.name}")
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") \
+                        and item.name not in allowed and not attrs[item.name]:
+                    out.append(f"{module}.{node.name}.{item.name}")
+    return out
+
+
+def test_every_function_and_method_is_reached_from_src():
+    assert unreached() == []
+
+
+def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "def lonely():\n    return lonely()\n\n\nclass Box:\n    def used(self):\n"
+        "        return 0\n\n    def unused(self):\n        return 0\n\n\nBox().used()\n")
+    assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unused"]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triform.exact import mat_from_rows, mat_inverse, mat_mul, mat_rank
 from triform.fqm import paper_module
@@ -105,6 +107,25 @@ def test_dimension_is_conjugation_invariant_seeded():
         assert rep.dim_cusp == base.dim_cusp
         assert (rep.alpha_s, rep.alpha_st, rep.alpha_t) == (
             base.alpha_s, base.alpha_st, base.alpha_t)
+
+
+PAPER = _paper_repspec()
+PAPER_REPORTS = {k: dimension_report(PAPER, k) for k in (3, 4, 5, 6, 8)}
+
+small_matrices = st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                          min_size=4, max_size=4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_matrices.filter(lambda rows: mat_rank(mat_from_rows(rows)) == 4))
+def test_dimension_report_is_invariant_under_a_change_of_basis(rows):
+    """(P T P^-1, P S P^-1) has the aggregated pair's report at every weight."""
+    p = mat_from_rows(rows)
+    pinv = mat_inverse(p)
+    spec = RepSpec(mat_mul(p, mat_mul(PAPER.t_image, pinv)),
+                   mat_mul(p, mat_mul(PAPER.s_image, pinv)))
+    for k, report in PAPER_REPORTS.items():
+        assert dimension_report(spec, k) == report
 
 
 def test_dimension_report_fields_and_json():

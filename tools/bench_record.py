@@ -11,13 +11,14 @@ length: for each workload, run i (of RUNS) of every side uses seed i, and
 the sides alternate which goes first, so they are measured in pairs under
 the same host load.  A precision sweep follows, in the same alternating
 pairs: SWEEP_RUNS fresh `triform eisenstein --format json --precision P`
-per P in SWEEP_PRECISIONS.  Then each side gets one traced gauntlet run and
-one timed tier-1 test run.  A file holds the context line run.py prints
-(commit, source digest and line count, Python and numpy versions, CPU
-count), per workload the median and quartiles of each end-to-end metric
-with every run's values, per sweep precision the median wall time with
-every run's and the sha256 of the output, the traced per-layer metrics,
-and the tier-1 wall time and summary.
+per P in SWEEP_PRECISIONS, and as many fresh runs of each argv in the
+COMMAND_SHAPES of the checkout's own perfbench/run.py.  Then each side gets
+one traced gauntlet run and one timed tier-1 test run.  A file holds the
+context line run.py prints (commit, source digest and line count, Python
+and numpy versions, CPU count), per workload the median and quartiles of
+each end-to-end metric with every run's values, per sweep precision and per
+command shape the median wall time with every run's and the sha256 of the
+output, the traced per-layer metrics, and the tier-1 wall time and summary.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import runpy
 import statistics
 import subprocess
 import sys
@@ -35,7 +37,7 @@ from pathlib import Path
 WORKLOADS = ("gauntlet", "series", "commands")
 RUNS = 10  # alternating pairs per workload
 SWEEP_PRECISIONS = (30, 300, 3000)  # thirds
-SWEEP_RUNS = 3  # alternating pairs per precision
+SWEEP_RUNS = 3  # alternating pairs per precision and per command shape
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -49,14 +51,23 @@ def bench(checkout: Path, *args: str) -> tuple[dict, dict]:
     return context, json.loads(out[-1])
 
 
-def eisenstein_run(checkout: Path, precision: int) -> tuple[float, str]:
-    """Wall time and output sha256 of one fresh `eisenstein` JSON run."""
-    argv = [sys.executable, "-m", "triform.cli", "eisenstein", "--format", "json",
-            "--precision", str(precision)]
+def cli_run(checkout: Path, argv: list[str]) -> tuple[float, str]:
+    """Wall time and stdout sha256 of one fresh `triform ARGV` run."""
     env = {**os.environ, "PYTHONPATH": "src"}
     start = time.perf_counter()
-    out = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-m", "triform.cli", *argv], cwd=checkout, env=env,
+                         capture_output=True, check=True).stdout
     return time.perf_counter() - start, hashlib.sha256(out).hexdigest()
+
+
+def timed(side: dict, section: str, key: str, argv: list[str]) -> None:
+    """One cli_run of `argv` on `side`, added to record[section][key]."""
+    wall, digest = cli_run(side["checkout"], argv)
+    entry = side["record"].setdefault(section, {}).setdefault(
+        key, {"runs_s": [], "output_sha256": digest})
+    entry["runs_s"].append(round(wall, 4))
+    entry["median_s"] = round(statistics.median(entry["runs_s"]), 4)
+    print(f"{key} {side['record']['label']}: {wall:.4f} s", file=sys.stderr, flush=True)
 
 
 def summary(values: list[float]) -> dict:
@@ -101,13 +112,18 @@ def main(argv=None) -> int:
     for precision in SWEEP_PRECISIONS:
         for i in range(SWEEP_RUNS):
             for side in sides if i % 2 == 0 else sides[::-1]:
-                wall, digest = eisenstein_run(side["checkout"], precision)
-                entry = side["record"].setdefault("precision_sweep", {}).setdefault(
-                    str(precision), {"runs_s": [], "output_sha256": digest})
-                entry["runs_s"].append(round(wall, 4))
-                entry["median_s"] = round(statistics.median(entry["runs_s"]), 4)
-                print(f"eisenstein --precision {precision} {side['record']['label']}: "
-                      f"{wall:.4f} s", file=sys.stderr, flush=True)
+                timed(side, "precision_sweep", str(precision),
+                      ["eisenstein", "--format", "json", "--precision", str(precision)])
+
+    for side in sides:
+        run_py = runpy.run_path(str(side["checkout"] / "perfbench" / "run.py"))
+        side["shapes"] = [list(shape) for shape in run_py["COMMAND_SHAPES"]]
+    for k in range(max(len(side["shapes"]) for side in sides)):
+        for i in range(SWEEP_RUNS):
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                if k < len(side["shapes"]):
+                    timed(side, "command_shapes", " ".join(side["shapes"][k]),
+                          side["shapes"][k])
 
     for side in sides:
         record = side["record"]
