@@ -250,7 +250,7 @@ def cmd_eisenstein(args) -> int:
 
 def cmd_borcherds(args) -> int:
     divisor = long_root_divisor() if args.divisor == "long" else short_root_divisor()
-    form = obstruction_eisenstein(args.precision)
+    form = obstruction_eisenstein(3)  # the weights read only q^(1/3) and q^(2/3)
     weight = borcherds_weight(divisor, form)
     ball = ball_weight(divisor, form)
     obstruction = obstruction_check(4)
@@ -305,7 +305,8 @@ def cmd_special_vectors(args) -> int:
 
 
 def cmd_accounting(args) -> int:
-    report = accounting_report(paper_module(), obstruction_eisenstein(args.precision))
+    # the weights read only q^(1/3) and q^(2/3)
+    report = accounting_report(paper_module(), obstruction_eisenstein(3))
     if args.format == "json":
         return _emit_json(report.to_json())
     print(f"bases: {report.n_bases}")
@@ -588,9 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     preset.add_argument("--preset", choices=("paper", "alt-decomposition"),
                         default="paper",
                         help="which rank-8 decomposition feeds the module")
-    precision = argparse.ArgumentParser(add_help=False)
-    precision.add_argument("--precision", type=int, default=30,
-                           help="expansion depth in thirds (at least 3, default 30)")
 
     parser = argparse.ArgumentParser(
         prog="triform",
@@ -610,15 +608,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimension report for the aggregated action")
     p.add_argument("--weight", type=int, default=4,
                    help="modular weight (at least 3, default 4)")
-    sub.add_parser("eisenstein", parents=[common, precision],
-                   help="normalized Eisenstein combination")
-    p = sub.add_parser("borcherds", parents=[common, precision],
+    p = sub.add_parser("eisenstein", parents=[common],
+                       help="normalized Eisenstein combination")
+    p.add_argument("--precision", type=int, default=30,
+                   help="expansion depth in thirds (at least 3, default 30)")
+    p = sub.add_parser("borcherds", parents=[common],
                        help="product weights for a root divisor")
     p.add_argument("--divisor", choices=("long", "short"), required=True,
                    help="which root divisor")
     sub.add_parser("special-vectors", parents=[common],
                    help="the fifteen sign vectors and their verification")
-    sub.add_parser("accounting", parents=[common, precision],
+    sub.add_parser("accounting", parents=[common],
                    help="basis and weight bookkeeping")
     sub.add_parser("verify-all", parents=[common],
                    help="run every frozen-value check")
@@ -642,7 +642,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "precision", 3) < 3:  # the reports read coefficients up to q^(3/3)
+    if getattr(args, "precision", 3) < 3:  # 3 thirds reach every component's leading term
         parser.error("--precision must be at least 3")
     if getattr(args, "weight", 3) < 3:  # the dimension formula needs k >= 3
         parser.error("--weight must be at least 3")

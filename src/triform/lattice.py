@@ -4,7 +4,10 @@ The main preset is the signature (2, 6) lattice built from four hexagonal
 planes (one positive, three negative), with the isometry acting blockwise
 as the rotation of order 3.  The second preset realizes the same
 discriminant form from a different signature to cross-check that only the
-finite data matters downstream.
+finite data matters downstream.  Each preset names rational generators of
+its discriminant group L*/L, and `discriminant_form` certifies them
+(membership in L*, distinct classes, |det G| of them) rather than
+searching for generators.
 
 Conventions: vectors are integer (or Fraction) tuples in basis coordinates;
 matrices act on the left, x -> M x; the Gram matrix G gives <x, y> = x G y.
@@ -13,6 +16,7 @@ matrices act on the left, x -> M x; the Gram matrix G gives <x, y> = x G y.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,7 +25,6 @@ from .exact import (
     CycQ,
     mat_det,
     mat_identity,
-    mat_inverse,
     mat_mul,
     mat_scalar,
     mat_sub,
@@ -68,8 +71,8 @@ class LatticeSpec:
     name: str
     gram: IntMatrix
     iota: IntMatrix | None = None
-    # ambient rational vectors generating the discriminant group, when a
-    # preferred coordinate system exists (the blockwise one for the main preset)
+    # ambient rational vectors, one per cyclic factor of L*/L, in the order
+    # the module's digits follow; discriminant_form certifies them
     dual_generators: tuple | None = None
 
     def __post_init__(self):
@@ -98,16 +101,17 @@ class LatticeSpec:
         return len(self.gram)
 
 
+def _thirds(*numerators: int) -> tuple:
+    return tuple(Fraction(n, 3) for n in numerators)
+
+
 def paper_spec() -> LatticeSpec:
     """Four hexagonal planes, signs (+, -, -, -), blockwise rotation."""
     gram = _block_diag([HEX_BLOCK, mat_scalar(-1, HEX_BLOCK),
                         mat_scalar(-1, HEX_BLOCK), mat_scalar(-1, HEX_BLOCK)])
     iota = _block_diag([ROTATION_BLOCK] * 4)
-    w = (Fraction(2, 3), Fraction(1, 3))
-    duals = tuple(
-        tuple(w[i - 2 * b] if 2 * b <= i < 2 * b + 2 else Fraction(0) for i in range(8))
-        for b in range(4)
-    )
+    duals = (_thirds(2, 1, 0, 0, 0, 0, 0, 0), _thirds(0, 0, 2, 1, 0, 0, 0, 0),
+             _thirds(0, 0, 0, 0, 2, 1, 0, 0), _thirds(0, 0, 0, 0, 0, 0, 2, 1))
     return LatticeSpec("paper", gram, iota, duals)
 
 
@@ -115,7 +119,10 @@ def alt_spec() -> LatticeSpec:
     """Hyperbolic plane + rescaled hyperbolic plane + two hexagonal planes."""
     u = ((0, 1), (1, 0))
     gram = _block_diag([u, mat_scalar(3, u), HEX_BLOCK, HEX_BLOCK])
-    return LatticeSpec("alt-decomposition", gram)
+    # the generators, in order, that a Smith form of G yields; the outputs follow it
+    duals = (_thirds(0, 0, 0, 1, 0, 0, 0, 0), _thirds(0, 0, 0, 0, 1, 2, 0, 0),
+             _thirds(0, 0, 1, 0, 0, 0, 0, 0), _thirds(0, 0, 0, 0, 0, 0, 1, 2))
+    return LatticeSpec("alt-decomposition", gram, None, duals)
 
 
 _PRESETS = {"paper": paper_spec, "alt-decomposition": alt_spec}
@@ -217,82 +224,6 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
 # discriminant machinery
 
 
-def smith_normal_form(mat) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(D, U, V) with U mat V = D diagonal, U and V unimodular, d_i | d_{i+1}."""
-    a = [list(map(int, row)) for row in mat]
-    nr, nc = len(a), len(a[0])
-    u = [list(row) for row in mat_identity(nr)]
-    v = [list(row) for row in mat_identity(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, k):  # row_i += k * row_j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, k):  # col_i += k * col_j
-        for row in a:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t]:
-                add_row(i, t, -(a[i][t] // a[t][t]))
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if a[t][j]:
-                add_col(j, t, -(a[t][j] // a[t][t]))
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility: pivot must divide everything that remains
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    d = tuple(tuple(a[i][j] for j in range(nc)) for i in range(nr))
-    return d, tuple(tuple(row) for row in u), tuple(tuple(row) for row in v)
-
-
 @dataclass(frozen=True)
 class DiscriminantData:
     """The finite quadratic module of a lattice plus ambient generators."""
@@ -329,48 +260,35 @@ class DiscriminantData:
 
 
 def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
-    """The discriminant quadratic module of an even lattice.
+    """The discriminant quadratic module L*/L on the spec's dual generators.
 
-    With preferred dual generators (the blockwise ones of the main preset)
-    the module is built directly on them; otherwise generators come from
-    the Smith form of the Gram matrix.
+    The generators are certified, not searched for: each lies in L*, its
+    order is the lcm of its denominators, there are |det G| digit
+    combinations, and they are pairwise distinct mod L, so digits -> class
+    is an isomorphism onto L*/L.  Raises LatticeError otherwise, and when
+    the spec names no generators.
     """
-    g = spec.gram
-    ginv = mat_inverse(g)
-    if spec.dual_generators is not None:
-        gens = spec.dual_generators
-        orders = []
-        for c in gens:
-            k = 1
-            while any((Fraction(x) * k).denominator != 1 for x in c):
-                k += 1
-            orders.append(k)
-        orders = tuple(orders)
-    else:
-        d, u, _v = smith_normal_form(g)
-        uinv = mat_inverse(u)
-        n = len(g)
-        orders_all = [int(d[i][i]) for i in range(n)]
-        gens = []
-        orders = []
-        for i, di in enumerate(orders_all):
-            if di > 1:
-                y = tuple(uinv[r][i] for r in range(n))
-                if any(x.denominator != 1 for x in y):
-                    raise LatticeError("unimodular inverse is not integral")
-                c = mat_vec(ginv, y)
-                gens.append(c)
-                orders.append(di)
-        gens = tuple(gens)
-        orders = tuple(orders)
+    if spec.dual_generators is None:
+        raise LatticeError(f"lattice {spec.name!r} names no dual generators")
+    gens = tuple(tuple(Fraction(x) for x in c) for c in spec.dual_generators)
+    for c in gens:
+        if len(c) != spec.rank or any(x.denominator != 1 for x in mat_vec(spec.gram, c)):
+            raise LatticeError(f"{c} is not in the dual lattice")
+    orders = tuple(math.lcm(*(x.denominator for x in c)) for c in gens)
+    expected = abs(mat_det(spec.gram))
+    if math.prod(orders) != expected:
+        raise LatticeError(
+            f"generator orders {orders} give {math.prod(orders)} classes, |det| = {expected}")
+    # combinations compared as integer numerators over the common denominator
+    den = math.lcm(*orders)
+    cols = tuple(zip(*(tuple(int(x * den) for x in c) for c in gens)))
+    classes = {tuple(sum(d * v for d, v in zip(combo, col)) % den for col in cols)
+               for combo in itertools.product(*(range(m) for m in orders))}
+    if len(classes) != expected:
+        raise LatticeError("two digit combinations of the generators agree mod L")
     gen_q = tuple(_q_of_dual(spec, c) for c in gens)
     gen_b = tuple(tuple(_b_of_dual(spec, c1, c2) for c2 in gens) for c1 in gens)
-    module = QuadraticModule(orders, gen_q, gen_b)
-    expected = abs(mat_det(g))
-    if module.order() != expected:
-        raise LatticeError(
-            f"discriminant group order {module.order()} != |det| = {expected}")
-    return DiscriminantData(spec, module, gens)
+    return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens)
 
 
 def _q_of_dual(spec, c) -> Fraction:

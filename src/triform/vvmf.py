@@ -65,10 +65,6 @@ class RepSpec:
         if not mat_eq(mat_pow(st, 3), s2):
             raise DimensionError("(ST)^3 != S^2")
 
-    @property
-    def dim(self) -> int:
-        return len(self.t_image)
-
 
 @dataclass(frozen=True)
 class DimensionReport:

@@ -243,9 +243,7 @@ class GroupElement:
 @dataclass(frozen=True)
 class SL2F3:
     elements: tuple[GroupElement, ...]
-    by_mat: dict
     class_of: dict  # mat -> label
-    classes: dict   # label -> tuple of GroupElement
 
     @property
     def order(self) -> int:
@@ -270,7 +268,6 @@ def build_sl2f3() -> SL2F3:
         queue = nxt
     if len(elements) != 24:
         raise GroupTableError(f"SL(2, F_3) enumeration found {len(elements)} elements")
-    by_mat = {g.mat: g for g in elements}
 
     # conjugacy classes
     remaining = {g.mat for g in elements}
@@ -294,22 +291,18 @@ def build_sl2f3() -> SL2F3:
         "-ST": _neg2(st),
     }
     class_of = {}
-    classes = {}
-    for label in CLASS_ORDER:
+    for label, size in zip(CLASS_ORDER, CLASS_SIZES):
         rep = named[label]
         orbit = next((o for o in raw_classes if rep in o), None)
         if orbit is None:
             raise GroupTableError(f"no conjugacy class contains {label}")
-        classes[label] = tuple(sorted((by_mat[m] for m in orbit), key=lambda g: g.word))
+        if len(orbit) != size:
+            raise GroupTableError(f"class {label} has size {len(orbit)}, expected {size}")
         for m in orbit:
             class_of[m] = label
     if len(class_of) != 24:
         raise GroupTableError("conjugacy classes do not partition the group")
-    for label, size in zip(CLASS_ORDER, CLASS_SIZES):
-        if len(classes[label]) != size:
-            raise GroupTableError(
-                f"class {label} has size {len(classes[label])}, expected {size}")
-    return SL2F3(tuple(elements), by_mat, class_of, classes)
+    return SL2F3(tuple(elements), class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +369,6 @@ def validate_character_table() -> None:
 @dataclass(frozen=True)
 class WeilRep:
     module: QuadraticModule
-    elements: tuple
-    index: dict
     group: SL2F3
     rho: dict  # mat -> OmegaMat
 
@@ -390,7 +381,7 @@ class WeilRep:
         return self.rho[T_MAT]
 
     def dim(self) -> int:
-        return len(self.elements)
+        return self.module.order()
 
 
 def build_weil(module: QuadraticModule) -> WeilRep:
@@ -428,7 +419,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
             continue
         gen = S_MAT if g.word[-1] == "S" else T_MAT
         rho[g.mat] = rho[_mul2(g.mat, _inv2(gen))] @ gens[gen]
-    return WeilRep(module, table.elements, table.index, group, rho)
+    return WeilRep(module, group, rho)
 
 
 def _den9_stack(rep: WeilRep) -> tuple[np.ndarray, np.ndarray]:

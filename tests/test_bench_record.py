@@ -1,0 +1,45 @@
+"""tools/bench_record.py: every timed run is checked against the first."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _side():
+    return {"checkout": Path("."), "record": {"label": "change"}}
+
+
+def test_timed_records_runs_with_one_output(monkeypatch):
+    tool = _load()
+    monkeypatch.setattr(tool, "cli_run", lambda checkout, argv: (0.5, "aa"))
+    side = _side()
+    for _ in range(3):
+        tool.timed(side, "command_shapes", "accounting", ["accounting"])
+    entry = side["record"]["command_shapes"]["accounting"]
+    assert entry == {"runs_s": [0.5, 0.5, 0.5], "output_sha256": "aa", "median_s": 0.5}
+
+
+def test_timed_stops_when_a_later_output_differs(monkeypatch):
+    tool = _load()
+    first, later = "1" * 64, "2" * 64
+    digests = iter([first, later])
+    monkeypatch.setattr(tool, "cli_run", lambda checkout, argv: (0.5, next(digests)))
+    side = _side()
+    argv = ["eisenstein", "--format", "json", "--precision", "30"]
+    tool.timed(side, "precision_sweep", "30", argv)
+    with pytest.raises(SystemExit) as info:
+        tool.timed(side, "precision_sweep", "30", argv)
+    message = str(info.value)
+    assert "triform eisenstein --format json --precision 30" in message
+    assert later in message and first in message
+    assert side["record"]["precision_sweep"]["30"]["runs_s"] == [0.5]

@@ -163,9 +163,7 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
     for argv in (["eisenstein", "--precision", "0"],
                  ["eisenstein", "--precision", "1"],
-                 ["eisenstein", "--precision", "2"],
-                 ["borcherds", "--divisor", "long", "--precision", "2"],
-                 ["accounting", "--precision", "2"]):
+                 ["eisenstein", "--precision", "2"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -175,6 +173,8 @@ def test_usage_errors_exit_2(capsys):
                  ["weil", "--preset", "paper"],
                  ["verify-all", "--precision", "600"],
                  ["classify", "--precision", "2"],
+                 ["borcherds", "--divisor", "long", "--precision", "2"],
+                 ["accounting", "--precision", "2"],
                  ["eisenstein", "--weight", "4"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -186,11 +186,6 @@ def test_precision_three_is_the_floor(capsys):
     code, out, _ = run(capsys, "eisenstein", "--precision", "3")
     assert code == 0
     assert "f_00: -1/2 + 15 q" in out
-    code, out, _ = run(capsys, "borcherds", "--divisor", "long", "--precision", "3",
-                       "--format", "json")
-    assert code == 0
-    assert out == '{"weight_on_D":"135","weight_on_ball":"45","obstruction_ok":true}\n'
-    assert run(capsys, "accounting", "--precision", "3") == run(capsys, "accounting")
 
 
 def test_gauntlet_builds_the_weil_representation_once(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -20,7 +21,6 @@ from triform.lattice import (
     paper_spec,
     preset,
     reflection_minus_one,
-    smith_normal_form,
     trireflection,
 )
 
@@ -208,36 +208,35 @@ def test_discriminant_form_of_main_preset_matches_module():
 
 def test_discriminant_form_of_alt_preset():
     data = discriminant_form(alt_spec())
+    third = Fraction(1, 3)
+    assert data.generators == (
+        (0, 0, 0, third, 0, 0, 0, 0), (0, 0, 0, 0, third, 2 * third, 0, 0),
+        (0, 0, third, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, third, 2 * third))
     assert data.module.orders == (3, 3, 3, 3)
     assert data.module.q_histogram() == {
         Fraction(0): 21, Fraction(2, 3): 30, Fraction(4, 3): 30}
 
 
+_GENS = paper_spec().dual_generators
+
+
+@pytest.mark.parametrize("gens", [
+    (_GENS[0], _GENS[0], _GENS[2], _GENS[3]),        # a duplicate: two classes collide
+    (((Fraction(1, 3),) + (Fraction(0),) * 7),) + _GENS[1:],  # outside the dual lattice
+    _GENS[:3],                                       # 27 classes, |det| = 81
+    None,                                            # no generators named
+], ids=["duplicated", "outside-dual", "three-only", "none"])
+def test_the_certificate_rejects_bad_dual_generators(gens):
+    with pytest.raises(LatticeError):
+        discriminant_form(dataclasses.replace(SPEC, dual_generators=gens))
+
+
 def test_milgram_signatures():
-    hex_only = LatticeSpec("hex", ((2, -1), (-1, 2)))
+    hex_only = LatticeSpec("hex", ((2, -1), (-1, 2)), None, ((Fraction(1, 3), Fraction(2, 3)),))
     assert milgram_signature(discriminant_form(hex_only).module) == 2
     assert milgram_signature(discriminant_form(SPEC).module) == 4
     assert milgram_signature(discriminant_form(alt_spec()).module) == 4
     assert milgram_signature(paper_module()) == 4
-
-
-def test_smith_normal_form_seeded():
-    rng = random.Random(42)
-    for _ in range(15):
-        n = rng.randint(2, 5)
-        mat = tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n))
-        d, u, v = smith_normal_form(mat)
-        du = np.array(u, dtype=object) @ np.array(mat, dtype=object) @ np.array(v, dtype=object)
-        assert (du == np.array(d, dtype=object)).all()
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-        diag = [d[i][i] for i in range(n)]
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
-        assert all(b == 0 for a, b in zip(diag, diag[1:]) if a == 0)
 
 
 def test_dual_digits_round_trip():

@@ -1,10 +1,11 @@
-"""Every function and method in src/triform is reached from src/triform.
+"""Every function, method and dataclass field in src/triform is reached from src/triform.
 
 A module-level function must be referenced in the package outside its own
 body; a method other than a dunder must be reached there as an attribute
-`.name`.  The only exceptions are the names the benchmark's tracer wraps
-(STAGES and LEAVES of perfbench/tracer.py) and the names the frozen
-acceptance test imports.  Code that only tests call belongs in the tests.
+`.name`, and a dataclass field must be read there as `.name`.  The only
+exceptions are the names the benchmark's tracer wraps (STAGES and LEAVES
+of perfbench/tracer.py) and the names the frozen acceptance test imports.
+Code and data that only tests read belong in the tests.
 """
 
 import ast
@@ -40,12 +41,21 @@ def _uses(tree) -> Counter:
     return uses
 
 
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def unreached(src: Path = SRC) -> list[str]:
-    """`module.function` and `module.Class.method` that nothing in `src` reaches."""
+    """`module.function`, `module.Class.method` and `module.Class.field` that
+    nothing in `src` reaches."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     uses = sum((_uses(tree) for tree in trees.values()), Counter())
     attrs = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute))
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     allowed = _allowlist()
     out = []
     for module, tree in trees.items():
@@ -57,6 +67,9 @@ def unreached(src: Path = SRC) -> list[str]:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") \
                         and item.name not in allowed and not attrs[item.name]:
                     out.append(f"{module}.{node.name}.{item.name}")
+                if isinstance(item, ast.AnnAssign) and _is_dataclass(node) \
+                        and item.target.id not in allowed and not reads[item.target.id]:
+                    out.append(f"{module}.{node.name}.{item.target.id}")
     return out
 
 
@@ -68,6 +81,9 @@ def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "extra.py").write_text(
-        "def lonely():\n    return lonely()\n\n\nclass Box:\n    def used(self):\n"
-        "        return 0\n\n    def unused(self):\n        return 0\n\n\nBox().used()\n")
-    assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unused"]
+        "from dataclasses import dataclass\n\n\n"
+        "def lonely():\n    return lonely()\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    kept: int\n    unread: int\n\n"
+        "    def used(self):\n        return self.kept\n\n"
+        "    def unused(self):\n        return 0\n\n\nBox(1, 2).used()\n")
+    assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unread", "extra.Box.unused"]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from triform.exact import (
     mat_trace,
     root_of_unity,
 )
-from triform.fqm import classify, orthogonal_group, paper_module
+from triform.fqm import classify, module_table, orthogonal_group, paper_module
 from triform.weil import (
     CHARACTER_TABLE,
     CLASS_ORDER,
@@ -50,6 +51,12 @@ from triform.weil import (
 
 M = paper_module()
 REP = build_weil(M)
+INDEX = module_table(M).index
+
+
+def class_members(group, label):
+    """The elements of one conjugacy class, read off `group.class_of`."""
+    return [g for g in group.elements if group.class_of[g.mat] == label]
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +177,12 @@ def test_fraction_free_rank_matches_the_cyclotomic_echelon(m):
 def test_group_structure():
     group = build_sl2f3()
     assert group.order == 24
-    assert group.by_mat[((1, 0), (0, 1))].word == ""
+    words = {g.mat: g.word for g in group.elements}
+    assert words[((1, 0), (0, 1))] == ""
     # canonical words are shortest; the two generators are themselves
-    assert group.by_mat[S_MAT].word == "S"
-    assert group.by_mat[T_MAT].word == "T"
-    sizes = {label: len(group.classes[label]) for label in CLASS_ORDER}
+    assert words[S_MAT] == "S"
+    assert words[T_MAT] == "T"
+    sizes = Counter(group.class_of.values())
     assert tuple(sizes[label] for label in CLASS_ORDER) == CLASS_SIZES
     for g in group.elements:
         assert _mul2(g.mat, _inv2(g.mat)) == ((1, 0), (0, 1))
@@ -194,15 +202,14 @@ def test_character_table_orthogonality():
 def test_generator_matrices():
     # diagonal phases 1, 1, w, w^2 on types 00, 0, 1, 2
     t = REP.rho_T
-    for x in REP.elements:
-        i = REP.index[x]
+    for x, i in INDEX.items():
         q = M.q(x)
         expected = root_of_unity(int(Fraction(3, 2) * q % 3), 3)
         assert t.entry(i, i) == expected
     s = REP.rho_S
-    z = REP.index[(0, 0, 0, 0)]
+    z = INDEX[(0, 0, 0, 0)]
     assert s.entry(z, z) == Fraction(-1, 9)
-    alpha = REP.index[(1, 0, 0, 0)]
+    alpha = INDEX[(1, 0, 0, 0)]
     # b((1,0,0,0), (1,0,0,0)) = 2/3, so the entry is -(1/9) e^(-4 pi i/3)
     assert s.entry(alpha, alpha) == Fraction(-1, 9) * root_of_unity(-2, 3)
 
@@ -364,7 +371,7 @@ def test_two_dimensional_characters_from_quaternion_model():
                 break
     assert found is not None, "no faithful 2-dimensional model exists"
 
-    char2 = tuple(mat_trace(found[group.classes[label][0].mat])
+    char2 = tuple(mat_trace(found[class_members(group, label)[0].mat])
                   for label in CLASS_ORDER)
 
     # cubic characters via the abelianization
@@ -397,12 +404,12 @@ def test_two_dimensional_characters_from_quaternion_model():
                 return k
         raise AssertionError("quotient is not generated by the T-coset")
 
-    cubic1 = tuple(root_of_unity(coset_exponent(group.classes[label][0].mat), 3)
+    cubic1 = tuple(root_of_unity(coset_exponent(class_members(group, label)[0].mat), 3)
                    for label in CLASS_ORDER)
     cubic2 = tuple(v * v for v in cubic1)
     for label in CLASS_ORDER:  # class functions indeed
-        for g in group.classes[label]:
-            assert coset_exponent(g.mat) == coset_exponent(group.classes[label][0].mat)
+        for g in class_members(group, label):
+            assert coset_exponent(g.mat) == coset_exponent(class_members(group, label)[0].mat)
 
     # permutation character on the projective line minus the trivial one
     lines = [(1, 0), (0, 1), (1, 1), (1, 2)]
@@ -420,7 +427,7 @@ def test_two_dimensional_characters_from_quaternion_model():
                 count += 1
         return count
 
-    chi_three_dim = tuple(CycQ.rational(fixed_lines(group.classes[label][0].mat) - 1)
+    chi_three_dim = tuple(CycQ.rational(fixed_lines(class_members(group, label)[0].mat) - 1)
                           for label in CLASS_ORDER)
 
     trivial = tuple(CycQ.rational(1) for _ in CLASS_ORDER)
@@ -476,7 +483,7 @@ def test_aggregated_dual_matches_display():
 ], ids=["rho_S", "rho_T"])
 def test_aggregated_dual_rejects_a_representative_dependent_action(matrix, message):
     # add 1 to the diagonal entry of rho(S) or rho(T) at 1000, a type-1 element
-    j = REP.index[(1, 0, 0, 0)]
+    j = INDEX[(1, 0, 0, 0)]
     m = REP.rho[matrix]
     a = m.a.copy()
     a[j, j] += m.den
@@ -552,7 +559,7 @@ def test_o_q_character_norms():
     sub = isotypic_subspace(REP, 3)
     assert o_q_character_norm(REP, sub.projector) == 1
     zero_line = np.zeros((81, 81), dtype=np.int64)
-    zero_line[REP.index[(0, 0, 0, 0)], REP.index[(0, 0, 0, 0)]] = 1
+    zero_line[INDEX[(0, 0, 0, 0)], INDEX[(0, 0, 0, 0)]] = 1
     assert o_q_character_norm(REP, OmegaMat(zero_line, np.zeros_like(zero_line))) == 1
     full = o_q_character_norm(REP, OmegaMat.identity(81))
     assert full.denominator == 1 and full > 1
@@ -560,7 +567,7 @@ def test_o_q_character_norms():
 
 def test_o_q_norm_rejects_unstable_projector():
     line = np.zeros((81, 81), dtype=np.int64)
-    line[REP.index[(1, 0, 0, 0)], REP.index[(1, 0, 0, 0)]] = 1
+    line[INDEX[(1, 0, 0, 0)], INDEX[(1, 0, 0, 0)]] = 1
     bad = OmegaMat(line, np.zeros_like(line))
     with pytest.raises(Exception):
         o_q_character_norm(REP, bad)

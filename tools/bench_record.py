@@ -61,10 +61,17 @@ def cli_run(checkout: Path, argv: list[str]) -> tuple[float, str]:
 
 
 def timed(side: dict, section: str, key: str, argv: list[str]) -> None:
-    """One cli_run of `argv` on `side`, added to record[section][key]."""
+    """One cli_run of `argv` on `side`, added to record[section][key].
+
+    Every run's output must have the sha256 of the first run of that key;
+    a difference stops the recording with both digests.
+    """
     wall, digest = cli_run(side["checkout"], argv)
     entry = side["record"].setdefault(section, {}).setdefault(
         key, {"runs_s": [], "output_sha256": digest})
+    if digest != entry["output_sha256"]:
+        raise SystemExit(f"triform {' '.join(argv)} on {side['record']['label']}: output "
+                         f"sha256 {digest} differs from the first run's {entry['output_sha256']}")
     entry["runs_s"].append(round(wall, 4))
     entry["median_s"] = round(statistics.median(entry["runs_s"]), 4)
     print(f"{key} {side['record']['label']}: {wall:.4f} s", file=sys.stderr, flush=True)
