@@ -17,62 +17,11 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .borcherds import (
-    accounting_report,
-    ball_weight,
-    borcherds_weight,
-    lift_witness,
-    long_root_divisor,
-    obstruction_check,
-    short_root_divisor,
-)
 from .exact import CycQ, format_cyc
-from .fqm import (
-    PAIRING_COLUMNS,
-    REFERENCE_TABLE,
-    TYPE_LABELS,
-    TYPE_PATTERNS,
-    central_negation,
-    classify,
-    element_str,
-    expand_patterns,
-    involutive_reflections,
-    orthogonal_group,
-    paper_module,
-    pairing_table,
-    reflect,
-)
-from .lattice import (
-    alt_spec,
-    discriminant_form,
-    milgram_signature,
-    paper_spec,
-    preset as lattice_preset,
-    reflection_minus_one,
-    trireflection,
-)
-from .qseries import (
-    eta_power_8,
-    evaluate,
-    numeric_transform_check,
-    obstruction_eisenstein,
-)
-from .vvmf import RepSpec, dimension_report
-from .weil import (
-    CHARACTER_TABLE,
-    CLASS_ORDER,
-    CLASS_SIZES,
-    DualMismatchError,
-    aggregated_dual,
-    build_weil,
-    cayley_check,
-    character_decompose,
-    isotypic_subspace,
-    o_q_character_norm,
-    special_vector_rank,
-    special_vectors,
-    verify_special,
-)
+from .qseries import eta_power_8, evaluate, numeric_transform_check, obstruction_eisenstein
+
+# The other layers are imported inside the handlers that read them, so a
+# command loads only what it runs: `eisenstein` never imports numpy.
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -104,9 +53,13 @@ def _series_str(series) -> str:
 
 
 def _module_for(preset_name: str):
+    from .fqm import paper_module
+
     if preset_name == "paper":
         return paper_module()
-    return discriminant_form(lattice_preset(preset_name)).module
+    from .lattice import discriminant_form, preset
+
+    return discriminant_form(preset(preset_name)).module
 
 
 def _emit_json(obj) -> int:
@@ -119,6 +72,8 @@ def _emit_json(obj) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .fqm import classify, element_str
+
     module = _module_for(args.preset)
     types = classify(module)
     hist = module.q_histogram()
@@ -139,6 +94,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_pairing_table(args) -> int:
+    from .fqm import PAIRING_COLUMNS, TYPE_LABELS, pairing_table
+
     module = _module_for(args.preset)
     table = pairing_table(module)
     if args.format == "json":
@@ -159,6 +116,10 @@ def cmd_pairing_table(args) -> int:
 
 
 def cmd_weil(args) -> int:
+    from .fqm import TYPE_LABELS, paper_module
+    from .weil import (CLASS_ORDER, aggregated_dual, build_weil, cayley_check,
+                       character_decompose)
+
     rep = build_weil(paper_module())
     closed = cayley_check(rep)
     dec = character_decompose(rep)
@@ -191,6 +152,9 @@ def cmd_weil(args) -> int:
 
 
 def cmd_character(args) -> int:
+    from .fqm import paper_module
+    from .weil import CHARACTER_TABLE, CLASS_ORDER, CLASS_SIZES, build_weil, character_decompose
+
     rep = build_weil(paper_module())
     dec = character_decompose(rep)
     mults = " ".join(str(m) for m in dec.multiplicities)
@@ -213,6 +177,10 @@ def cmd_character(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    from .fqm import paper_module
+    from .vvmf import RepSpec, dimension_report
+    from .weil import aggregated_dual, build_weil
+
     rep = build_weil(paper_module())
     agg_t, agg_s = aggregated_dual(rep)
     report = dimension_report(RepSpec(agg_t, agg_s), args.weight)
@@ -236,19 +204,21 @@ def cmd_eisenstein(args) -> int:
             "combination": {"a": _frac(a), "b": _frac(b)},
             "precision": args.precision,
             "components": {
-                label: {str(n): format_cyc(form.component(label).coeff_at(n))
-                        for n in form.component(label).support()}
-                for label in TYPE_LABELS
+                label: {str(n): format_cyc(series.coeff_at(n)) for n in series.support()}
+                for label, series in form.components.items()
             },
         })
     print(f"combination: a={a} b={b}")
     print(f"precision: {args.precision} thirds")
-    for label in TYPE_LABELS:
-        print(f"f_{label}: {_series_str(form.component(label))}")
+    for label, series in form.components.items():
+        print(f"f_{label}: {_series_str(series)}")
     return 0
 
 
 def cmd_borcherds(args) -> int:
+    from .borcherds import (ball_weight, borcherds_weight, long_root_divisor,
+                            obstruction_check, short_root_divisor)
+
     divisor = long_root_divisor() if args.divisor == "long" else short_root_divisor()
     form = obstruction_eisenstein(3)  # the weights read only q^(1/3) and q^(2/3)
     weight = borcherds_weight(divisor, form)
@@ -269,6 +239,11 @@ def cmd_borcherds(args) -> int:
 
 
 def cmd_special_vectors(args) -> int:
+    from .borcherds import lift_witness
+    from .fqm import element_str, paper_module
+    from .weil import (build_weil, isotypic_subspace, o_q_character_norm,
+                       special_vector_rank, special_vectors, verify_special)
+
     rep = build_weil(paper_module())
     sub = isotypic_subspace(rep)
     svs = special_vectors(rep)
@@ -305,6 +280,9 @@ def cmd_special_vectors(args) -> int:
 
 
 def cmd_accounting(args) -> int:
+    from .borcherds import accounting_report
+    from .fqm import paper_module
+
     # the weights read only q^(1/3) and q^(2/3)
     report = accounting_report(paper_module(), obstruction_eisenstein(3))
     if args.format == "json":
@@ -335,6 +313,18 @@ def _check(name: str, expected: str, actual: str, source: str) -> CheckResult:
 
 def run_checks() -> list[CheckResult]:
     """All fourteen frozen-value checks, in a fixed order."""
+    from .borcherds import (accounting_report, borcherds_weight, lift_witness,
+                            long_root_divisor, short_root_divisor)
+    from .fqm import (REFERENCE_TABLE, TYPE_LABELS, TYPE_PATTERNS, central_negation, classify,
+                      element_str, expand_patterns, involutive_reflections, orthogonal_group,
+                      paper_module, pairing_table, reflect)
+    from .lattice import (alt_spec, discriminant_form, milgram_signature, paper_spec,
+                          reflection_minus_one, trireflection)
+    from .vvmf import RepSpec, dimension_report
+    from .weil import (DualMismatchError, aggregated_dual, build_weil, cayley_check,
+                       character_decompose, isotypic_subspace, o_q_character_norm,
+                       special_vector_rank, special_vectors, verify_special)
+
     out = []
     module = paper_module()
     types = classify(module)

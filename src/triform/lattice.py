@@ -231,21 +231,18 @@ class DiscriminantData:
     spec: LatticeSpec
     module: QuadraticModule
     generators: tuple  # ambient rational vectors, one per cyclic factor
+    classes: dict  # class mod L (numerators over lcm(orders), reduced) -> digits
 
     def digits(self, c) -> tuple[int, ...]:
         """Coordinates of the class of a dual vector c over the generators."""
         c = tuple(Fraction(x) for x in c)
-        pair = mat_vec(self.spec.gram, c)
-        if any(x.denominator != 1 for x in pair):
+        if any(x.denominator != 1 for x in mat_vec(self.spec.gram, c)):
             raise LatticeError(f"{c} is not in the dual lattice")
-        for combo in itertools.product(*(range(m) for m in self.module.orders)):
-            diff = list(c)
-            for digit, gen in zip(combo, self.generators):
-                if digit:
-                    diff = [d - digit * g for d, g in zip(diff, gen)]
-            if all(x.denominator == 1 for x in diff):
-                return combo
-        raise LatticeError(f"{c}: no expression over the generators")
+        den = math.lcm(*self.module.orders)
+        key = tuple(x * den % den for x in c)  # a non-integral key matches no class
+        if key not in self.classes:
+            raise LatticeError(f"{c}: no expression over the generators")
+        return self.classes[key]
 
     def vector_class(self, r) -> tuple[int, ...]:
         """Digits of the class of (r + 2 iota r)/3; needs the isometry."""
@@ -282,13 +279,13 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
     # combinations compared as integer numerators over the common denominator
     den = math.lcm(*orders)
     cols = tuple(zip(*(tuple(int(x * den) for x in c) for c in gens)))
-    classes = {tuple(sum(d * v for d, v in zip(combo, col)) % den for col in cols)
+    classes = {tuple(sum(d * v for d, v in zip(combo, col)) % den for col in cols): combo
                for combo in itertools.product(*(range(m) for m in orders))}
     if len(classes) != expected:
         raise LatticeError("two digit combinations of the generators agree mod L")
     gen_q = tuple(_q_of_dual(spec, c) for c in gens)
     gen_b = tuple(tuple(_b_of_dual(spec, c1, c2) for c2 in gens) for c1 in gens)
-    return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens)
+    return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens, classes)
 
 
 def _q_of_dual(spec, c) -> Fraction:

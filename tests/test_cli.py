@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from triform import borcherds, cli, exact, weil
+from triform import borcherds, cli, exact, fqm, lattice, vvmf, weil
 from triform.cli import main, run_checks
 from triform.weil import DualMismatchError, build_weil
 
@@ -195,7 +195,7 @@ def test_gauntlet_builds_the_weil_representation_once(monkeypatch):
         calls.append(module)
         return build_weil(module)
 
-    monkeypatch.setattr(cli, "build_weil", counting_build_weil)
+    monkeypatch.setattr(weil, "build_weil", counting_build_weil)
     monkeypatch.setattr(borcherds, "build_weil", counting_build_weil)
     assert all(c.status == "pass" for c in run_checks())
     assert len(calls) == 1
@@ -205,7 +205,7 @@ def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
     def broken_dual(rep):
         raise DualMismatchError("injected mismatch")
 
-    monkeypatch.setattr(cli, "aggregated_dual", broken_dual)
+    monkeypatch.setattr(weil, "aggregated_dual", broken_dual)
     checks = {c.name: c for c in run_checks()}
     assert len(checks) == 14
     failed = {name for name, c in checks.items() if c.status == "fail"}
@@ -223,52 +223,81 @@ def test_arithmetic_errors_exit_1_without_a_traceback(monkeypatch, capsys, error
     def failing_stage(rep):
         raise error
 
-    monkeypatch.setattr(cli, "cayley_check", failing_stage)
+    monkeypatch.setattr(weil, "cayley_check", failing_stage)
     code, out, err = run(capsys, "weil")
     assert code == 1
     assert out == ""
     assert err == f"error: {error}\n"
 
 
-def _corrupt_output(monkeypatch, name, corrupt):
-    """Make the stage `cli.<name>` return a corrupted copy of its result."""
-    stage = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args, **kwargs: corrupt(stage(*args, **kwargs)))
+def _corrupt_output(monkeypatch, module, name, corrupt):
+    """Make the stage `module.<name>` return a corrupted copy of its result.
+
+    `run_checks` imports each stage when it runs, so a patch where the stage
+    is defined reaches it; the qseries stages are `cli` globals.
+    """
+    stage = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: corrupt(stage(*args, **kwargs)))
 
 
-@pytest.mark.parametrize("stage,corrupt,check,actual", [
-    ("expand_patterns", lambda elements: elements - {(1, 0, 0, 0)},
+def _corrupt_borcherds_weight(monkeypatch, corrupt):
+    """`_corrupt_output` for `borcherds.borcherds_weight`, which
+    `accounting_report` reads through the same module global and would raise
+    on: the report keeps the true weights, so only the line that reads the
+    weights directly sees the corruption."""
+    weight, report = borcherds.borcherds_weight, borcherds.accounting_report
+    _corrupt_output(monkeypatch, borcherds, "borcherds_weight", corrupt)
+    corrupted = borcherds.borcherds_weight
+
+    def report_on_true_weights(*args):
+        borcherds.borcherds_weight = weight
+        try:
+            return report(*args)
+        finally:
+            borcherds.borcherds_weight = corrupted
+
+    monkeypatch.setattr(borcherds, "accounting_report", report_on_true_weights)
+
+
+@pytest.mark.parametrize("module,stage,corrupt,check,actual", [
+    (fqm, "expand_patterns", lambda elements: elements - {(1, 0, 0, 0)},
      "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
-    ("pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)},
+    (fqm, "pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)},
      "pairing-table", "1 triples differ"),
-    ("orthogonal_group", lambda group: dataclasses.replace(group, perm=group.perm[:-1]),
+    (fqm, "orthogonal_group", lambda group: dataclasses.replace(group, perm=group.perm[:-1]),
      "orthogonal-group", "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
-    ("accounting_report", lambda report: dataclasses.replace(report, short_incidence=2),
+    (borcherds, "accounting_report",
+     lambda report: dataclasses.replace(report, short_incidence=2),
      "orthogonal-bases", "bases=15 incidence=2 isotropic=covered cusps=10"),
-    ("character_decompose", lambda dec: dataclasses.replace(
+    (weil, "character_decompose", lambda dec: dataclasses.replace(
         dec, multiplicities=dec.multiplicities[:-1] + (4,)),
      "weil-traces", "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
-    ("dimension_report", lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1),
+    (vvmf, "dimension_report",
+     lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1),
      "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
-    ("eta_power_8", lambda eta8: dataclasses.replace(
+    (cli, "eta_power_8", lambda eta8: dataclasses.replace(
         eta8, coeffs={**eta8.coeffs, 7: eta8.coeff_at(7) + 1}),
      "numeric-transform", "max deviation 3.946e-06"),
-    ("borcherds_weight", lambda weight: weight + 1,
+    (borcherds, "borcherds_weight", lambda weight: weight + 1,
      "borcherds-weights", "long=136 ball=136/3 short=16 ball=16/3 obstruction=ok"),
-    ("special_vector_rank", lambda rank: rank - 1,
+    (weil, "special_vector_rank", lambda rank: rank - 1,
      "special-vectors", "count=15 checks=ok rank=4 norm=1"),
-    ("lift_witness", lambda witness: (witness[0], 0),
+    (borcherds, "lift_witness", lambda witness: (witness[0], 0),
      "lift-witness", "all=broken standard=1111->0"),
-    ("milgram_signature", lambda signature: (signature + 1) % 8, "lattice-layer",
+    (lattice, "milgram_signature", lambda signature: (signature + 1) % 8, "lattice-layer",
      "trireflection=identity reflection=F3-reflection histograms=equal milgram=(5, 5)"),
-    ("accounting_report", lambda report: dataclasses.replace(report, short_multiplicity=8),
+    (borcherds, "accounting_report",
+     lambda report: dataclasses.replace(report, short_multiplicity=8),
      "accounting", "45 + 8 * 5 = 90 = 6 * 15 multiplicity=broken"),
 ], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases",
         "weil-traces", "dimension-report", "numeric-transform", "borcherds-weights",
         "special-vectors", "lift-witness", "lattice-layer", "accounting"])
-def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, stage, corrupt,
-                                                         check, actual):
-    _corrupt_output(monkeypatch, stage, corrupt)
+def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, module, stage,
+                                                         corrupt, check, actual):
+    if stage == "borcherds_weight":
+        _corrupt_borcherds_weight(monkeypatch, corrupt)
+    else:
+        _corrupt_output(monkeypatch, module, stage, corrupt)
     checks = run_checks()
     assert [c.name for c in checks if c.status == "fail"] == [check]
     assert next(c for c in checks if c.name == check).actual == actual
@@ -283,7 +312,7 @@ def _bump_f00_at_q2(form):
 def test_a_perturbed_f00_coefficient_fails_the_lattice_sum_oracle(monkeypatch):
     # +1 at q^(6/3) moves f_00(1.3i) by a relative 1.6e-7: within the former
     # 1e-6 threshold, far outside the 1e-10 one; no other line reads f_00
-    _corrupt_output(monkeypatch, "obstruction_eisenstein", _bump_f00_at_q2)
+    _corrupt_output(monkeypatch, cli, "obstruction_eisenstein", _bump_f00_at_q2)
     checks = run_checks()
     assert [c.name for c in checks if c.status == "fail"] == ["eisenstein-normalization"]
     assert next(c for c in checks if c.name == "eisenstein-normalization").actual == (
@@ -339,3 +368,22 @@ def test_module_entry_point_subprocess():
         cwd=Path(cli.__file__).resolve().parent.parent)
     assert proc.returncode == 0
     assert proc.stdout == '{"weight_on_D":"135","weight_on_ball":"45","obstruction_ok":true}\n'
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["eisenstein", "--format", "json", "--precision", "30"],
+     {"numpy", "triform.fqm", "triform.lattice", "triform.weil", "triform.vvmf",
+      "triform.borcherds"}),
+    (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
+], ids=["eisenstein", "weil"])
+def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
+    # -X importtime names on stderr every module the fresh process imports
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "triform.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(cli.__file__).resolve().parent.parent)
+    assert proc.returncode == 0
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "triform.qseries" in imported
+    assert not imported & unloaded

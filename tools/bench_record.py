@@ -10,9 +10,10 @@ timings come from that checkout's own perfbench/run.py at its default run
 length: for each workload, run i (of RUNS) of every side uses seed i, and
 the sides alternate which goes first, so they are measured in pairs under
 the same host load.  A precision sweep follows, in the same alternating
-pairs: SWEEP_RUNS fresh `triform eisenstein --format json --precision P`
+pairs: SWEEP_RUNS (9) fresh `triform eisenstein --format json --precision P`
 per P in SWEEP_PRECISIONS, and as many fresh runs of each argv in the
-COMMAND_SHAPES of the checkout's own perfbench/run.py.  Then each side gets
+COMMAND_SHAPES of the checkout's own perfbench/run.py, enough for the
+per-shape medians to resolve a change to one command.  Then each side gets
 one traced gauntlet run and one timed tier-1 test run.  A file holds the
 context line run.py prints (commit, source digest and line count, Python
 and numpy versions, CPU count), per workload the median and quartiles of
@@ -37,7 +38,7 @@ from pathlib import Path
 WORKLOADS = ("gauntlet", "series", "commands")
 RUNS = 10  # alternating pairs per workload
 SWEEP_PRECISIONS = (30, 300, 3000)  # thirds
-SWEEP_RUNS = 3  # alternating pairs per precision and per command shape
+SWEEP_RUNS = 9  # alternating pairs per precision and per command shape
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
