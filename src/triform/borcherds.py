@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .fqm import (
     TYPE_Q_DISPLAY,
@@ -24,8 +25,10 @@ from .fqm import (
     paper_module,
 )
 from .qseries import VVForm
-from .vvmf import DimensionReport, RepSpec, dimension_report
-from .weil import SpecialVector, aggregated_dual, build_weil
+
+if TYPE_CHECKING:  # weil and vvmf load only when obstruction_check runs
+    from .vvmf import DimensionReport
+    from .weil import SpecialVector
 
 
 class DivisorError(ValueError):
@@ -116,6 +119,9 @@ def obstruction_check(weight: int) -> ObstructionReport:
     inputs are exhausted by the Eisenstein series, so every divisor with
     the right congruences is realized by a product.
     """
+    from .vvmf import RepSpec, dimension_report
+    from .weil import aggregated_dual, build_weil
+
     rep = build_weil(paper_module())
     agg_t, agg_s = aggregated_dual(rep)
     spec = RepSpec(agg_t, agg_s)

@@ -21,8 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .exact import mat_det
-
 Element = tuple  # digit tuples
 
 
@@ -105,9 +103,6 @@ class QuadraticModule:
 
     def neg(self, x: Element) -> Element:
         return tuple((-xi) % m for xi, m in zip(x, self.orders))
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + c) % m for a, c, m in zip(x, y, self.orders))
 
     def q(self, x: Element) -> Fraction:
         """Quadratic value in [0, 2)."""
@@ -506,8 +501,7 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
 
     For each canonical type-1 class there must be exactly one way (up to
     signs) to complete it with three pairwise-orthogonal type-2 classes;
-    a BasisError reports any ambiguity.  The completion is also checked to
-    span, i.e. the four vectors form an F_3-basis.
+    a BasisError reports any ambiguity.
     """
     t = module_table(module)
     canonical = np.arange(len(t.elements)) <= t.neg  # x is the lex-least of x, -x
@@ -525,8 +519,8 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
             raise BasisError(
                 f"alpha0 = {alpha0}: {len(completions)} orthogonal completions")
         rest = tuple(t.elements[candidates[i]] for i in completions[0])
-        if mat_det((alpha0,) + rest) % 3 == 0:  # not invertible over F_3
-            raise BasisError(f"alpha0 = {alpha0}: completion does not span")
+        # the four span: they are pairwise orthogonal with B(a, a) = 2 Q(a) != 0
+        # (types 1 and 2), so pairing sum c_i alpha_i = 0 with alpha_j gives c_j = 0
         bases.append(OrthoBasis(alpha0, rest))
     return tuple(bases)
 

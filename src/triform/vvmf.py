@@ -97,15 +97,13 @@ def _eigenspace(matrix: Matrix, sign: int):
 
 
 def _restrict(matrix: Matrix, basis) -> Matrix:
-    """The matrix of an operator on the span of basis, in that basis."""
-    cols = []
+    """The matrix of S or T on an eigenspace of S^2, in the given basis.
+
+    RepSpec has checked S^4 = 1 and (ST)^3 = S^2, so S^2 commutes with S and
+    ST, hence with T: both preserve the eigenspace and every solve succeeds.
+    """
     bt = tuple(zip(*basis))  # basis vectors as columns
-    for b in basis:
-        y = mat_vec(matrix, b)
-        x = mat_solve(bt, y)
-        if x is None:
-            raise DimensionError("operator does not preserve the eigenspace")
-        cols.append(x)
+    cols = [mat_solve(bt, mat_vec(matrix, b)) for b in basis]
     return tuple(zip(*cols))
 
 

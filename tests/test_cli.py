@@ -196,7 +196,6 @@ def test_gauntlet_builds_the_weil_representation_once(monkeypatch):
         return build_weil(module)
 
     monkeypatch.setattr(weil, "build_weil", counting_build_weil)
-    monkeypatch.setattr(borcherds, "build_weil", counting_build_weil)
     assert all(c.status == "pass" for c in run_checks())
     assert len(calls) == 1
 
@@ -303,6 +302,23 @@ def test_one_perturbation_fails_exactly_one_module_check(monkeypatch, module, st
     assert next(c for c in checks if c.name == check).actual == actual
 
 
+def test_a_failing_accounting_report_fails_its_two_lines(monkeypatch, capsys):
+    # unlike _corrupt_borcherds_weight, accounting_report reads the wrong
+    # weights too and raises AccountingError; the other twelve lines still run
+    weight = borcherds.borcherds_weight
+    monkeypatch.setattr(borcherds, "borcherds_weight", lambda *args: weight(*args) + 1)
+    checks = run_checks()
+    assert len(checks) == 14
+    assert [c.name for c in checks if c.status == "fail"] == [
+        "borcherds-weights", "orthogonal-bases", "accounting"]
+    error = "per-basis weight 280/3 is not 6 x 15"
+    assert next(c for c in checks if c.name == "orthogonal-bases").actual == error
+    assert next(c for c in checks if c.name == "accounting").actual == error
+    code, out, err = run(capsys, "verify-all")
+    assert code == 1
+    assert out.endswith("14 checks: 11 passed, 3 failed\n") and err == ""
+
+
 def _bump_f00_at_q2(form):
     f00 = form.component("00")
     bumped = dataclasses.replace(f00, coeffs={**f00.coeffs, 6: f00.coeff_at(6) + 1})
@@ -375,7 +391,8 @@ def test_module_entry_point_subprocess():
      {"numpy", "triform.fqm", "triform.lattice", "triform.weil", "triform.vvmf",
       "triform.borcherds"}),
     (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
-], ids=["eisenstein", "weil"])
+    (["accounting"], {"triform.lattice", "triform.weil", "triform.vvmf"}),
+], ids=["eisenstein", "weil", "accounting"])
 def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
     # -X importtime names on stderr every module the fresh process imports
     proc = subprocess.run(

@@ -66,6 +66,11 @@ def _type_oracle(module, x) -> str:
     return {Fraction(0): "0", Fraction(2, 3): "1", Fraction(4, 3): "2"}[module.q(x)]
 
 
+def add(module, x, y):
+    """x + y in the module, digit by digit: the oracle for the add table."""
+    return tuple((a + c) % m for a, c, m in zip(x, y, module.orders))
+
+
 def apply_matrix(matrix, x):
     """The F_3-linear map `matrix` at the digit tuple x."""
     return tuple(sum(m * xj for m, xj in zip(row, x)) % 3 for row in matrix)
@@ -175,7 +180,7 @@ def test_reflection_preserves_pairing_seeded():
         matrix = reflect(M, rng.choice(nonisotropic)).matrix
         x, y = rng.choice(elems), rng.choice(elems)
         assert M.b(apply_matrix(matrix, x), apply_matrix(matrix, y)) == M.b(x, y)
-        assert M.q(M.add(x, y)) == (M.q(x) + M.q(y) + 2 * M.b(x, y)) % 2
+        assert M.q(add(M, x, y)) == (M.q(x) + M.q(y) + 2 * M.b(x, y)) % 2
 
 
 def test_orthogonal_group_structure():
@@ -290,7 +295,7 @@ def test_module_table_matches_the_fraction_forms(module):
     assert t.digits.tolist() == [list(x) for x in elems]
     assert [elems[i] for i in t.neg] == [module.neg(x) for x in elems]
     assert [[elems[k] for k in row] for row in t.add] == [
-        [module.add(x, y) for y in elems] for x in elems]
+        [add(module, x, y) for y in elems] for x in elems]
     assert [TYPE_LABELS[k] for k in t.kind] == [_type_oracle(module, x) for x in elems]
     assert [elems[i] for i in t.unit] == [
         tuple(int(i == j) for j in range(4)) for i in range(4)]
@@ -332,9 +337,16 @@ def _bases_oracle(module):
         completions = [t for t in itertools.combinations(candidates, 3)
                        if all(module.b(t[i], t[j]) == 0 for i in range(3) for j in range(i))]
         assert len(completions) == 1
-        assert mat_det((alpha0,) + completions[0]) % 3 != 0
         bases.append(OrthoBasis(alpha0, completions[0]))
     return tuple(bases)
+
+
+@BOTH
+def test_every_orthogonal_basis_spans(module):
+    # orthogonal_bases proves rather than checks that the four vectors span
+    bases = orthogonal_bases(module)
+    assert len(bases) == 15
+    assert all(mat_det(basis.vectors) % 3 != 0 for basis in bases)
 
 
 @BOTH

@@ -5,7 +5,8 @@ body; a method other than a dunder must be reached there as an attribute
 `.name`, and a dataclass field must be read there as `.name`.  The only
 exceptions are the names the benchmark's tracer wraps (STAGES and LEAVES
 of perfbench/tracer.py) and the names the frozen acceptance test imports.
-Code and data that only tests read belong in the tests.
+Code and data that only tests read belong in the tests.  Every name a
+module imports (`from __future__` aside) must also be read in that module.
 """
 
 import ast
@@ -73,6 +74,21 @@ def unreached(src: Path = SRC) -> list[str]:
     return out
 
 
+def unused_imports(src: Path = SRC) -> list[str]:
+    """`module.name` for every name a module imports and never reads."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                out += [f"{path.stem}.{name}" for alias in node.names
+                        if (name := alias.asname or alias.name.split(".")[0]) not in read]
+    return out
+
+
 def test_every_function_and_method_is_reached_from_src():
     assert unreached() == []
 
@@ -87,3 +103,18 @@ def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
         "    def used(self):\n        return self.kept\n\n"
         "    def unused(self):\n        return 0\n\n\nBox(1, 2).used()\n")
     assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unread", "extra.Box.unused"]
+
+
+def test_every_imported_name_is_read():
+    assert unused_imports() == []
+
+
+def test_the_guard_sees_an_unread_import(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport numpy as np\nfrom math import pi, tau\n\n\n"
+        "def area(r) -> float:\n    if False:\n        from .exact import mat_det\n"
+        "    return pi * r * r\n")
+    assert unused_imports(tmp_path) == ["extra.os", "extra.np", "extra.tau", "extra.mat_det"]
