@@ -321,9 +321,10 @@ def run_checks() -> list[CheckResult]:
     from .lattice import (alt_spec, discriminant_form, milgram_signature, paper_spec,
                           reflection_minus_one, trireflection)
     from .vvmf import RepSpec, dimension_report
-    from .weil import (DualMismatchError, aggregated_dual, build_weil, cayley_check,
-                       character_decompose, isotypic_subspace, o_q_character_norm,
-                       special_vector_rank, special_vectors, verify_special)
+    from .weil import (DualMismatchError, RelationError, aggregated_dual, build_weil,
+                       cayley_check, character_decompose, isotypic_subspace,
+                       o_q_character_norm, special_vector_rank, special_vectors,
+                       verify_special)
 
     out = []
     module = paper_module()
@@ -348,7 +349,10 @@ def run_checks() -> list[CheckResult]:
         "pairing-count table of the rank-4 module"))
 
     rep = build_weil(module)
-    closed = cayley_check(rep)
+    try:
+        closed = cayley_check(rep)
+    except RelationError as e:
+        closed = str(e)
     dec = character_decompose(rep)
     trace_ints = tuple(int(t.as_fraction()) for t in dec.traces)
     out.append(_check(

@@ -37,11 +37,11 @@ class DualMismatchError(ValueError):
 
 
 class RankError(ValueError):
-    pass
+    """An isotypic projector check failed: idempotence, rho-equivariance or integer trace."""
 
 
 class InvarianceError(ValueError):
-    pass
+    """The isotypic projector's image is not stable under the orthogonal group."""
 
 
 class GroupTableError(ValueError):
@@ -399,25 +399,29 @@ def _den9_stack(rep: WeilRep) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cayley_check(rep: WeilRep) -> int:
-    """rho(g) rho(h) = rho(gh) over every pair; returns the pair count.
+    """rho(g) rho(h) = rho(gh) over every pair; returns the pair count, 576.
 
-    Each of the 576 products is one _zw_matmul of den-9 numerators, compared
+    Let P(g) say rho(g) rho(h) = rho(gh) for all h.  If P(a) and P(b) hold,
+    then rho(ab) rho(h) = rho(a) rho(b) rho(h) = rho(a) rho(bh) = rho(abh),
+    so P(ab) holds.  rho(E) = I gives P(E), and build_sl2f3 reaches every
+    element as a word in S and T, so P(S) and P(T) prove all 576 pairs.
+    They are 48 products, each one _zw_matmul of den-9 numerators compared
     exactly with 9 times the numerators of rho(gh).
     """
     elements = rep.group.elements
     num_a, num_b = _den9_stack(rep)
     position = {g.mat: i for i, g in enumerate(elements)}
+    if not rep.rho[elements[0].mat] == OmegaMat.identity(rep.dim()):
+        raise RelationError("rho(E) is not the identity")
 
-    count = 0
-    for i, g in enumerate(elements):
+    for i in (position[S_MAT], position[T_MAT]):
         for j, h in enumerate(elements):
             a, b = _zw_matmul(num_a[i], num_b[i], num_a[j], num_b[j])
-            k = position[_mul2(g.mat, h.mat)]
+            k = position[_mul2(elements[i].mat, h.mat)]
             if not (np.array_equal(a, 9 * num_a[k]) and np.array_equal(b, 9 * num_b[k])):
-                raise RelationError(f"rho({g.word or 'E'}) rho({h.word or 'E'}) "
+                raise RelationError(f"rho({elements[i].word}) rho({h.word or 'E'}) "
                                     "disagrees with the product element")
-            count += 1
-    return count
+    return len(elements) ** 2
 
 
 # ---------------------------------------------------------------------------

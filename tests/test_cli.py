@@ -214,9 +214,25 @@ def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
         "obstruction=skipped: no aggregated action")
 
 
+def test_a_failing_cayley_check_fails_only_the_weil_traces_line(monkeypatch, capsys):
+    def failing_cayley_check(rep):
+        raise weil.RelationError("rho(S) rho(T) disagrees with the product element")
+
+    monkeypatch.setattr(weil, "cayley_check", failing_cayley_check)
+    checks = run_checks()
+    assert len(checks) == 14
+    assert [c.name for c in checks if c.status == "fail"] == ["weil-traces"]
+    assert next(c for c in checks if c.name == "weil-traces").actual.endswith(
+        "closed=rho(S) rho(T) disagrees with the product element")
+    code, out, err = run(capsys, "verify-all")
+    assert code == 1
+    assert out.endswith("14 checks: 13 passed, 1 failed\n") and err == ""
+
+
 @pytest.mark.parametrize("error", [
     OverflowError("injected overflow"),
     borcherds.AccountingError("injected accounting failure", {}),
+    weil.RelationError("injected relation failure"),
 ])
 def test_arithmetic_errors_exit_1_without_a_traceback(monkeypatch, capsys, error):
     def failing_stage(rep):

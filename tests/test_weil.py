@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triform import weil
 from triform.exact import (
     CycQ,
     OMEGA,
@@ -190,26 +191,75 @@ def test_generator_matrices():
     assert s.entry(alpha, alpha) == Fraction(-1, 9) * root_of_unity(-2, 3)
 
 
+def _full_cayley_table(rep):
+    """The 576-pair oracle: every rho(g) rho(h) against rho(gh), in exact OmegaMat arithmetic."""
+    elements = rep.group.elements
+    for g in elements:
+        for h in elements:
+            if not rep.rho[g.mat] @ rep.rho[h.mat] == rep.rho[_mul2(g.mat, h.mat)]:
+                raise RelationError(f"rho({g.word or 'E'}) rho({h.word or 'E'}) disagrees")
+    return len(elements) ** 2
+
+
+def _with_entry(word, value):
+    """REP with the (0, 0) 1-part numerator of rho(word) set to `value`."""
+    g = _matrix_of_word(word)
+    r = REP.rho[g]
+    a = r.a.copy()
+    a[0, 0] = value
+    return dataclasses.replace(REP, rho={**REP.rho, g: OmegaMat(a, r.b, r.den)})
+
+
 def test_full_multiplication_table():
+    assert cayley_check(REP) == _full_cayley_table(REP) == 576
+
+
+def test_cayley_check_makes_48_products(monkeypatch):
+    calls = []
+
+    def counting_matmul(*args):
+        calls.append(args)
+        return _zw_matmul(*args)
+
+    monkeypatch.setattr(weil, "_zw_matmul", counting_matmul)
     assert cayley_check(REP) == 576
+    assert len(calls) == 48
+
+
+@pytest.mark.parametrize("word", [g.word for g in REP.group.elements],
+                         ids=[g.word or "E" for g in REP.group.elements])
+def test_cayley_check_catches_a_corrupted_entry_of_any_element(word):
+    # a corrupted rho(k) shows in rho(S) rho(S^-1 k); the oracle agrees
+    corrupted = _with_entry(word, REP.rho[_matrix_of_word(word)].a[0, 0] + 1)
+    with pytest.raises(RelationError):
+        cayley_check(corrupted)
+    with pytest.raises(RelationError):
+        _full_cayley_table(corrupted)
+
+
+def test_cayley_check_requires_rho_e_to_be_the_identity():
+    identity, minus = ((1, 0), (0, 1)), ((2, 0), (0, 2))
+    negated = dataclasses.replace(REP, rho={**REP.rho, identity: REP.rho[minus]})
+    with pytest.raises(RelationError, match=r"rho\(E\) is not the identity"):
+        cayley_check(negated)
 
 
 def test_cayley_check_names_a_failing_pair():
     swapped = dataclasses.replace(
         REP, rho={**REP.rho, _matrix_of_word("ST"): REP.rho[_matrix_of_word("TS")]})
-    with pytest.raises(RelationError, match=r"rho\(\w+\) rho\(\w+\) disagrees"):
+    with pytest.raises(RelationError, match=r"rho\([ST]\) rho\(\w+\) disagrees"):
         cayley_check(swapped)
 
 
 def test_cayley_check_refuses_numerators_past_the_float_bound():
-    # 3 * 81 * (2^23)^2 > 2^53; the inflated matrix would also fail a
-    # comparison, so OverflowError shows the bound is checked first
-    a = REP.rho_S.a.copy()
-    a[0, 0] = 2**23
-    inflated = dataclasses.replace(
-        REP, rho={**REP.rho, S_MAT: OmegaMat(a, REP.rho_S.b, 9)})
+    # 3 * 81 * (2^23)^2 > 2^53 in rho(S) rho(S); the inflated matrix would
+    # also fail a comparison, so OverflowError shows the bound is checked first
     with pytest.raises(OverflowError):
-        cayley_check(inflated)
+        cayley_check(_with_entry("S", 2**23))
+    # rho(TS) enters only as h, first against rho(S), whose numerators are at
+    # most 1, before any comparison reads it: 3 * 81 * 1 * 2^46 > 2^53
+    with pytest.raises(OverflowError):
+        cayley_check(_with_entry("TS", 2**46))
 
 
 def test_cayley_check_rejects_a_denominator_outside_nine():
