@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -650,5 +652,26 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> None:
+    """The `triform` command: `main`, then exit past the teardown collections.
+
+    triform opens no file, so an OSError here is a failed write to stdout
+    (a full device, a closed pipe): it gives one `error:` line on stderr and
+    exit 1, and stdout is pointed at os.devnull so the flush at shutdown
+    finds nothing left to fail on.  gc.freeze() leaves the collections
+    CPython runs at shutdown nothing to scan; flushing, atexit and module
+    teardown still run.  Callers that run `main` in-process keep neither.
+    """
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {e}", file=sys.stderr)
+        rc = 1
+    gc.freeze()
+    sys.exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 
@@ -331,13 +332,23 @@ def mat_identity(k: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
+def dot(u: Vector, v: Vector):
+    """sum_i u_i v_i, started from the first product, not from the int 0 (0 if empty).
+
+    Over CycQ a start of 0 would lift that 0 into the field once per entry.
+    """
+    products = map(mul, u, v)
+    first = next(products, 0)
+    return sum(products, first)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

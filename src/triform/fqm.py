@@ -8,7 +8,8 @@ and B = 3 b mod 3 from `gram3`, the index maps of -x and x + y, a type per
 element), and everything else is enumerated from them: the four types of
 the 81 elements, the pairing-count table, reflections, the orthogonal
 group of order 1440 as one array of index permutations, the 15 orthogonal
-bases.  `QuadraticModule.q`/`b` stay the Fraction definitions.
+bases.  `QuadraticModule.q`/`b` sum integer numerators over one
+denominator and return reduced Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -80,6 +82,8 @@ class QuadraticModule:
     orders: tuple[int, ...]
     gen_q: tuple[Fraction, ...]
     gen_b: tuple[tuple[Fraction, ...], ...]
+    # gen_q, gen_b and their common denominator D: q and b sum integers over D
+    numerators: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.orders)
@@ -95,6 +99,11 @@ class QuadraticModule:
                     raise ValueError("pairing does not respect generator order")
             if (self.gen_q[i] * self.orders[i] * self.orders[i]) % 2 != 0:
                 raise ValueError("quadratic value does not respect generator order")
+        den = math.lcm(*(v.denominator for v in (*self.gen_q, *itertools.chain(*self.gen_b))))
+        object.__setattr__(self, "numerators", (
+            tuple(v.numerator * (den // v.denominator) for v in self.gen_q),
+            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.gen_b),
+            den))
 
     # -- element arithmetic
 
@@ -106,23 +115,18 @@ class QuadraticModule:
 
     def q(self, x: Element) -> Fraction:
         """Quadratic value in [0, 2)."""
-        total = Fraction(0)
+        q, b, den = self.numerators
+        total = 0
         for i, xi in enumerate(x):
-            total += xi * xi * self.gen_q[i]
-            for j in range(i + 1, len(x)):
-                total += 2 * xi * x[j] * self.gen_b[i][j]
-        return total % 2
+            if xi:  # x_i^2 q_i + 2 sum_(j > i) x_i x_j b_ij, over den
+                total += xi * (xi * q[i] + 2 * sum(map(mul, x[i + 1:], b[i][i + 1:])))
+        return Fraction(total % (2 * den), den)
 
     def b(self, x: Element, y: Element) -> Fraction:
         """Bilinear pairing in [0, 1)."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * self.gen_b[i][j]
-        return total % 1
+        _, b, den = self.numerators
+        total = sum(xi * yj * bij for xi, row in zip(x, b) if xi for yj, bij in zip(y, row))
+        return Fraction(total % den, den)
 
     def order(self) -> int:
         n = 1
@@ -418,7 +422,7 @@ def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
     orbits = []
     for i in range(n):
         if not seen[i]:
-            orbit = np.unique(perm[:, i])
+            orbit = np.flatnonzero(np.bincount(perm[:, i], minlength=n))
             seen[orbit] = True
             orbits.append(tuple(t.elements[j] for j in orbit))
 
@@ -448,7 +452,7 @@ def _generating_rows(perm: np.ndarray, keys: np.ndarray, unit: np.ndarray) -> tu
                                     for h in rows])
             if (found < 0).any():
                 raise ValueError("the enumerated isometries are not closed under composition")
-            frontier = np.unique(found[~closure[found]])
+            frontier = np.flatnonzero(np.bincount(found[~closure[found]], minlength=len(perm)))
             closure[frontier] = True
         if closure.all():
             break

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .exact import (
     CycQ,
+    dot,
     mat_det,
     mat_identity,
     mat_mul,
@@ -135,8 +136,15 @@ def preset(name: str) -> LatticeSpec:
         raise LatticeError(f"unknown preset {name!r}; have {sorted(_PRESETS)}") from None
 
 
+def _numerators(v) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integer numerators over its least common denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
 def inner(spec: LatticeSpec, x, y) -> Fraction:
-    return sum((Fraction(yi) * v for yi, v in zip(y, mat_vec(spec.gram, x))), Fraction(0))
+    (nx, dx), (ny, dy) = _numerators(x), _numerators(y)
+    return Fraction(dot(ny, mat_vec(spec.gram, nx)), dx * dy)
 
 
 def iota_apply(spec: LatticeSpec, x):
@@ -171,14 +179,9 @@ def trireflection(spec: LatticeSpec, r) -> Isometry:
     n = spec.rank
     gr = mat_vec(spec.gram, r)
     gir = mat_vec(spec.gram, ir)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = (1 if i == j else 0) + r[i] * gr[j] + r[i] * gir[j] + ir[i] * gir[j]
-            row.append(v)
-        rows.append(tuple(row))
-    return Isometry(spec, tuple(rows))
+    return Isometry(spec, tuple(
+        tuple(int(i == j) + r[i] * gr[j] + r[i] * gir[j] + ir[i] * gir[j] for j in range(n))
+        for i in range(n)))
 
 
 def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
@@ -205,14 +208,9 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
     gu3 = tuple(v // 3 for v in gu)
     gw3 = tuple(v // 3 for v in gw)
     n = spec.rank
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = (1 if i == j else 0) + coeff * ir[i] * gu3[j] + coeff * r[i] * gw3[j]
-            row.append(v)
-        rows.append(tuple(row))
-    iso = Isometry(spec, tuple(rows))
+    iso = Isometry(spec, tuple(
+        tuple(int(i == j) + coeff * ir[i] * gu3[j] + coeff * r[i] * gw3[j] for j in range(n))
+        for i in range(n)))
     if iso(r) != tuple(-a for a in r):
         raise RootError(f"{r}: construction does not negate the root")
     if mat_mul(iso.matrix, iso.matrix) != mat_identity(n):
@@ -235,13 +233,13 @@ class DiscriminantData:
 
     def digits(self, c) -> tuple[int, ...]:
         """Coordinates of the class of a dual vector c over the generators."""
-        c = tuple(Fraction(x) for x in c)
-        if any(x.denominator != 1 for x in mat_vec(self.spec.gram, c)):
-            raise LatticeError(f"{c} is not in the dual lattice")
+        num, d = _numerators(c)
+        if any(v % d for v in mat_vec(self.spec.gram, num)):
+            raise LatticeError(f"{tuple(map(Fraction, c))} is not in the dual lattice")
         den = math.lcm(*self.module.orders)
-        key = tuple(x * den % den for x in c)  # a non-integral key matches no class
-        if key not in self.classes:
-            raise LatticeError(f"{c}: no expression over the generators")
+        key = tuple(v * den // d % den for v in num)
+        if any(v * den % d for v in num) or key not in self.classes:
+            raise LatticeError(f"{tuple(map(Fraction, c))}: no expression over the generators")
         return self.classes[key]
 
     def vector_class(self, r) -> tuple[int, ...]:
@@ -268,32 +266,25 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
     if spec.dual_generators is None:
         raise LatticeError(f"lattice {spec.name!r} names no dual generators")
     gens = tuple(tuple(Fraction(x) for x in c) for c in spec.dual_generators)
-    for c in gens:
-        if len(c) != spec.rank or any(x.denominator != 1 for x in mat_vec(spec.gram, c)):
+    scaled = tuple(map(_numerators, gens))  # the order of a generator is its denominator
+    for c, (num, d) in zip(gens, scaled):
+        if len(c) != spec.rank or any(v % d for v in mat_vec(spec.gram, num)):
             raise LatticeError(f"{c} is not in the dual lattice")
-    orders = tuple(math.lcm(*(x.denominator for x in c)) for c in gens)
+    orders = tuple(d for _, d in scaled)
     expected = abs(mat_det(spec.gram))
     if math.prod(orders) != expected:
         raise LatticeError(
             f"generator orders {orders} give {math.prod(orders)} classes, |det| = {expected}")
     # combinations compared as integer numerators over the common denominator
     den = math.lcm(*orders)
-    cols = tuple(zip(*(tuple(int(x * den) for x in c) for c in gens)))
+    cols = tuple(zip(*(tuple(v * (den // d) for v in num) for num, d in scaled)))
     classes = {tuple(sum(d * v for d, v in zip(combo, col)) % den for col in cols): combo
                for combo in itertools.product(*(range(m) for m in orders))}
     if len(classes) != expected:
         raise LatticeError("two digit combinations of the generators agree mod L")
-    gen_q = tuple(_q_of_dual(spec, c) for c in gens)
-    gen_b = tuple(tuple(_b_of_dual(spec, c1, c2) for c2 in gens) for c1 in gens)
+    gen_q = tuple(inner(spec, c, c) % 2 for c in gens)
+    gen_b = tuple(tuple(inner(spec, c1, c2) % 1 for c2 in gens) for c1 in gens)
     return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens, classes)
-
-
-def _q_of_dual(spec, c) -> Fraction:
-    return inner(spec, c, c) % 2
-
-
-def _b_of_dual(spec, c1, c2) -> Fraction:
-    return inner(spec, c1, c2) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +320,14 @@ def _sqrt_exact(n: int) -> CycQ:
 
 
 def milgram_signature(module: QuadraticModule) -> int:
-    """The residue s mod 8 with sum_x e^(pi i q(x)) = sqrt(|A|) zeta_8^s."""
+    """The residue s mod 8 with sum_x e^(pi i q(x)) = sqrt(|A|) zeta_8^s.
+
+    The sum depends only on the histogram of q, one term per distinct value.
+    """
     total = CycQ.rational(0)
-    for x in module.elements():
-        half = module.q(x) / 2
-        total = total + CycQ.from_exponents(half.denominator, [(half.numerator, 1)])
+    for value, count in module.q_histogram().items():
+        half = value / 2
+        total = total + CycQ.from_exponents(half.denominator, [(half.numerator, count)])
     ratio = total / _sqrt_exact(module.order())
     for s in range(8):
         if ratio == CycQ.from_exponents(8, [(s, 1)]):

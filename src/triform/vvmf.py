@@ -124,8 +124,11 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     alpha_s = alpha_invariant(phase_multiplicities(a_s, 4))
 
     b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(s_r, t_r))
-    b_inv = mat_pow(b0, 5)  # the inverse, since b0^6 = 1
-    alpha_st = alpha_invariant(phase_multiplicities(b_inv, 6))
+    # alpha of b0^(-1): each eigenvalue e(j/6) of b0 (b0^6 = 1 is checked)
+    # inverts to e(-j/6), of phase 1 - j/6 for j != 0 and 0 for j = 0, so
+    # alpha(b0^(-1)) = (d - m_0) - alpha(b0) with m_0 the multiplicity of 0
+    b0_mults = phase_multiplicities(b0, 6)
+    alpha_st = d - b0_mults.get(Fraction(0), 0) - alpha_invariant(b0_mults)
 
     t_order = None
     power = t_r

@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CycQ, OMEGA, mat_eq, mat_from_rows, mat_rank, root_of_unity
+from .exact import (CycQ, OMEGA, mat_eq, mat_from_rows, mat_mul, mat_rank, mat_transpose,
+                    root_of_unity)
 from .fqm import OrthoBasis, QuadraticModule, module_table, orthogonal_bases, orthogonal_group
 
 
@@ -628,8 +629,15 @@ def verify_special(rep: WeilRep, sv: SpecialVector,
 
 
 def special_vector_rank(vectors) -> int:
-    """Rank over Q of the span of the sign vectors (they are integral)."""
-    return mat_rank([sv.vec for sv in vectors])
+    """Rank over Q of the span of the sign vectors, read off their Gram matrix.
+
+    For the integer matrix V with the vectors as rows, V V^T y = 0 gives
+    |V^T y|^2 = y^T V V^T y = 0, so V^T y = 0 over Q: V V^T and V^T have
+    one kernel, and rank(V V^T) = rank(V).  The Gram matrix (15 x 15, in
+    Python ints) is cheaper to echelon than V (15 x 81).
+    """
+    rows = [sv.vec for sv in vectors]
+    return mat_rank(mat_mul(rows, mat_transpose(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/bench_record.py: every timed run is checked against the first."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,28 @@ def test_timed_stops_when_a_later_output_differs(monkeypatch):
     assert "triform eisenstein --format json --precision 30" in message
     assert later in message and first in message
     assert side["record"]["precision_sweep"]["30"]["runs_s"] == [0.5]
+
+
+def test_describe_names_the_code_a_side_ran(monkeypatch):
+    tool = _load()
+    calls = []
+
+    def run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="dcf14ff-dirty\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.describe(Path("/some/checkout")) == "dcf14ff-dirty"
+    assert calls == [["git", "-C", "/some/checkout", "describe", "--always", "--dirty"]]
+
+
+@pytest.mark.parametrize("error", [subprocess.CalledProcessError(128, ["git"]),
+                                   FileNotFoundError("git")], ids=["not-a-repo", "no-git"])
+def test_describe_is_none_outside_git(monkeypatch, error):
+    tool = _load()
+
+    def run(cmd, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.describe(Path("/some/archive")) is None

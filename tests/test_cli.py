@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -408,7 +409,8 @@ def test_module_entry_point_subprocess():
       "triform.borcherds"}),
     (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
     (["accounting"], {"triform.lattice", "triform.weil", "triform.vvmf"}),
-], ids=["eisenstein", "weil", "accounting"])
+    (["verify-all"], {"numpy.ma"}),  # np.unique would load it
+], ids=["eisenstein", "weil", "accounting", "verify-all"])
 def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
     # -X importtime names on stderr every module the fresh process imports
     proc = subprocess.run(
@@ -420,3 +422,66 @@ def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
                 if line.startswith("import time:")}
     assert "triform.qseries" in imported
     assert not imported & unloaded
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _entry(*argv, stdout=subprocess.PIPE, unbuffered=False):
+    """A fresh `python -m triform.cli ARGV`, the path of the `triform` command.
+
+    Its stdout is block-buffered, as by default, unless `unbuffered` is set.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "triform.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120, env=env,
+                          cwd=Path(cli.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("fmt,golden", [("text", "verify-all.txt"), ("json", "verify-all.json")])
+def test_the_entry_point_prints_the_golden_gauntlet(fmt, golden):
+    proc = _entry("verify-all", "--format", fmt)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+    assert proc.stderr == b""
+
+
+def test_the_entry_point_freezes_the_heap_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 3
+    assert calls == ["main", "freeze"]
+
+
+def test_the_entry_point_keeps_usage_errors_at_exit_2():
+    proc = _entry("verify-all", "--precision", "600")
+    assert proc.returncode == 2
+    assert b"unrecognized arguments" in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv,unbuffered", [
+    (["verify-all"], False), (["verify-all"], True), (["eisenstein"], False),
+], ids=["verify-all", "verify-all-unbuffered", "eisenstein"])
+def test_a_full_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _entry(*argv, stdout=full, unbuffered=unbuffered)
+    assert proc.returncode == 1
+    assert proc.stderr == (b"error: cannot write the output: "
+                           b"[Errno 28] No space left on device\n")
+
+
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _entry("verify-all", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: cannot write the output: [Errno 32] Broken pipe\n"

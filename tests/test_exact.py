@@ -12,6 +12,7 @@ from triform.exact import (
     OMEGA,
     alpha_invariant,
     cyclotomic_poly,
+    dot,
     euler_phi,
     mat_det,
     mat_eq,
@@ -115,6 +116,20 @@ def test_matrix_basics():
     assert mat_rank(a) == 2
     assert mat_eq(mat_pow(a, 0), mat_identity(2))
     assert mat_eq(mat_pow(a, 3), mat_from_rows([[1, 3 * OMEGA], [0, 1]]))
+
+
+def test_dot_keeps_the_entry_type_and_gives_0_on_empty_rows(monkeypatch):
+    assert dot((), ()) == 0 and type(dot((), ())) is int
+    assert dot((2, -3), (5, 7)) == -11 and type(dot((2, -3), (5, 7))) is int
+    third = Fraction(1, 3)
+    assert dot((third, 1), (third, third)) == Fraction(4, 9)
+    assert dot((third,), (3,)) == 1 and type(dot((third,), (3,))) is Fraction
+    assert dot((OMEGA, 2), (OMEGA, third)) == OMEGA * OMEGA + Fraction(2, 3)
+    # over CycQ no int 0 is lifted into the field: no rational is built
+    lifts, rational = [], CycQ.rational
+    monkeypatch.setattr(CycQ, "rational", staticmethod(lambda x: lifts.append(x) or rational(x)))
+    assert dot((OMEGA, OMEGA, -OMEGA), (OMEGA, OMEGA, OMEGA)) == OMEGA * OMEGA
+    assert lifts == []
 
 
 def test_matrix_inverse_random_seeded():

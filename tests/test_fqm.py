@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triform import fqm
 from triform.exact import mat_det
@@ -434,3 +437,73 @@ def test_an_ambiguous_completion_raises(monkeypatch):
     _perturbed_table(monkeypatch, M, relabel)
     with pytest.raises(BasisError, match="2 orthogonal completions"):
         orthogonal_bases(M)
+
+
+# -- q and b on integer numerators, against the Fraction sums they replace
+
+
+def fraction_q(module: QuadraticModule, x) -> Fraction:
+    """q(x) as a sum of Fraction terms reduced mod 2: the former definition."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        total += xi * xi * module.gen_q[i]
+        for j in range(i + 1, len(x)):
+            total += 2 * xi * x[j] * module.gen_b[i][j]
+    return total % 2
+
+
+def fraction_b(module: QuadraticModule, x, y) -> Fraction:
+    """b(x, y) as a sum of Fraction terms reduced mod 1: the former definition."""
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            total += xi * yj * module.gen_b[i][j]
+    return total % 1
+
+
+@st.composite
+def valid_modules(draw, max_rank=3):
+    """Modules on cyclic factors of order 2, 3, 4 or 9 with consistent, unreduced data.
+
+    b(g_i, g_j) is a multiple of 1/gcd(m_i, m_j) shifted by -1, 0 or 1, and
+    q(g_i) lifts b(g_i, g_i) mod 1 to a value with q(g_i) m_i^2 in 2Z,
+    shifted by -2, 0 or 2.
+    """
+    orders = draw(st.lists(st.sampled_from((2, 3, 4, 9)), min_size=1, max_size=max_rank))
+    r = len(orders)
+    b = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = Fraction(draw(st.integers(0, g - 1)), g) \
+                + draw(st.integers(-1, 1))
+    q = []
+    for i, m in enumerate(orders):
+        v = b[i][i] % 1 + draw(st.integers(0, 1))
+        if v * m * m % 2:
+            v += 1
+        q.append(v + 2 * draw(st.integers(-1, 1)))
+    return QuadraticModule(tuple(orders), tuple(q), tuple(map(tuple, b)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_modules(), st.data())
+@example(M, None)
+@example(UNREDUCED, None)
+def test_q_and_b_match_the_fraction_sums(module, data):
+    elems = module.elements()
+    pairs = (itertools.product(elems, repeat=2) if data is None else
+             data.draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)),
+                                min_size=1, max_size=40)))
+    for x in elems:
+        assert repr(module.q(x)) == repr(fraction_q(module, x))
+    for x, y in pairs:
+        assert repr(module.b(x, y)) == repr(fraction_b(module, x, y))
+
+
+def test_q_and_b_return_reduced_fractions():
+    m = QuadraticModule((9,), (Fraction(2, 9),), ((Fraction(1, 9),),))
+    assert m.numerators == ((2,), ((1,),), 9)
+    values = [m.q((3,)), m.q((4,)), m.b((3,), (1,)), m.b((3,), (6,))]
+    assert values == [0, Fraction(14, 9), Fraction(1, 3), 0]
+    assert all(type(v) is Fraction for v in values)

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from test_fqm import valid_modules
 from triform.exact import CycQ, OMEGA
 from triform.fqm import paper_module, reflect, type_of
 from triform.lattice import (
     DiscriminantData,
     LatticeError,
     LatticeSpec,
+    MilgramError,
     RootError,
+    _sqrt_exact,
     alt_spec,
     discriminant_form,
     inner,
@@ -247,3 +251,58 @@ def test_dual_digits_round_trip():
         for digit, gen in zip(x, data.generators):
             c = [a + digit * b for a, b in zip(c, gen)]
         assert data.digits(tuple(c)) == x
+
+
+def test_inner_matches_fraction_sums_seeded():
+    rng = random.Random(8)
+    for spec in (SPEC, alt_spec()):
+        for _ in range(30):
+            x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8))
+            y = tuple(rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-9, 9), 3)))
+                      for _ in range(8))
+            gx = [sum(Fraction(g) * v for g, v in zip(row, x)) for row in spec.gram]
+            assert inner(spec, x, y) == sum(Fraction(a) * b for a, b in zip(y, gx))
+            assert type(inner(spec, x, y)) is Fraction
+
+
+def test_digits_reads_classes_mod_l_and_rejects_non_dual_vectors():
+    data = discriminant_form(SPEC)
+    rng = random.Random(5)
+    for x in rng.sample(data.module.elements(), 12):
+        c = [sum(d * g[k] for d, g in zip(x, data.generators)) for k in range(8)]
+        shifted = tuple(a + rng.randint(-3, 3) for a in c)  # the same class mod L
+        assert data.digits(shifted) == x
+    with pytest.raises(LatticeError, match="not in the dual lattice"):
+        data.digits((Fraction(1, 3),) + (0,) * 7)
+    with pytest.raises(LatticeError, match="not in the dual lattice"):
+        data.digits((Fraction(1, 2), Fraction(1, 2)) + (0,) * 6)
+
+
+def milgram_by_elements(module) -> int:
+    """The Gauss sum with one CycQ term per element: the former milgram_signature."""
+    total = CycQ.rational(0)
+    for x in module.elements():
+        half = module.q(x) / 2
+        total = total + CycQ.from_exponents(half.denominator, [(half.numerator, 1)])
+    ratio = total / _sqrt_exact(module.order())
+    for s in range(8):
+        if ratio == CycQ.from_exponents(8, [(s, 1)]):
+            return s
+    raise MilgramError(f"gauss-sum ratio {ratio!r} is not an eighth root of unity")
+
+
+def _outcome(signature, module):
+    try:
+        return signature(module)
+    except MilgramError:
+        return "MilgramError"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_modules())
+@example(discriminant_form(SPEC).module)
+@example(discriminant_form(alt_spec()).module)
+@example(discriminant_form(LatticeSpec("hex", ((2, -1), (-1, 2)), None,
+                                       ((Fraction(1, 3), Fraction(2, 3)),))).module)
+def test_milgram_from_the_histogram_matches_the_element_sum(module):
+    assert _outcome(milgram_signature, module) == _outcome(milgram_by_elements, module)

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triform.exact import mat_from_rows, mat_inverse, mat_mul, mat_rank
+from triform import vvmf
+from triform.exact import (
+    alpha_invariant,
+    mat_from_rows,
+    mat_inverse,
+    mat_mul,
+    mat_pow,
+    mat_rank,
+    mat_scalar,
+    phase_multiplicities,
+    root_of_unity,
+)
 from triform.fqm import paper_module
 from triform.vvmf import (
     DimensionError,
@@ -126,6 +137,35 @@ def test_dimension_report_is_invariant_under_a_change_of_basis(rows):
                    mat_mul(p, mat_mul(PAPER.s_image, pinv)))
     for k, report in PAPER_REPORTS.items():
         assert dimension_report(spec, k) == report
+
+
+def alpha_st_by_the_inverse(spec: RepSpec, weight: int) -> Fraction:
+    """alpha of b0^(-1) read from the phases of b0^5: the former route of dimension_report."""
+    basis = vvmf._eigenspace(mat_mul(spec.s_image, spec.s_image), 1 if weight % 2 == 0 else -1)
+    if not basis:
+        return Fraction(0)
+    b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(vvmf._restrict(spec.s_image, basis),
+                                                      vvmf._restrict(spec.t_image, basis)))
+    return alpha_invariant(phase_multiplicities(mat_pow(b0, 5), 6))
+
+
+def test_alpha_st_matches_the_inverse_power_route():
+    for k, report in PAPER_REPORTS.items():
+        assert report.alpha_st == alpha_st_by_the_inverse(PAPER, k)
+    for k in (4, 6, 8, 12, 14):
+        assert (dimension_report(trivial_rep(), k).alpha_st
+                == alpha_st_by_the_inverse(trivial_rep(), k))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(small_matrices.filter(lambda rows: mat_rank(mat_from_rows(rows)) == 4))
+def test_alpha_st_matches_the_inverse_power_route_after_a_change_of_basis(rows):
+    p = mat_from_rows(rows)
+    pinv = mat_inverse(p)
+    spec = RepSpec(mat_mul(p, mat_mul(PAPER.t_image, pinv)),
+                   mat_mul(p, mat_mul(PAPER.s_image, pinv)))
+    for k in PAPER_REPORTS:
+        assert dimension_report(spec, k).alpha_st == alpha_st_by_the_inverse(spec, k)
 
 
 def test_dimension_report_fields_and_json():

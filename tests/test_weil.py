@@ -19,6 +19,7 @@ from triform.exact import (
     mat_mul,
     mat_rank,
     mat_trace,
+    mat_transpose,
     root_of_unity,
 )
 from triform.fqm import classify, module_table, orthogonal_group, paper_module
@@ -561,6 +562,21 @@ def test_special_vectors_all_checks():
 def test_special_vectors_span_rank_five():
     vectors = special_vectors(REP)
     assert special_vector_rank(vectors) == 5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=1, max_size=5)))
+def test_the_gram_matrix_has_the_rank_of_its_rows(rows):
+    assert mat_rank(mat_mul(rows, mat_transpose(rows))) == mat_rank(rows)
+
+
+def test_a_vector_outside_the_span_raises_the_rank_to_six():
+    vectors = list(special_vectors(REP))
+    outside = [0] * 81
+    outside[INDEX[(0, 0, 0, 0)]] = 1  # every sign vector vanishes at 0
+    vectors[0] = dataclasses.replace(vectors[0], vec=tuple(outside))
+    assert special_vector_rank(vectors) == 6
 
 
 def test_special_vector_standard_sign():

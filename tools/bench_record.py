@@ -20,6 +20,9 @@ and numpy versions, CPU count), per workload the median and quartiles of
 each end-to-end metric with every run's values, per sweep precision and per
 command shape the median wall time with every run's and the sha256 of the
 output, the traced per-layer metrics, and the tier-1 wall time and summary.
+Its `checkout` field is `git describe --always --dirty` of the side's
+directory, or null outside git: the context line's `commit` is HEAD, which a
+side recorded before its own commit shares with its parent.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ def bench(checkout: Path, *args: str) -> tuple[dict, dict]:
     context = next(json.loads(line.removeprefix("context "))
                    for line in out if line.startswith("context "))
     return context, json.loads(out[-1])
+
+
+def describe(checkout: Path) -> str | None:
+    """`git describe --always --dirty` of a checkout, None outside git."""
+    try:
+        return subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
+                              text=True, capture_output=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def cli_run(checkout: Path, argv: list[str]) -> tuple[float, str]:
@@ -99,8 +111,9 @@ def main(argv=None) -> int:
     sides = []
     for spec in args.side:
         checkout, out, label = spec.split(":", 2)
-        sides.append({"checkout": Path(checkout).resolve(), "out": Path(out),
-                      "record": {"label": label, "workloads": {}}})
+        path = Path(checkout).resolve()
+        sides.append({"checkout": path, "out": Path(out),
+                      "record": {"label": label, "checkout": describe(path), "workloads": {}}})
 
     for workload in WORKLOADS:
         for i in range(RUNS):
