@@ -493,30 +493,32 @@ def mat_det(a: Matrix):
 # phase statistics of a finite-order matrix
 
 
-def phase_multiplicities(a: Matrix, order: int) -> dict[Fraction, int]:
-    """Eigenphase histogram of a matrix with a^order = 1.
+def phase_multiplicities(a: Matrix, bound: int) -> dict[Fraction, int]:
+    """Eigenphase histogram of a matrix with a^order = 1 for some order <= bound.
 
-    Returns {j/order: multiplicity} for the eigenvalues e^(2 pi i j / order),
-    omitting zero multiplicities.  Derived from power traces alone:
-    m_j = (1/order) * sum_m trace(a^m) zeta^(-jm).  Raises ValueError if
-    a^order is not the identity or the counts fail to be nonnegative
-    integers summing to the dimension.
+    Finds the least such order from the powers it builds and returns
+    {j/order: multiplicity} for the eigenvalues e^(2 pi i j / order), omitting
+    zero multiplicities.  Derived from power traces alone: m_j = (1/order) *
+    sum_(m=1..order) trace(a^m) zeta^(-jm).  Raises ValueError if no such order
+    exists or the counts fail to be nonnegative integers summing to the dimension.
     """
-    if order < 1:
-        raise ValueError("order must be positive")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     dim = len(a)
-    powers = [mat_identity(dim)]
-    for _ in range(order - 1):
+    ident = mat_identity(dim)
+    powers = [a]  # powers[m - 1] = a^m
+    while not mat_eq(powers[-1], ident):
+        if len(powers) == bound:
+            raise ValueError(f"no power a^m with m <= {bound} is the identity")
         powers.append(mat_mul(powers[-1], a))
-    if not mat_eq(mat_mul(powers[-1], a), mat_identity(dim)):
-        raise ValueError(f"matrix does not satisfy a^{order} = 1")
+    order = len(powers)
     traces = [mat_trace(p) for p in powers]
     out: dict[Fraction, int] = {}
     total = 0
     for j in range(order):
         s = CycQ.rational(0)
-        for m in range(order):
-            s = s + traces[m] * root_of_unity(-j * m, order)
+        for m, trace in enumerate(traces, 1):
+            s = s + trace * root_of_unity(-j * m, order)
         s = s * Fraction(1, order)
         if not s.is_rational():
             raise ValueError(f"non-rational multiplicity for phase {j}/{order}")

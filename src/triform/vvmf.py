@@ -3,7 +3,7 @@
 Input is a finite-dimensional representation given by exact matrices for T
 and S satisfying S^4 = 1 and (ST)^3 = S^2.  For weight k >= 3 the dimension
 of the space of holomorphic forms is computed on the (-1)^k eigenspace V+
-of S^2:
+of S^2 (Borcherds, Duke Math. J. 104, 2000):
 
     dim M_k = d + d k / 12 - alpha(e^(pi i k/2) S) - alpha((e^(pi i k/3) ST)^(-1))
             - alpha(T)
@@ -11,6 +11,17 @@ of S^2:
 with d = dim V+, every operator restricted to V+, and alpha the sum of
 eigenphases in [0, 1).  The Eisenstein part is the space of T-invariants in
 V+; the cusp part is the difference.
+
+No basis of V+ is built.  With n the dimension, eps = (-1)^k and
+P = (1 + eps S^2) / 2: P^2 = P by S^4 = 1, so d = tr P; S^2 = (ST)^3
+commutes with S and ST, so P commutes with S and T.  For X commuting with P,
+X+ = I - (I - X) P is X on V+ and 1 on V-: its histogram is X's on V+ plus
+n - d at phase 0, with the same alpha.  A = i^k S and B = e^(pi i k/3) ST
+have A^2 = B^3 = eps S^2 = 1 on V+, so A+ has order at most 2 and B+ at most
+3.  Each phase j/3 != 0 of B inverts to 1 - j/3, so alpha(B^(-1))
+= d - m_0(B on V+) - alpha(B) = n - m_0(B+) - alpha(B+), with m_0 the
+multiplicity of phase 0.  T has finite order, so it is diagonalizable and
+its invariants in V+ number m_0(T+) - (n - d).  At d = 0 every X+ is I.
 """
 
 from __future__ import annotations
@@ -25,12 +36,10 @@ from .exact import (
     mat_from_rows,
     mat_identity,
     mat_mul,
-    mat_nullspace,
     mat_pow,
     mat_scalar,
-    mat_solve,
     mat_sub,
-    mat_vec,
+    mat_trace,
     phase_multiplicities,
     root_of_unity,
 )
@@ -90,56 +99,34 @@ class DimensionReport:
         }
 
 
-def _eigenspace(matrix: Matrix, sign: int):
-    n = len(matrix)
-    shifted = mat_sub(matrix, mat_scalar(sign, mat_identity(n)))
-    return mat_nullspace(shifted)
-
-
-def _restrict(matrix: Matrix, basis) -> Matrix:
-    """The matrix of S or T on an eigenspace of S^2, in the given basis.
-
-    RepSpec has checked S^4 = 1 and (ST)^3 = S^2, so S^2 commutes with S and
-    ST, hence with T: both preserve the eigenspace and every solve succeeds.
-    """
-    bt = tuple(zip(*basis))  # basis vectors as columns
-    cols = [mat_solve(bt, mat_vec(matrix, b)) for b in basis]
-    return tuple(zip(*cols))
-
-
 def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     """Exact dimension bookkeeping for weight >= 3; see the module docstring."""
     if weight <= 2:
         raise DimensionError(f"weight {weight} is below the valid range (k >= 3)")
-    s2 = mat_mul(spec.s_image, spec.s_image)
-    sign = 1 if weight % 2 == 0 else -1
-    basis = _eigenspace(s2, sign)
-    d = len(basis)
-    if d == 0:
-        return DimensionReport(weight, 0, Fraction(0), Fraction(0), Fraction(0), 0, 0, 0)
-    s_r = _restrict(spec.s_image, basis)
-    t_r = _restrict(spec.t_image, basis)
+    s, t = spec.s_image, spec.t_image
+    n = len(s)
+    ident = mat_identity(n)
+    eps = 1 if weight % 2 == 0 else -1
+    # P = (1 + eps S^2) / 2, the projector onto V+
+    proj = mat_scalar(Fraction(1, 2), mat_sub(ident, mat_scalar(-eps, mat_mul(s, s))))
+    d = int(mat_trace(proj).as_fraction())  # P^2 = P by S^4 = 1: tr P = rank P
 
-    a_s = mat_scalar(root_of_unity(weight, 4), s_r)
-    alpha_s = alpha_invariant(phase_multiplicities(a_s, 4))
+    def plus(x: Matrix) -> Matrix:
+        """x on V+ and 1 on V-: I - (I - x) P."""
+        return mat_sub(ident, mat_mul(mat_sub(ident, x), proj))
 
-    b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(s_r, t_r))
-    # alpha of b0^(-1): each eigenvalue e(j/6) of b0 (b0^6 = 1 is checked)
-    # inverts to e(-j/6), of phase 1 - j/6 for j != 0 and 0 for j = 0, so
-    # alpha(b0^(-1)) = (d - m_0) - alpha(b0) with m_0 the multiplicity of 0
-    b0_mults = phase_multiplicities(b0, 6)
-    alpha_st = d - b0_mults.get(Fraction(0), 0) - alpha_invariant(b0_mults)
-
-    t_order = None
-    power = t_r
-    for m in range(1, _MAX_T_ORDER + 1):
-        if mat_eq(power, mat_identity(d)):
-            t_order = m
-            break
-        power = mat_mul(power, t_r)
-    if t_order is None:
-        raise DimensionError(f"T image has no finite order up to {_MAX_T_ORDER}")
-    alpha_t = alpha_invariant(phase_multiplicities(t_r, t_order))
+    # A = i^k S and B = e^(pi i k/3) ST: A^2 = B^3 = eps S^2 = 1 on V+
+    alpha_s = alpha_invariant(phase_multiplicities(
+        plus(mat_scalar(root_of_unity(weight, 4), s)), 2))
+    b_mults = phase_multiplicities(
+        plus(mat_scalar(root_of_unity(weight, 6), mat_mul(s, t))), 3)
+    # alpha(B^(-1)) on V+ = d - m_0(B on V+) - alpha(B), and m_0(B+) = m_0(B on V+) + n - d
+    alpha_st = n - b_mults.get(Fraction(0), 0) - alpha_invariant(b_mults)
+    try:
+        t_mults = phase_multiplicities(plus(t), _MAX_T_ORDER)
+    except ValueError as err:
+        raise DimensionError(f"T image on V+: {err}") from err
+    alpha_t = alpha_invariant(t_mults)
 
     total = d + Fraction(d * weight, 12) - alpha_s - alpha_st - alpha_t
     if total.denominator != 1:
@@ -147,7 +134,7 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     if total < 0:
         raise DimensionError(f"dimension formula gave the negative value {total}")
 
-    eis = len(_eigenspace(t_r, 1))
+    eis = t_mults.get(Fraction(0), 0) - (n - d)  # T is diagonalizable: finite order
     cusp = int(total) - eis
     if cusp < 0:
         raise DimensionError(

@@ -409,8 +409,10 @@ def test_module_entry_point_subprocess():
       "triform.borcherds"}),
     (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
     (["accounting"], {"triform.lattice", "triform.weil", "triform.vvmf"}),
+    (["special-vectors"], {"triform.lattice", "triform.vvmf"}),
+    (["dimension"], {"triform.lattice", "triform.borcherds"}),
     (["verify-all"], {"numpy.ma"}),  # np.unique would load it
-], ids=["eisenstein", "weil", "accounting", "verify-all"])
+], ids=["eisenstein", "weil", "accounting", "special-vectors", "dimension", "verify-all"])
 def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
     # -X importtime names on stderr every module the fresh process imports
     proc = subprocess.run(

@@ -175,6 +175,8 @@ def test_phase_multiplicities_rejects_wrong_order():
     a = mat_from_rows([[1, 1], [0, 1]])  # infinite order
     with pytest.raises(ValueError):
         phase_multiplicities(a, 3)
+    with pytest.raises(ValueError):
+        phase_multiplicities(mat_from_rows([[OMEGA, 0], [0, 1]]), 2)  # order 3 > 2
 
 
 def test_phase_multiplicities_order_multiple_is_fine():

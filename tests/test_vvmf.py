@@ -5,21 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triform import vvmf
 from triform.exact import (
     alpha_invariant,
+    mat_eq,
     mat_from_rows,
+    mat_identity,
     mat_inverse,
     mat_mul,
+    mat_nullspace,
     mat_pow,
     mat_rank,
     mat_scalar,
+    mat_solve,
+    mat_sub,
+    mat_vec,
     phase_multiplicities,
     root_of_unity,
 )
 from triform.fqm import paper_module
 from triform.vvmf import (
     DimensionError,
+    DimensionReport,
     RepSpec,
     dimension_report,
 )
@@ -70,6 +76,8 @@ def test_infinite_t_order_rejected():
     spec = RepSpec(((1, 1), (0, 1)), ((0, -1), (1, 0)))
     with pytest.raises(DimensionError):
         dimension_report(spec, 5)
+    # at even weight V+ = 0, so T's infinite order lives on V- only
+    assert dimension_report(spec, 4) == DimensionReport(4, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_paper_rep_weight_four():
@@ -139,14 +147,84 @@ def test_dimension_report_is_invariant_under_a_change_of_basis(rows):
         assert dimension_report(spec, k) == report
 
 
+def _eigenspace(matrix, sign: int):
+    n = len(matrix)
+    shifted = mat_sub(matrix, mat_scalar(sign, mat_identity(n)))
+    return mat_nullspace(shifted)
+
+
+def _restrict(matrix, basis):
+    """The matrix of S or T on an eigenspace of S^2, in the given basis."""
+    bt = tuple(zip(*basis))  # basis vectors as columns
+    cols = [mat_solve(bt, mat_vec(matrix, b)) for b in basis]
+    return tuple(zip(*cols))
+
+
 def alpha_st_by_the_inverse(spec: RepSpec, weight: int) -> Fraction:
     """alpha of b0^(-1) read from the phases of b0^5: the former route of dimension_report."""
-    basis = vvmf._eigenspace(mat_mul(spec.s_image, spec.s_image), 1 if weight % 2 == 0 else -1)
+    basis = _eigenspace(mat_mul(spec.s_image, spec.s_image), 1 if weight % 2 == 0 else -1)
     if not basis:
         return Fraction(0)
-    b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(vvmf._restrict(spec.s_image, basis),
-                                                      vvmf._restrict(spec.t_image, basis)))
+    b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(_restrict(spec.s_image, basis),
+                                                      _restrict(spec.t_image, basis)))
     return alpha_invariant(phase_multiplicities(mat_pow(b0, 5), 6))
+
+
+def dimension_report_by_restriction(spec: RepSpec, weight: int) -> DimensionReport:
+    """The former route: a basis of V+, S and T restricted to it by solves."""
+    basis = _eigenspace(mat_mul(spec.s_image, spec.s_image), 1 if weight % 2 == 0 else -1)
+    d = len(basis)
+    if d == 0:
+        return DimensionReport(weight, 0, Fraction(0), Fraction(0), Fraction(0), 0, 0, 0)
+    s_r = _restrict(spec.s_image, basis)
+    t_r = _restrict(spec.t_image, basis)
+    alpha_s = alpha_invariant(phase_multiplicities(
+        mat_scalar(root_of_unity(weight, 4), s_r), 4))
+    b0 = mat_scalar(root_of_unity(weight, 6), mat_mul(s_r, t_r))
+    b0_mults = phase_multiplicities(b0, 6)
+    alpha_st = d - b0_mults.get(Fraction(0), 0) - alpha_invariant(b0_mults)
+    t_order = next(m for m in range(1, 61) if mat_eq(mat_pow(t_r, m), mat_identity(d)))
+    alpha_t = alpha_invariant(phase_multiplicities(t_r, t_order))
+    total = d + Fraction(d * weight, 12) - alpha_s - alpha_st - alpha_t
+    assert total.denominator == 1 and total >= 0
+    eis = len(_eigenspace(t_r, 1))
+    return DimensionReport(weight, d, alpha_s, alpha_st, alpha_t,
+                           int(total), eis, int(total) - eis)
+
+
+def _paper_pair_plus_a_character() -> RepSpec:
+    """The aggregated pair (+) the character S -> -i, T -> zeta_12.
+
+    V+ has d = 4 of n = 5 at even weight and d = 1 at odd weight.
+    """
+    zeros = (0,) * 4
+    t = tuple(row + (0,) for row in PAPER.t_image) + (zeros + (root_of_unity(1, 12),),)
+    s = tuple(row + (0,) for row in PAPER.s_image) + (zeros + (root_of_unity(3, 4),),)
+    return RepSpec(t, s)
+
+
+def test_dimension_report_matches_the_restriction_route():
+    spec = _paper_pair_plus_a_character()
+    rng = random.Random(17)
+    while True:
+        p = mat_from_rows([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
+        if mat_rank(p) == 5:
+            break
+    pinv = mat_inverse(p)
+    conjugate = RepSpec(mat_mul(p, mat_mul(spec.t_image, pinv)),
+                        mat_mul(p, mat_mul(spec.s_image, pinv)))
+    for k in range(3, 13):
+        report = dimension_report(spec, k)
+        assert report == dimension_report_by_restriction(spec, k)
+        assert dimension_report(conjugate, k) == report
+        assert dimension_report_by_restriction(conjugate, k) == report
+    pinned = {4: (4, 1, Fraction(4, 3), 1, 2, 2, 0),
+              5: (1, 0, Fraction(1, 3), Fraction(1, 12), 1, 0, 1),
+              12: (4, 1, 1, 1, 5, 2, 3)}
+    for k, fields in pinned.items():
+        r = dimension_report(spec, k)
+        assert (r.dim_plus, r.alpha_s, r.alpha_st, r.alpha_t,
+                r.dim_modular, r.dim_eisenstein, r.dim_cusp) == fields
 
 
 def test_alpha_st_matches_the_inverse_power_route():
