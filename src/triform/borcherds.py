@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from .fqm import (
     TYPE_Q_DISPLAY,
     QuadraticModule,
+    aggregated_action,
     canonical_sign,
     classify,
     isotropic_incidence,
@@ -26,7 +27,7 @@ from .fqm import (
 )
 from .qseries import VVForm
 
-if TYPE_CHECKING:  # weil and vvmf load only when obstruction_check runs
+if TYPE_CHECKING:  # vvmf loads only when obstruction_check runs, weil never
     from .vvmf import DimensionReport
     from .weil import SpecialVector
 
@@ -117,15 +118,16 @@ def obstruction_check(weight: int) -> ObstructionReport:
 
     A vanishing cusp space means the coefficient constraints on candidate
     inputs are exhausted by the Eisenstein series, so every divisor with
-    the right congruences is realized by a product.
+    the right congruences is realized by a product.  The 4 x 4 pair is read
+    off the pairing table and compared with the display; RepSpec checks its
+    own relations S^4 = 1 and (ST)^3 = S^2.  The 81-dimensional relations
+    it aggregates are certified by the commands that build the Weil
+    representation (weil, character, special-vectors, verify-all), not here.
     """
     from .vvmf import RepSpec, dimension_report
-    from .weil import aggregated_dual, build_weil
 
-    rep = build_weil(paper_module())
-    agg_t, agg_s = aggregated_dual(rep)
-    spec = RepSpec(agg_t, agg_s)
-    return ObstructionReport(dimension_report(spec, weight))
+    agg_t, agg_s = aggregated_action(paper_module())
+    return ObstructionReport(dimension_report(RepSpec(agg_t, agg_s), weight))
 
 
 def lift_witness(sv: SpecialVector) -> tuple[tuple[int, ...], int]:

@@ -179,12 +179,10 @@ def cmd_character(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    from .fqm import paper_module
+    from .fqm import aggregated_action, paper_module
     from .vvmf import RepSpec, dimension_report
-    from .weil import aggregated_dual, build_weil
 
-    rep = build_weil(paper_module())
-    agg_t, agg_s = aggregated_dual(rep)
+    agg_t, agg_s = aggregated_action(paper_module())
     report = dimension_report(RepSpec(agg_t, agg_s), args.weight)
     if args.format == "json":
         return _emit_json(report.to_json())
@@ -317,16 +315,16 @@ def run_checks() -> list[CheckResult]:
     """All fourteen frozen-value checks, in a fixed order."""
     from .borcherds import (AccountingError, accounting_report, borcherds_weight,
                             lift_witness, long_root_divisor, short_root_divisor)
-    from .fqm import (REFERENCE_TABLE, TYPE_LABELS, TYPE_PATTERNS, central_negation, classify,
-                      element_str, expand_patterns, involutive_reflections, orthogonal_group,
-                      paper_module, pairing_table, reflect)
+    from .fqm import (REFERENCE_TABLE, TYPE_LABELS, TYPE_PATTERNS, DualMismatchError,
+                      central_negation, classify, element_str, expand_patterns,
+                      involutive_reflections, orthogonal_group, paper_module, pairing_table,
+                      reflect)
     from .lattice import (alt_spec, discriminant_form, milgram_signature, paper_spec,
                           reflection_minus_one, trireflection)
     from .vvmf import RepSpec, dimension_report
-    from .weil import (DualMismatchError, RelationError, aggregated_dual, build_weil,
-                       cayley_check, character_decompose, isotypic_subspace,
-                       o_q_character_norm, special_vector_rank, special_vectors,
-                       verify_special)
+    from .weil import (RelationError, aggregated_dual, build_weil, cayley_check,
+                       character_decompose, isotypic_subspace, o_q_character_norm,
+                       special_vector_rank, special_vectors, verify_special)
 
     out = []
     module = paper_module()

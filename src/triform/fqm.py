@@ -3,25 +3,35 @@
 A module is presented by cyclic generators: orders, the quadratic values
 q(g_i) in Q/2Z and the pairings b(g_i, g_j) in Q/Z.  Elements are digit
 tuples, ordered lexicographically throughout.  For an exponent-3 module,
-`module_table` turns that data into memoized integer tables (Q = (3/2) q
-and B = 3 b mod 3 from `gram3`, the index maps of -x and x + y, a type per
-element), and everything else is enumerated from them: the four types of
-the 81 elements, the pairing-count table, reflections, the orthogonal
-group of order 1440 as one array of index permutations, the 15 orthogonal
-bases.  `QuadraticModule.q`/`b` sum integer numerators over one
-denominator and return reduced Fractions.
+`module_table` turns that data into memoized tables of Python bytes (Q =
+(3/2) q and B = 3 b mod 3 from `gram3`, the index maps of -x and x + y, a
+type per element), and everything else is enumerated from them: the four
+types of the 81 elements, the pairing-count table, the aggregated 4 x 4
+action, reflections, the orthogonal group of order 1440 as bytes rows of
+index permutations, the 15 orthogonal bases.
+
+The tables are built by walking the elements in lex order.  With k the
+last nonzero digit of x, x - g_k comes earlier, and Q(x) = Q(x - g_k) +
+Q(g_k) + B(x - g_k, g_k); row x of B is row x - g_k plus the row of g_k,
+whose entries B(g_k, y) are the generator Gram row k applied to y; add[x]
+is add[x - g_k] translated (bytes.translate) through the add row of g_k.
+O(q) is the closure of the reflections, composed by bytes.translate;
+`orthogonal_group` proves that the closure is all of O(q) when the
+pairing is nondegenerate.  `QuadraticModule.q`/`b` sum integer numerators
+over one denominator and return reduced Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable
 
-import numpy as np
+from .exact import OMEGA, CycQ, mat_eq, mat_from_rows
 
 Element = tuple  # digit tuples
 
@@ -36,6 +46,10 @@ class ReflectionError(ValueError):
 
 class BasisError(ValueError):
     pass
+
+
+class DualMismatchError(ValueError):
+    """The aggregated 4-dimensional action disagreed with the frozen display."""
 
 
 # type labels in display order
@@ -59,15 +73,8 @@ TYPE_PATTERNS = {
 
 def expand_patterns(patterns: Iterable[Element]) -> frozenset:
     """All sign choices of the given patterns (nonzero slots become 1 or 2)."""
-    out = set()
-    for pat in patterns:
-        slots = [i for i, d in enumerate(pat) if d]
-        for signs in itertools.product((1, 2), repeat=len(slots)):
-            x = list(pat)
-            for i, s in zip(slots, signs):
-                x[i] = s
-            out.add(tuple(x))
-    return frozenset(out)
+    return frozenset(x for pat in patterns
+                     for x in itertools.product(*((1, 2) if d else (0,) for d in pat)))
 
 
 @dataclass(frozen=True)
@@ -129,17 +136,10 @@ class QuadraticModule:
         return Fraction(total % den, den)
 
     def order(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
+        return math.prod(self.orders)
 
     def q_histogram(self) -> dict[Fraction, int]:
-        hist: dict[Fraction, int] = {}
-        for x in self.elements():
-            v = self.q(x)
-            hist[v] = hist.get(v, 0) + 1
-        return hist
+        return dict(Counter(map(self.q, self.elements())))
 
 
 def paper_module() -> QuadraticModule:
@@ -148,52 +148,51 @@ def paper_module() -> QuadraticModule:
     One positive generator and three negative ones; all pairings between
     distinct generators vanish.
     """
-    zero = Fraction(0)
-    return QuadraticModule(
-        orders=(3, 3, 3, 3),
-        gen_q=(Fraction(2, 3), Fraction(4, 3), Fraction(4, 3), Fraction(4, 3)),
-        gen_b=(
-            (Fraction(2, 3), zero, zero, zero),
-            (zero, Fraction(1, 3), zero, zero),
-            (zero, zero, Fraction(1, 3), zero),
-            (zero, zero, zero, Fraction(1, 3)),
-        ),
-    )
+    diagonal = (Fraction(2, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    return QuadraticModule((3, 3, 3, 3), (Fraction(2, 3),) + (Fraction(4, 3),) * 3,
+                           tuple(tuple(v if i == j else Fraction(0) for j in range(4))
+                                 for i, v in enumerate(diagonal)))
 
 
-def _scaled(rows) -> tuple[np.ndarray, int]:
-    """An integer matrix N and a denominator L with rows = N / L."""
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    return np.array([[int(v * den) for v in row] for row in rows], dtype=np.int64), den
+def _steps(elements: tuple[Element, ...]):
+    """(k, x - g_k) for each nonzero index x, k its last nonzero digit: x - 3^(r-1-k)."""
+    for x, digits in enumerate(elements[1:], 1):
+        k = max(i for i, d in enumerate(digits) if d)
+        yield k, x - 3 ** (len(digits) - 1 - k)
 
 
-def gram3(module: QuadraticModule) -> tuple[np.ndarray, np.ndarray]:
-    """Q (N,) and B (N, N) over `module.elements()`: Q = (3/2) q and B = 3 b mod 3.
+_MOD3 = bytes(v % 3 for v in range(256))
 
-    Q(x) = x M x^T with M_ii = (3/2) q(g_i), M_ij = (3/2) b(g_i, g_j), and
-    B(x, y) = x (3 b) y^T, each from an integer matmul of the element array
-    over a common denominator.  The values on the generators come from the
-    Fraction forms `module.q`/`b`, already reduced mod 2 and mod 1.  Raises
-    ReflectionError if some value is not an integer before the reduction
-    mod 3.
+
+def gram3(module: QuadraticModule) -> tuple[bytes, tuple[bytes, ...]]:
+    """Q and B over `module.elements()`: Q = (3/2) q and B = 3 b mod 3, as bytes.
+
+    The values on the generators come from `module.q`/`b`; see the module
+    docstring for the recurrence.  Raises ReflectionError if some value is
+    not a third-integer (by the recurrence, every Q is an integer iff Q(g_i)
+    and B(g_i, g_j), i != j, are), and ValueError unless the exponent is 3.
     """
-    x = np.array(module.elements(), dtype=np.int64)
     r = len(module.orders)
     g = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    pair = [[module.b(gi, gj) for gj in g] for gi in g]
-    gb, den_b = _scaled([[3 * v for v in row] for row in pair])
-    gq, den_q = _scaled([[Fraction(3, 2) * (module.q(g[i]) if i == j else pair[i][j])
-                          for j in range(r)] for i in range(r)])
-    digits = (max(module.orders) - 1) * r  # bounds sum_i |x_i| over an element
-    if digits * digits * max(int(np.abs(gb).max()), int(np.abs(gq).max())) >= 1 << 63:
-        raise OverflowError("Gram matrix too large for the int64 tables")
-    b = (x @ gb) @ x.T
-    q = ((x @ gq) * x).sum(axis=1)
-    if (q % den_q).any():
+    gram = [[3 * module.b(gi, gj) for gj in g] for gi in g]
+    gen_q = [Fraction(3, 2) * module.q(gi) for gi in g]
+    if any(v.denominator != 1 for v in gen_q) or any(
+            gram[i][j].denominator != 1 for i in range(r) for j in range(i)):
         raise ReflectionError("a quadratic value is not a third-integer")
-    if (b % den_b).any():
+    if any(gram[i][i].denominator != 1 for i in range(r)):
         raise ReflectionError("pairing is not third-integer")
-    return (q // den_q) % 3, (b // den_b) % 3
+    if any(m != 3 for m in module.orders):
+        raise ValueError("the integer tables assume exponent 3")
+    elements = module.elements()
+    gram = [[int(v) for v in row] for row in gram]
+    gen_rows = [bytes(sum(map(mul, row, y)) % 3 for y in elements) for row in gram]
+    q, b = bytearray(1), [bytes(len(elements))]
+    for k, y in _steps(elements):
+        q.append((q[y] + int(gen_q[k]) + gen_rows[k][y]) % 3)
+        # rows added as base-256 numbers: every byte sum is at most 4, so none carries
+        b.append((int.from_bytes(b[y], "big") + int.from_bytes(gen_rows[k], "big"))
+                 .to_bytes(len(elements), "big").translate(_MOD3))
+    return bytes(q), tuple(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,49 +200,52 @@ class ModuleTable:
     """Integer tables of an exponent-3 module, indexed in `elements()` order.
 
     Index i is the base-3 number with digits elements[i], so index 0 is the
-    zero element and index order is lexicographic order.
+    zero element and index order is lexicographic order.  Every table is
+    bytes, so an index fits one byte: at most 256 elements.
     """
 
     elements: tuple[Element, ...]
     index: dict  # element -> index
-    digits: np.ndarray  # (N, r) the elements as rows
-    q: np.ndarray  # (N,) Q(x) = (3/2) q(x) mod 3
-    b: np.ndarray  # (N, N) B(x, y) = 3 b(x, y) mod 3
-    neg: np.ndarray  # (N,) index of -x
-    add: np.ndarray  # (N, N) index of x + y
-    kind: np.ndarray  # (N,) position of the type label in TYPE_LABELS
-    unit: np.ndarray  # (r,) indices of the generators g_i
+    q: bytes  # Q(x) = (3/2) q(x) mod 3
+    b: tuple[bytes, ...]  # b[x][y] = B(x, y) = 3 b(x, y) mod 3
+    neg: bytes  # index of -x
+    add: tuple[bytes, ...]  # add[x][y] = index of x + y
+    kind: bytes  # position of the type label in TYPE_LABELS
+    unit: tuple[int, ...]  # indices of the generators g_i
 
-    def of_type(self, label: str) -> np.ndarray:
+    def of_type(self, label: str) -> tuple[int, ...]:
         """Indices of the elements of one type, ascending."""
-        return np.flatnonzero(self.kind == TYPE_LABELS.index(label))
+        k = TYPE_LABELS.index(label)
+        return tuple(i for i, kind in enumerate(self.kind) if kind == k)
 
-    def groups(self) -> dict[str, np.ndarray]:
+    def groups(self) -> dict[str, tuple[int, ...]]:
         """Indices by type, labels in display order, empty types left out."""
-        return {label: idx for label in TYPE_LABELS if (idx := self.of_type(label)).size}
+        return {label: idx for label in TYPE_LABELS if (idx := self.of_type(label))}
 
 
 _TABLE_MEMO: dict = {}
+_KIND = bytes((1, 2, 3)) + bytes(253)  # Q = 0, 1, 2 -> the types 0, 1, 2 (q = 0, 2/3, 4/3)
 
 
 def module_table(module: QuadraticModule) -> ModuleTable:
-    """The memoized integer tables of `module` (orders all 3)."""
+    """The memoized integer tables of `module` (orders all 3, at most 256 elements)."""
     if module in _TABLE_MEMO:
         return _TABLE_MEMO[module]
-    q, b = gram3(module)
-    if any(m != 3 for m in module.orders):
-        raise ValueError("the integer tables assume exponent 3")
     elements = module.elements()
-    digits = np.array(elements, dtype=np.int64)
-    unit = 3 ** np.arange(len(module.orders) - 1, -1, -1)  # so index(x) = digits(x) @ unit
-    small = np.min_scalar_type(len(elements) - 1)  # index maps fit uint8 on (F_3)^4
-    kind = q + 1  # Q = 0, 1, 2 give the types 0, 1, 2 (q = 0, 2/3, 4/3) ...
-    kind[0] = 0  # ... and zero is type 00
-    table = ModuleTable(elements, {x: i for i, x in enumerate(elements)}, digits, q, b,
-                        ((-digits % 3) @ unit).astype(small),
-                        (((digits[:, None] + digits[None]) % 3) @ unit).astype(small), kind, unit)
-    for array in (digits, q, b, table.neg, table.add, kind, unit):
-        array.flags.writeable = False  # every caller shares the memoized arrays
+    n, r = len(elements), len(module.orders)
+    if n > 256:  # an index fills one byte, and a bytes.translate table has 256 entries
+        raise ValueError(f"{n} elements: the byte tables hold at most 256")
+    q, b = gram3(module)
+    unit = tuple(3 ** (r - 1 - k) for k in range(r))
+    # index of y + g_k: digit k of y steps up, from 2 back to 0
+    step = [bytes(i - 2 * s if y[k] == 2 else i + s for i, y in enumerate(elements))
+            .ljust(256, b"\0") for k, s in enumerate(unit)]
+    add = [bytes(range(n))]
+    for k, y in _steps(elements):
+        add.append(add[y].translate(step[k]))
+    table = ModuleTable(elements, {x: i for i, x in enumerate(elements)}, q, b,
+                        bytes(row.index(0) for row in add), tuple(add),
+                        b"\0" + q[1:].translate(_KIND), unit)  # zero is type 00
     _TABLE_MEMO[module] = table
     return table
 
@@ -263,25 +265,13 @@ def classify(module: QuadraticModule) -> dict[str, tuple[Element, ...]]:
 # pairing value <-> column index: j = 0, 1, 2 counts b = 0, 2/3, 1/3
 PAIRING_COLUMNS = (Fraction(0), Fraction(2, 3), Fraction(1, 3))
 
-# the expected multiplicity table of the rank-4 module, as a cross-check
-REFERENCE_TABLE = {
-    ("00", "00"): (1, 0, 0),
-    ("00", "0"): (20, 0, 0),
-    ("00", "1"): (30, 0, 0),
-    ("00", "2"): (30, 0, 0),
-    ("0", "00"): (1, 0, 0),
-    ("0", "0"): (2, 9, 9),
-    ("0", "1"): (12, 9, 9),
-    ("0", "2"): (12, 9, 9),
-    ("1", "00"): (1, 0, 0),
-    ("1", "0"): (8, 6, 6),
-    ("1", "1"): (12, 9, 9),
-    ("1", "2"): (6, 12, 12),
-    ("2", "00"): (1, 0, 0),
-    ("2", "0"): (8, 6, 6),
-    ("2", "1"): (6, 12, 12),
-    ("2", "2"): (12, 9, 9),
-}
+# the expected multiplicity table of the rank-4 module, as a cross-check:
+# one row of v-types per u-type, both in TYPE_LABELS order
+REFERENCE_TABLE = dict(zip(itertools.product(TYPE_LABELS, repeat=2), (
+    (1, 0, 0), (20, 0, 0), (30, 0, 0), (30, 0, 0),
+    (1, 0, 0), (2, 9, 9), (12, 9, 9), (12, 9, 9),
+    (1, 0, 0), (8, 6, 6), (12, 9, 9), (6, 12, 12),
+    (1, 0, 0), (8, 6, 6), (6, 12, 12), (12, 9, 9))))
 
 
 def pairing_table(module: QuadraticModule) -> dict[tuple[str, str], tuple[int, int, int]]:
@@ -291,36 +281,71 @@ def pairing_table(module: QuadraticModule) -> dict[tuple[str, str], tuple[int, i
     is chosen; this is verified over every u and a PairingConventionError
     is raised otherwise.
     """
-    t = module_table(module)
+    return _pairing_counts(module_table(module))
+
+
+def _pairing_counts(t: ModuleTable) -> dict[tuple[str, str], tuple[int, int, int]]:
     columns = [int(3 * c) for c in PAIRING_COLUMNS]  # the B value of each column
+    # 3 kind(v) + B(u, v) over v: rows added as base-256 numbers, no byte sum carries
+    kinds, n = int.from_bytes(bytes(3 * k for k in t.kind), "big"), len(t.elements)
+    keyed = [(kinds + int.from_bytes(row, "big")).to_bytes(n, "big") for row in t.b]
+    table = {}
     groups = t.groups()
-    table: dict[tuple[str, str], tuple[int, int, int]] = {}
-    for ulabel, us in groups.items():
-        rows = np.arange(len(us))[:, None] * 3
-        for vlabel, vs in groups.items():
-            # counts[k, j]: members of the v-type pairing to column j with us[k]
-            counts = np.bincount((rows + t.b[np.ix_(us, vs)]).ravel(),
-                                 minlength=3 * len(us)).reshape(-1, 3)[:, columns]
-            differ = np.flatnonzero((counts != counts[0]).any(axis=1))
-            if differ.size:
-                k = differ[0]
+    for (ulabel, us), vlabel in itertools.product(groups.items(), groups):
+        k = 3 * TYPE_LABELS.index(vlabel)
+        counts = [tuple(keyed[u].count(k + c) for c in columns) for u in us]
+        for u, triple in zip(us, counts):
+            if triple != counts[0]:
                 raise PairingConventionError(
-                    f"({ulabel}, {vlabel}): representative {t.elements[us[k]]} gives "
-                    f"{tuple(counts[k].tolist())}, earlier representative gave "
-                    f"{tuple(counts[0].tolist())}")
-            table[(ulabel, vlabel)] = tuple(counts[0].tolist())
+                    f"({ulabel}, {vlabel}): representative {t.elements[u]} gives "
+                    f"{triple}, earlier representative gave {counts[0]}")
+        table[(ulabel, vlabel)] = counts[0]
     return table
+
+
+# the displayed aggregated pair: rho*_T = diag(1, 1, w^2, w), rho*_S = -(1/9) times these rows
+_AGG_T = mat_from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, OMEGA * OMEGA, 0], [0, 0, 0, OMEGA]])
+_AGG_S = mat_from_rows([[Fraction(-x, 9) for x in row] for row in (
+    (1, 1, 1, 1), (20, -7, 2, 2), (30, 3, 3, -6), (30, 3, -6, 3))])
+
+# conj(w^Q) = w^(2Q) for Q = 0, 1, 2, as (1-part, w-part) with w^2 = -1 - w
+_CONJ_PHASE = ((1, 0), (-1, -1), (0, 1))
+
+
+def aggregated_action(module: QuadraticModule):
+    """(rho*_T, rho*_S): the conjugated Weil action compressed to the types.
+
+    Row t, column s of rho*_S is sum_(delta of type t) conj(rho(S)[delta,
+    alpha]) = -(1/9) sum_delta w^B(delta, alpha) for alpha of type s.  With
+    (m0, m1, m2) = pairing_table[(s, t)], the counts of B = 0, 2, 1, that is
+    -(1/9)((m0 - m1) + (m2 - m1) w); the count raises
+    PairingConventionError if it depends on alpha.  rho*_T is diagonal,
+    conj(w^Q) = w^(2Q) at each type, which is a class of Q.  Raises
+    DualMismatchError if the pair differs from the frozen display values.
+    """
+    t = module_table(module)
+    table, groups = _pairing_counts(t), t.groups()
+    agg_s = tuple(tuple(CycQ(3, [m1 - m0, m1 - m2], 9)
+                        for m0, m1, m2 in (table[(s, tl)] for s in groups)) for tl in groups)
+    agg_t = tuple(tuple(CycQ(3, _CONJ_PHASE[t.q[idx[0]]]) if s == tl else CycQ.rational(0)
+                        for s in groups) for tl, idx in groups.items())
+    if not mat_eq(agg_t, _AGG_T):
+        raise DualMismatchError("aggregated diagonal action differs from the display")
+    if not mat_eq(agg_s, _AGG_S):
+        raise DualMismatchError("aggregated S-action differs from the display")
+    return agg_t, agg_s
 
 
 # -- reflections over F_3
 
-def _reflected(t: ModuleTable, a: int, xs: np.ndarray) -> np.ndarray:
+def _reflected(t: ModuleTable, a: int, xs: Iterable[int]) -> list[int]:
     """Indices of r_alpha(x) for the elements at indices xs; alpha at index a."""
-    qa = int(t.q[a])
+    qa = t.q[a]
     if qa == 0:
         raise ReflectionError(f"{t.elements[a]} is isotropic; no reflection")
-    c = (t.b[xs, a] * qa) % 3  # B(x, alpha) Q(alpha)^(-1): 1 and 2 are self-inverse mod 3
-    return t.add[xs, np.array([0, t.neg[a], a])[c]]  # x - c alpha, as -2 alpha = alpha
+    pairing, multiples = t.b[a], (0, t.neg[a], a)  # x - c alpha, as -2 alpha = alpha
+    # c = B(x, alpha) Q(alpha)^(-1): 1 and 2 are self-inverse mod 3
+    return [t.add[x][multiples[pairing[x] * qa % 3]] for x in xs]
 
 
 @dataclass(frozen=True)
@@ -334,7 +359,7 @@ class Reflection:
     def __post_init__(self):
         t = module_table(self.module)
         images = _reflected(t, t.index[self.alpha], t.unit)
-        object.__setattr__(self, "matrix", tuple(map(tuple, t.digits[images].T.tolist())))
+        object.__setattr__(self, "matrix", tuple(zip(*(t.elements[i] for i in images))))
 
 
 def reflect(module: QuadraticModule, alpha: Element) -> Reflection:
@@ -344,30 +369,42 @@ def reflect(module: QuadraticModule, alpha: Element) -> Reflection:
 
 # -- orthogonal group
 
-def _keys(images: np.ndarray, n: int) -> np.ndarray:
-    """Rows of indices (m, r) as base-n numbers: sorted iff the rows are."""
-    return images.astype(np.int64) @ n ** np.arange(images.shape[-1] - 1, -1, -1)
-
-
-def _locate(keys: np.ndarray, images: np.ndarray, n: int) -> np.ndarray:
-    """Positions in `keys` of the rows of `images` (m, r), -1 where absent."""
-    k = _keys(images, n)
-    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-    return np.where(keys[pos] == k, pos, -1)
+def _closure(gens: Iterable[bytes], n: int) -> tuple[list[bytes], list[int]]:
+    """The group the permutation rows `gens` generate, and the positions of
+    the gens that the earlier ones miss.  Dimino's enumeration: a missed g
+    joins the generators, and the group H so far grows to the union of the
+    cosets H c reached from H by c -> c then a generator."""
+    group = [bytes(range(n))]
+    members, used, pads = set(group), [], []
+    for k, s in enumerate(gens):
+        if s in members:
+            continue
+        used.append(k)
+        pads.append(s.ljust(256, b"\0"))
+        old, reps = list(group), [group[0]]
+        for c in reps:  # reps grows as new cosets turn up
+            for p in pads:
+                d = c.translate(p)
+                if d not in members:
+                    reps.append(d)
+                    coset = [h.translate(d.ljust(256, b"\0")) for h in old]
+                    group.extend(coset)
+                    members.update(coset)
+    return group, used
 
 
 @dataclass(frozen=True)
 class OrthogonalGroup:
     """O(q) as permutations of the element indices.
 
-    perm[k, i] is the index of the k-th map applied to elements[i].  The maps
-    are sorted lexicographically by the indices of their images of the module
-    generators g_j, and `keys` holds those index rows as base-N numbers.
+    perm[k][i] is the index of the k-th map applied to elements[i].  The
+    maps are sorted lexicographically by the indices of their images of the
+    module generators g_j, and `position` maps those images to the row.
     """
 
     module: QuadraticModule
-    perm: np.ndarray = field(repr=False, compare=False)  # (order, N), small dtype
-    keys: np.ndarray = field(repr=False, compare=False)  # (order,) ascending
+    perm: tuple[bytes, ...] = field(repr=False, compare=False)
+    position: dict = field(repr=False, compare=False)  # generator images -> row
     generator_rows: tuple[int, ...]
     orbits: tuple[tuple[Element, ...], ...]
 
@@ -375,105 +412,78 @@ class OrthogonalGroup:
     def order(self) -> int:
         return len(self.perm)
 
-    def locate(self, images: np.ndarray) -> np.ndarray:
-        """Rows of the maps sending g_j to images[:, j] (m, r); -1 where none does."""
-        return _locate(self.keys, images, self.perm.shape[1])
+    def locate(self, images: Iterable[int]) -> int:
+        """Row of the map sending each g_j to images[j]; -1 if none does."""
+        return self.position.get(tuple(images), -1)
 
     def reflection(self, alpha: Element) -> int:
         """Row of the reflection in alpha, -1 if it is not in the group."""
         t = module_table(self.module)
-        return int(self.locate(_reflected(t, t.index[alpha], t.unit)[None, :])[0])
+        return self.locate(_reflected(t, t.index[alpha], t.unit))
 
 
 _GROUP_MEMO: dict = {}
 
 
 def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
-    """All linear maps preserving q, by backtracking over generator images.
+    """O(q) as the closure of the reflections r_a, Q(a) != 0.
 
-    A linear map preserves q on the whole module iff it preserves Q on the
-    generators and B on pairs of them, because q of a combination is
-    determined by that data.  Level k extends each partial map by every
-    index c with Q(c) = Q(g_k) and B(image of g_i, c) = B(g_i, g_k) for
-    i < k, in index order, so the maps come out sorted.
+    Each r_a preserves Q, so the closure lies in O(q).  Conversely, if the
+    pairing B(x, y) = Q(x + y) - Q(x) - Q(y) is nondegenerate, every g in
+    O(q) is a product of reflections (Cartan-Dieudonne; 2 is invertible
+    mod 3).  By induction on the dimension, the empty space being trivial:
+    B(x, x) = 2 Q(x), so Q = 0 would make B = 0, and there is an x with
+    Q(x) != 0.  Let y = g(x).  Q(x - y) + Q(x + y) = 4 Q(x) != 0, and
+    B(y, x - y) = -Q(x - y), B(y, x + y) = Q(x + y), so r_(x-y)(y) = x if
+    Q(x - y) != 0, else r_x r_(x+y)(y) = x.  That product h of reflections
+    has hg(x) = x, so hg preserves x^perp, nondegenerate as Q(x) != 0, and
+    is a product of reflections there; reflections in x^perp fix x.  A
+    nonzero element pairing to 0 with every element raises ReflectionError.
     """
     if module in _GROUP_MEMO:
         return _GROUP_MEMO[module]
     t = module_table(module)
     n = len(t.elements)
-    images = np.zeros((1, 0), dtype=np.intp)
-    for k, gk in enumerate(t.unit):
-        ok = np.broadcast_to(t.q == t.q[gk], (len(images), n))
-        for i in range(k):
-            ok = ok & (t.b[images[:, i]] == t.b[t.unit[i], gk])
-        parent, cand = np.nonzero(ok)
-        images = np.column_stack([images[parent], cand])
-
-    # g(x) = sum_i x_i g(g_i), one digit at a time through the add table
-    perm = np.zeros((len(images), 1), dtype=t.add.dtype)
-    for i in range(len(t.unit)):
-        img = images[:, i].astype(t.add.dtype)
-        multiples = np.stack([np.zeros_like(img), img, t.neg[img]], axis=1)
-        perm = t.add[perm[:, :, None], multiples[:, None, :]].reshape(len(images), -1)
+    if bytes(n) in t.b[1:]:
+        x = t.elements[t.b.index(bytes(n), 1)]
+        raise ReflectionError(f"{x} pairs to 0 with every element: the form is degenerate")
+    reflections = dict.fromkeys(bytes(_reflected(t, a, range(n))) for a in range(n) if t.q[a])
+    members, _ = _closure(reflections, n)
+    images = {row: tuple(map(row.__getitem__, t.unit)) for row in members}  # of the g_j
+    perm = tuple(sorted(members, key=images.get))
 
     # orbit partition of the nonzero elements
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    orbits = []
+    orbits, seen = [], {0}
     for i in range(n):
-        if not seen[i]:
-            orbit = np.flatnonzero(np.bincount(perm[:, i], minlength=n))
-            seen[orbit] = True
+        if i not in seen:
+            orbit = sorted(set(map(itemgetter(i), perm)))
+            seen.update(orbit)
             orbits.append(tuple(t.elements[j] for j in orbit))
 
-    keys = _keys(images, n)
-    perm.flags.writeable = keys.flags.writeable = False
-    result = OrthogonalGroup(module, perm, keys, _generating_rows(perm, keys, t.unit),
-                             tuple(orbits))
+    # a small deterministic generating set: each row the earlier ones miss
+    _, rows = _closure(perm, n)
+    result = OrthogonalGroup(module, perm, {images[row]: k for k, row in enumerate(perm)},
+                             tuple(rows), tuple(orbits))
     _GROUP_MEMO[module] = result
     return result
-
-
-def _generating_rows(perm: np.ndarray, keys: np.ndarray, unit: np.ndarray) -> tuple[int, ...]:
-    """A small deterministic generating set: each row the earlier ones miss."""
-    n = perm.shape[1]
-    identity = int(_locate(keys, unit[None, :], n)[0])
-    rows: list[int] = []
-    closure = np.zeros(len(perm), dtype=bool)
-    closure[identity] = True
-    for k in range(len(perm)):
-        if closure[k]:
-            continue
-        rows.append(k)
-        frontier = np.flatnonzero(closure)  # the group generated so far, grown by g_k
-        while frontier.size:
-            # m h sends g_j to m(h(g_j)): gather the frontier rows at h's images
-            found = np.concatenate([_locate(keys, perm[frontier[:, None], perm[h, unit]], n)
-                                    for h in rows])
-            if (found < 0).any():
-                raise ValueError("the enumerated isometries are not closed under composition")
-            frontier = np.flatnonzero(np.bincount(found[~closure[found]], minlength=len(perm)))
-            closure[frontier] = True
-        if closure.all():
-            break
-    return tuple(rows)
 
 
 def central_negation(group: OrthogonalGroup) -> bool:
     """True iff -identity belongs to the group (it is automatically central)."""
     t = module_table(group.module)
-    return bool(group.locate(t.neg[t.unit][None, :])[0] >= 0)
+    return group.locate(t.neg[u] for u in t.unit) >= 0
 
 
 def involutive_reflections(group: OrthogonalGroup) -> tuple[Element, ...]:
     """Canonical non-isotropic classes whose reflection is an involution in the group."""
     t = module_table(group.module)
-    idx = np.arange(len(t.elements))
+    identity = bytes(range(len(t.elements)))
     out = []
-    for a in np.flatnonzero((t.kind >= TYPE_LABELS.index("1")) & (idx <= t.neg)):
-        k = group.reflection(t.elements[a])
-        if k >= 0 and np.array_equal(group.perm[k][group.perm[k]], idx):
-            out.append(t.elements[a])
+    for a, kind in enumerate(t.kind):
+        if kind >= TYPE_LABELS.index("1") and a <= t.neg[a]:  # a is the lex-least of a, -a
+            k = group.reflection(t.elements[a])
+            if k >= 0 and group.perm[k].translate(group.perm[k].ljust(256, b"\0")) == identity:
+                out.append(t.elements[a])
     return tuple(out)
 
 
@@ -486,11 +496,8 @@ def canonical_sign(module: QuadraticModule, x: Element) -> Element:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """An orthogonal basis alpha_0 (type 1), alpha_1..alpha_3 (type 2).
-
-    All four are canonical sign representatives; alpha_1..alpha_3 are in
-    lexicographic order.
-    """
+    """An orthogonal basis alpha_0 (type 1), alpha_1..alpha_3 (type 2): canonical
+    sign representatives, alpha_1..alpha_3 in lexicographic order."""
 
     alpha0: Element
     rest: tuple[Element, Element, Element]
@@ -508,21 +515,18 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
     a BasisError reports any ambiguity.
     """
     t = module_table(module)
-    canonical = np.arange(len(t.elements)) <= t.neg  # x is the lex-least of x, -x
-    short = np.flatnonzero((t.kind == TYPE_LABELS.index("2")) & canonical)
+    long, short = ([x for x in t.of_type(label) if x <= t.neg[x]]  # x is the lex-least of x, -x
+                   for label in ("1", "2"))
     bases = []
-    for a0 in np.flatnonzero((t.kind == TYPE_LABELS.index("1")) & canonical):
+    for a0 in long:
         alpha0 = t.elements[a0]
-        candidates = short[t.b[short, a0] == 0]
-        ortho = t.b[np.ix_(candidates, candidates)] == 0
-        completions = [
-            triple for triple in itertools.combinations(range(len(candidates)), 3)
-            if all(ortho[triple[i], triple[j]] for i in range(3) for j in range(i + 1, 3))
-        ]
+        candidates = [x for x in short if not t.b[a0][x]]
+        completions = [triple for triple in itertools.combinations(candidates, 3)
+                       if not any(t.b[x][y] for x, y in itertools.combinations(triple, 2))]
         if len(completions) != 1:
             raise BasisError(
                 f"alpha0 = {alpha0}: {len(completions)} orthogonal completions")
-        rest = tuple(t.elements[candidates[i]] for i in completions[0])
+        rest = tuple(t.elements[x] for x in completions[0])
         # the four span: they are pairwise orthogonal with B(a, a) = 2 Q(a) != 0
         # (types 1 and 2), so pairing sum c_i alpha_i = 0 with alpha_j gives c_j = 0
         bases.append(OrthoBasis(alpha0, rest))
@@ -530,16 +534,12 @@ def orthogonal_bases(module: QuadraticModule) -> tuple[OrthoBasis, ...]:
 
 
 def isotropic_incidence(module: QuadraticModule, basis: OrthoBasis) -> dict[Element, tuple[int, ...]]:
-    """For each nonzero isotropic x, the indices i with b(x, alpha_i) = 0.
-
-    Every nonzero isotropic element must pair to zero with at least one
-    basis member; the returned dict records which.
-    """
+    """For each nonzero isotropic x, the indices i with b(x, alpha_i) = 0; every
+    one must pair to zero with at least one basis member."""
     t = module_table(module)
-    isotropic = t.of_type("0")
-    zero = t.b[np.ix_(isotropic, [t.index[a] for a in basis.vectors])] == 0
-    return {t.elements[x]: tuple(np.flatnonzero(row).tolist())
-            for x, row in zip(isotropic, zero)}
+    rows = [t.b[t.index[a]] for a in basis.vectors]
+    return {t.elements[x]: tuple(i for i, row in enumerate(rows) if not row[x])
+            for x in t.of_type("0")}
 
 
 def element_str(x: Element) -> str:

@@ -26,7 +26,7 @@ its invariants in V+ number m_0(T+) - (n - d).  At d = 0 every X+ is I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (
@@ -57,6 +57,9 @@ class RepSpec:
 
     t_image: Matrix
     s_image: Matrix
+    # S^2 and ST, built for the relation checks and read by dimension_report
+    s_squared: Matrix = field(init=False, compare=False)
+    st: Matrix = field(init=False, compare=False)
 
     def __post_init__(self):
         t = mat_from_rows(self.t_image)
@@ -73,6 +76,8 @@ class RepSpec:
         st = mat_mul(s, t)
         if not mat_eq(mat_pow(st, 3), s2):
             raise DimensionError("(ST)^3 != S^2")
+        object.__setattr__(self, "s_squared", s2)
+        object.__setattr__(self, "st", st)
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     ident = mat_identity(n)
     eps = 1 if weight % 2 == 0 else -1
     # P = (1 + eps S^2) / 2, the projector onto V+
-    proj = mat_scalar(Fraction(1, 2), mat_sub(ident, mat_scalar(-eps, mat_mul(s, s))))
+    proj = mat_scalar(Fraction(1, 2), mat_sub(ident, mat_scalar(-eps, spec.s_squared)))
     d = int(mat_trace(proj).as_fraction())  # P^2 = P by S^4 = 1: tr P = rank P
 
     def plus(x: Matrix) -> Matrix:
@@ -119,7 +124,7 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     alpha_s = alpha_invariant(phase_multiplicities(
         plus(mat_scalar(root_of_unity(weight, 4), s)), 2))
     b_mults = phase_multiplicities(
-        plus(mat_scalar(root_of_unity(weight, 6), mat_mul(s, t))), 3)
+        plus(mat_scalar(root_of_unity(weight, 6), spec.st)), 3)
     # alpha(B^(-1)) on V+ = d - m_0(B on V+) - alpha(B), and m_0(B+) = m_0(B on V+) + n - d
     alpha_st = n - b_mults.get(Fraction(0), 0) - alpha_invariant(b_mults)
     try:

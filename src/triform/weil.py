@@ -8,7 +8,10 @@ The representation acts on the 81 basis vectors e_alpha by
 and everything here is exact: matrices are stored as (A + B w)/d with
 integer numpy arrays A, B, a positive integer denominator d, and w a
 primitive cube root of unity (w^2 = -1 - w).  Every int64 kernel checks a
-bound on its entries first and raises OverflowError rather than wrap.
+bound on its entries first and raises OverflowError rather than wrap.  The
+module tables of `fqm` are bytes; the Q and B tables, the negation
+permutation and the O(q) rows become numpy arrays through np.frombuffer
+where they are read here.
 
 Every product of Z[w] numerators goes through one kernel, _zw_matmul: four
 float64 matmuls.  For an inner dimension k and numerators of absolute value
@@ -19,22 +22,19 @@ value at most 3 k m1 m2, so the products are exact; the kernel asserts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import (CycQ, OMEGA, mat_eq, mat_from_rows, mat_mul, mat_rank, mat_transpose,
-                    root_of_unity)
-from .fqm import OrthoBasis, QuadraticModule, module_table, orthogonal_bases, orthogonal_group
+from .exact import CycQ, mat_mul, mat_rank, mat_transpose, root_of_unity
+from .fqm import (OrthoBasis, QuadraticModule, aggregated_action, module_table,
+                  orthogonal_bases, orthogonal_group)
 
 
 class RelationError(ValueError):
     """A defining relation of the representation failed."""
-
-
-class DualMismatchError(ValueError):
-    """The aggregated 4-dimensional action disagreed with the frozen display."""
 
 
 class RankError(ValueError):
@@ -59,6 +59,11 @@ def _guard(bound: int) -> None:
     """Raise unless `bound`, a bound on every intermediate of an int64 kernel, fits."""
     if bound >= _OVERFLOW_LIMIT:
         raise OverflowError("entries too large for the int64 representation")
+
+
+def _byte_rows(rows: tuple[bytes, ...]) -> np.ndarray:
+    """Equal-length bytes rows as a uint8 matrix."""
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
 
 
 def _max_abs(x) -> int:
@@ -148,9 +153,6 @@ class OmegaMat:
         _guard(len(self.a) * self.max_abs())
         ta, tb = int(np.trace(self.a)), int(np.trace(self.b))
         return CycQ(3, [ta, tb], self.den)
-
-    def entry(self, i: int, j: int) -> CycQ:
-        return CycQ(3, [int(self.a[i, j]), int(self.b[i, j])], self.den)
 
     def matvec_int(self, v) -> tuple[np.ndarray, np.ndarray, int]:
         v = np.asarray(v, dtype=np.int64)
@@ -349,7 +351,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     """Construct rho on C[A] and certify its defining relations."""
     table = module_table(module)
     n = len(table.elements)
-    q, b = table.q, table.b
+    q, b = np.frombuffer(table.q, dtype=np.uint8), _byte_rows(table.b).astype(np.intp)
     one, w = np.array([1, 0, -1]), np.array([0, 1, -1])  # w^k as (1-part, w-part)
     # rho(T): diagonal phases e^(pi i q)
     rho_t = OmegaMat(np.diag(one[q]), np.diag(w[q]))
@@ -360,7 +362,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     # rho(T)^3 = 1 by construction: rho(T) = diag(w^Q(alpha))
     s2 = rho_s @ rho_s
     neg_perm = np.zeros((n, n), dtype=np.int64)
-    neg_perm[table.neg, np.arange(n)] = 1
+    neg_perm[np.frombuffer(table.neg, dtype=np.uint8), np.arange(n)] = 1
     if not s2 == OmegaMat(neg_perm, np.zeros_like(neg_perm)):
         raise RelationError("rho(S)^2 is not the negation permutation")
     # rho(S)^4 = 1 follows: the negation permutation is an involution
@@ -468,55 +470,11 @@ def character_decompose(rep: WeilRep) -> Decomposition:
 # ---------------------------------------------------------------------------
 # the aggregated 4-dimensional dual action
 
-_AGG_T = mat_from_rows([
-    [1, 0, 0, 0],
-    [0, 1, 0, 0],
-    [0, 0, OMEGA * OMEGA, 0],
-    [0, 0, 0, OMEGA],
-])
-
-_AGG_S = mat_from_rows([
-    [Fraction(-1, 9) * x for x in row]
-    for row in ((1, 1, 1, 1), (20, -7, 2, 2), (30, 3, 3, -6), (30, 3, -6, 3))
-])
-
 
 def aggregated_dual(rep: WeilRep):
-    """The conjugated action compressed to the four types.
-
-    Row t, column s holds sum_(delta of type t) conj(rho(S)[delta, alpha])
-    for any alpha of type s; well-definedness over the choice of alpha is
-    enumerated.  Returns (rho*_T, rho*_S) as exact 4x4 matrices and raises
-    DualMismatchError if they differ from the frozen display values.
-    """
-    groups = module_table(rep.module).groups()
-    labels = tuple(groups)
-    s_conj = rep.rho_S.conjugate()
-    _guard(s_conj.max_abs() * rep.dim())
-    # sums[i, part, j]: 1- and w-parts of the column-j sum over the type-i rows
-    sums = np.stack([np.stack([s_conj.a[rows].sum(axis=0), s_conj.b[rows].sum(axis=0)])
-                     for rows in groups.values()])
-    for t, cols in groups.items():
-        if (sums[:, :, cols] != sums[:, :, cols[:1]]).any():
-            raise DualMismatchError(f"column sums depend on the representative of type {t}")
-    agg_s = tuple(tuple(CycQ(3, [int(sums[i, 0, cols[0]]), int(sums[i, 1, cols[0]])],
-                             s_conj.den)
-                        for cols in groups.values()) for i in range(len(labels)))
-
-    diag = np.stack([np.diag(rep.rho_T.a), np.diag(rep.rho_T.b)])
-    t_phase = {}
-    for t, idx in groups.items():
-        if (diag[:, idx] != diag[:, idx[:1]]).any():
-            raise DualMismatchError(f"diagonal phase not constant on type {t}")
-        t_phase[t] = rep.rho_T.entry(int(idx[0]), int(idx[0])).conjugate()
-    agg_t = tuple(tuple(t_phase[s] if s == t else CycQ.rational(0) for s in labels)
-                  for t in labels)
-
-    if not mat_eq(agg_t, _AGG_T):
-        raise DualMismatchError("aggregated diagonal action differs from the display")
-    if not mat_eq(agg_s, _AGG_S):
-        raise DualMismatchError("aggregated S-action differs from the display")
-    return agg_t, agg_s
+    """The conjugated action compressed to the four types, read off the
+    pairing table by `fqm.aggregated_action`."""
+    return aggregated_action(rep.module)
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +537,13 @@ def special_vector(module: QuadraticModule, basis: OrthoBasis) -> SpecialVector:
     over F_3, read as +1 or -1 (zero kills the element).
     """
     t = module_table(module)
-    cols = [t.index[a] for a in basis.vectors]
-    vec = tuple(np.array([0, 1, -1])[t.b[:, cols].prod(axis=1) % 3].tolist())
+    rows = [t.b[t.index[a]] for a in basis.vectors]  # B(x, alpha_i) = B(alpha_i, x)
+    vec = tuple((0, 1, -1)[math.prod(values) % 3] for values in zip(*rows))
     # The basis comes from orthogonal_bases, so for x = sum c_i alpha_i,
     # B(x, alpha_j) = c_j B(alpha_j, alpha_j) with B(alpha_j, alpha_j) =
     # 2 Q(alpha_j) != 0: the product is nonzero exactly on the 16 signed sums
     # (every c_i = +-1), each of type 1 as Q = 1 + 2 + 2 + 2 = 1 mod 3.
-    support = np.flatnonzero(vec)
-    coeffs = {t.elements[i]: vec[i] for i in support}
+    coeffs = {x: c for x, c in zip(t.elements, vec) if c}
     return SpecialVector(basis, coeffs, vec)
 
 
@@ -623,7 +580,7 @@ def verify_special(rep: WeilRep, sv: SpecialVector,
     negations = []
     for alpha in sv.basis.vectors:
         k = group.reflection(alpha)
-        negations.append(k >= 0 and bool(np.array_equal(v[group.perm[k]], -v)))
+        negations.append(k >= 0 and all(sv.vec[j] == -c for j, c in zip(group.perm[k], sv.vec)))
 
     return SpecialChecks(s_fixed, t_eigen, tuple(negations), subspace.contains_int_vector(v))
 
@@ -652,7 +609,7 @@ def o_q_character_norm(rep: WeilRep, projector: OmegaMat) -> Fraction:
     O(q)-stable (checked on the generators).
     """
     group = orthogonal_group(rep.module)
-    inverse = np.argsort(group.perm, axis=1)  # each row is a permutation
+    inverse = np.argsort(_byte_rows(group.perm), axis=1)  # each row is a permutation
     for k in group.generator_rows:
         pinv = inverse[k]
         if not (np.array_equal(projector.a[np.ix_(pinv, pinv)], projector.a)

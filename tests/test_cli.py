@@ -11,7 +11,8 @@ import pytest
 
 from triform import borcherds, cli, exact, fqm, lattice, vvmf, weil
 from triform.cli import main, run_checks
-from triform.weil import DualMismatchError, build_weil
+from triform.fqm import DualMismatchError
+from triform.weil import build_weil
 
 
 def run(capsys, *argv):
@@ -408,11 +409,17 @@ def test_module_entry_point_subprocess():
      {"numpy", "triform.fqm", "triform.lattice", "triform.weil", "triform.vvmf",
       "triform.borcherds"}),
     (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
-    (["accounting"], {"triform.lattice", "triform.weil", "triform.vvmf"}),
+    (["accounting"], {"numpy", "triform.lattice", "triform.weil", "triform.vvmf"}),
     (["special-vectors"], {"triform.lattice", "triform.vvmf"}),
-    (["dimension"], {"triform.lattice", "triform.borcherds"}),
+    (["dimension"], {"numpy", "triform.lattice", "triform.weil", "triform.borcherds"}),
     (["verify-all"], {"numpy.ma"}),  # np.unique would load it
-], ids=["eisenstein", "weil", "accounting", "special-vectors", "dimension", "verify-all"])
+    (["classify", "--preset", "alt-decomposition"],
+     {"numpy", "triform.weil", "triform.vvmf", "triform.borcherds"}),
+    (["pairing-table"], {"numpy", "triform.lattice", "triform.weil", "triform.vvmf",
+                         "triform.borcherds"}),
+    (["borcherds", "--divisor", "short"], {"numpy", "triform.lattice", "triform.weil"}),
+], ids=["eisenstein", "weil", "accounting", "special-vectors", "dimension", "verify-all",
+        "classify-alt", "pairing-table", "borcherds-short"])
 def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):
     # -X importtime names on stderr every module the fresh process imports
     proc = subprocess.run(

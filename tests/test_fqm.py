@@ -82,8 +82,7 @@ def apply_matrix(matrix, x):
 def _matrices(group) -> list:
     """The maps of O(q) as F_3 matrices, in row order: column j is the image of g_j."""
     t = module_table(group.module)
-    cols = t.digits[group.perm[:, t.unit]].transpose(0, 2, 1).tolist()
-    return [tuple(map(tuple, m)) for m in cols]
+    return [tuple(zip(*(t.elements[row[u]] for u in t.unit))) for row in group.perm]
 
 
 # the frozen 16-triple pairing-count table (m_0, m_1, m_2)
@@ -276,8 +275,8 @@ UNREDUCED = QuadraticModule(M.orders, tuple(v + 2 for v in M.gen_q),
 def test_gram3_matches_the_fraction_forms(module):
     q, b = gram3(module)
     elems = module.elements()
-    assert q.tolist() == [_q3(module, x) for x in elems]
-    assert b.tolist() == [[_b3(module, x, y) for y in elems] for x in elems]
+    assert list(q) == [_q3(module, x) for x in elems]
+    assert [list(row) for row in b] == [[_b3(module, x, y) for y in elems] for x in elems]
 
 
 def test_gram3_rejects_what_the_fraction_forms_reject():
@@ -295,7 +294,7 @@ def test_module_table_matches_the_fraction_forms(module):
     elems = module.elements()
     assert t.elements == elems
     assert [t.index[x] for x in elems] == list(range(len(elems)))
-    assert t.digits.tolist() == [list(x) for x in elems]
+    assert all(type(v) is bytes for v in (t.q, *t.b, t.neg, *t.add, t.kind))
     assert [elems[i] for i in t.neg] == [module.neg(x) for x in elems]
     assert [[elems[k] for k in row] for row in t.add] == [
         [add(module, x, y) for y in elems] for x in elems]
@@ -402,13 +401,135 @@ def test_group_is_the_closure_of_the_involutive_reflections(module):
 def test_group_permutations_agree_with_the_matrices():
     group = orthogonal_group(M)
     elems = M.elements()
-    assert group.perm.dtype == np.uint8 and group.perm.shape == (1440, 81)
+    assert len(group.perm) == 1440
+    assert all(type(row) is bytes and len(row) == 81 for row in group.perm)
     matrices = _matrices(group)
     for k in random.Random(7).sample(range(group.order), 40):
         assert [elems[i] for i in group.perm[k]] == [apply_matrix(matrices[k], x) for x in elems]
-    assert group.keys.tolist() == sorted(group.keys.tolist())
-    assert [group.locate(group.perm[k, module_table(M).unit][None, :])[0]
-            for k in range(group.order)] == list(range(group.order))
+    keys = [tuple(row[u] for u in module_table(M).unit) for row in group.perm]
+    assert keys == sorted(keys) == list(group.position)
+    assert [group.locate(key) for key in keys] == list(range(group.order))
+
+
+# -- the former backtracking enumerator of O(q), as the oracle for the reflection closure
+
+
+def _locate(keys: np.ndarray, images: np.ndarray, n: int) -> np.ndarray:
+    """Positions in `keys` of the rows of `images` (m, r) as base-n numbers, -1 if absent."""
+    k = images.astype(np.int64) @ n ** np.arange(images.shape[-1] - 1, -1, -1)
+    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    return np.where(keys[pos] == k, pos, -1)
+
+
+def backtracking_group(module):
+    """(perm, generator images, generator_rows, orbits) of O(q) by backtracking.
+
+    Level k extends each partial map by every index c with Q(c) = Q(g_k) and
+    B(image of g_i, c) = B(g_i, g_k) for i < k, in index order, so the maps
+    come out sorted by their generator images.
+    """
+    t = module_table(module)
+    n = len(t.elements)
+    q = np.frombuffer(t.q, dtype=np.uint8)
+    b = np.frombuffer(b"".join(t.b), dtype=np.uint8).reshape(n, n)
+    add = np.frombuffer(b"".join(t.add), dtype=np.uint8).reshape(n, n)
+    neg = np.frombuffer(t.neg, dtype=np.uint8)
+    unit = np.array(t.unit)
+    images = np.zeros((1, 0), dtype=np.intp)
+    for k, gk in enumerate(unit):
+        ok = np.broadcast_to(q == q[gk], (len(images), n))
+        for i in range(k):
+            ok = ok & (b[images[:, i]] == b[unit[i], gk])
+        parent, cand = np.nonzero(ok)
+        images = np.column_stack([images[parent], cand])
+
+    # g(x) = sum_i x_i g(g_i), one digit at a time through the add table
+    perm = np.zeros((len(images), 1), dtype=np.uint8)
+    for i in range(len(unit)):
+        img = images[:, i].astype(np.uint8)
+        multiples = np.stack([np.zeros_like(img), img, neg[img]], axis=1)
+        perm = add[perm[:, :, None], multiples[:, None, :]].reshape(len(images), -1)
+
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    orbits = []
+    for i in range(n):
+        if not seen[i]:
+            orbit = np.flatnonzero(np.bincount(perm[:, i], minlength=n))
+            seen[orbit] = True
+            orbits.append(tuple(t.elements[j] for j in orbit))
+
+    # each row, in key order, that the group the earlier rows generate misses
+    keys = images.astype(np.int64) @ n ** np.arange(len(unit) - 1, -1, -1)
+    rows: list[int] = []
+    closure = np.zeros(len(perm), dtype=bool)
+    closure[_locate(keys, unit[None, :], n)[0]] = True
+    for k in range(len(perm)):
+        if closure[k]:
+            continue
+        rows.append(k)
+        frontier = np.flatnonzero(closure)
+        while frontier.size:
+            found = np.concatenate([_locate(keys, perm[frontier[:, None], perm[h, unit]], n)
+                                    for h in rows])
+            assert (found >= 0).all()
+            frontier = np.flatnonzero(np.bincount(found[~closure[found]], minlength=len(perm)))
+            closure[frontier] = True
+        if closure.all():
+            break
+    return perm, images, tuple(rows), tuple(orbits)
+
+
+@st.composite
+def exponent3_modules(draw, max_rank=4):
+    """(F_3)^r, r = 1..max_rank, with a random symmetric F_3 pairing, often off
+    the diagonal: b(g_i, g_j) = G_ij / 3 shifted by -1, 0 or 1, and q(g_i) the
+    lift of b(g_i, g_i) with 9 q(g_i) in 2Z, shifted by -2, 0 or 2."""
+    r = draw(st.integers(1, max_rank))
+    gram = [[0] * r for _ in range(r)]
+    b = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            gram[i][j] = gram[j][i] = draw(st.integers(0, 2))
+            b[i][j] = b[j][i] = Fraction(gram[i][j], 3) + draw(st.integers(-1, 1))
+    q = []
+    for i in range(r):
+        v = Fraction(gram[i][i], 3) + (gram[i][i] % 2)  # 9 v = 3 G_ii + 9 (G_ii mod 2) is even
+        q.append(v + 2 * draw(st.integers(-1, 1)))
+    return QuadraticModule((3,) * r, tuple(q), tuple(map(tuple, b)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exponent3_modules())
+@example(M)
+@example(ALT)
+def test_tables_and_group_of_random_pairings_match_the_oracles(module):
+    t = module_table(module)
+    elems = module.elements()
+    assert list(t.q) == [_q3(module, x) for x in elems]
+    assert [list(row) for row in t.b] == [[_b3(module, x, y) for y in elems] for x in elems]
+    assert [elems[i] for i in t.neg] == [module.neg(x) for x in elems]
+    assert [[elems[k] for k in row] for row in t.add] == [
+        [add(module, x, y) for y in elems] for x in elems]
+    assert [TYPE_LABELS[k] for k in t.kind] == [_type_oracle(module, x) for x in elems]
+    if mat_det([[3 * v for v in row] for row in module.gen_b]) % 3 == 0:
+        with pytest.raises(ReflectionError, match="degenerate"):
+            orthogonal_group(module)
+        return
+    group = orthogonal_group(module)
+    perm, images, rows, orbits = backtracking_group(module)
+    assert group.perm == tuple(map(bytes, perm))
+    assert list(group.position) == [tuple(x) for x in images.tolist()]
+    assert group.generator_rows == rows
+    assert group.orbits == orbits
+
+
+def test_the_byte_tables_stop_at_256_elements():
+    rank6 = QuadraticModule((3,) * 6, (Fraction(2, 3),) * 6,
+                            tuple(tuple(Fraction(2 * (i == j), 3) for j in range(6))
+                                  for i in range(6)))
+    with pytest.raises(ValueError, match="at most 256"):
+        module_table(rank6)
 
 
 # -- negative controls
@@ -417,10 +538,10 @@ def test_group_permutations_agree_with_the_matrices():
 def _perturbed_table(monkeypatch, module, relabel: dict):
     """Make every integer-table consumer see `module` with some types relabeled."""
     t = module_table(module)
-    kind = t.kind.copy()
+    kind = bytearray(t.kind)
     for x, label in relabel.items():
         kind[t.index[x]] = TYPE_LABELS.index(label)
-    fake, original = dataclasses.replace(t, kind=kind), fqm.module_table
+    fake, original = dataclasses.replace(t, kind=bytes(kind)), fqm.module_table
     monkeypatch.setattr(fqm, "module_table", lambda m: fake if m == module else original(m))
 
 

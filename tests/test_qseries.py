@@ -369,5 +369,6 @@ def test_complex_matrix_rounds_each_entry_as_cyc_complex():
     rep = build_weil(paper_module())
     for m in (rep.rho_S, rep.rho_T, rep.rho[_mul2(S_MAT, T_MAT)]):
         fast = complex_matrix(m)
-        slow = [[complex(cyc_complex(m.entry(i, j))) for j in range(81)] for i in range(81)]
+        slow = [[complex(cyc_complex(CycQ(3, [int(m.a[i, j]), int(m.b[i, j])], m.den)))
+                 for j in range(81)] for i in range(81)]
         assert repr(fast) == repr(slow)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triform import weil
+from test_fqm import _perturbed_table
+from triform import fqm, weil
 from triform.exact import (
     CycQ,
     OMEGA,
@@ -22,12 +23,20 @@ from triform.exact import (
     mat_transpose,
     root_of_unity,
 )
-from triform.fqm import classify, module_table, orthogonal_group, paper_module
+from triform.fqm import (
+    DualMismatchError,
+    PairingConventionError,
+    aggregated_action,
+    classify,
+    module_table,
+    orthogonal_group,
+    paper_module,
+)
+from triform.lattice import alt_spec, discriminant_form
 from triform.weil import (
     CHARACTER_TABLE,
     CLASS_ORDER,
     CLASS_SIZES,
-    DualMismatchError,
     GroupTableError,
     OmegaMat,
     RelationError,
@@ -142,10 +151,15 @@ def test_zw_matmul_bound_is_sharp():
         _zw_matmul(*y, *y)
 
 
+def entry(m: OmegaMat, i: int, j: int) -> CycQ:
+    """The (i, j) entry of m as a CycQ."""
+    return CycQ(3, [int(m.a[i, j]), int(m.b[i, j])], m.den)
+
+
 def cyc_rows(m: OmegaMat):
     """The entries of m as CycQ rows, for the generic echelon as an oracle."""
     n, k = m.shape
-    return tuple(tuple(m.entry(i, j) for j in range(k)) for i in range(n))
+    return tuple(tuple(entry(m, i, j) for j in range(k)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +197,13 @@ def test_generator_matrices():
     for x, i in INDEX.items():
         q = M.q(x)
         expected = root_of_unity(int(Fraction(3, 2) * q % 3), 3)
-        assert t.entry(i, i) == expected
+        assert entry(t, i, i) == expected
     s = REP.rho_S
     z = INDEX[(0, 0, 0, 0)]
-    assert s.entry(z, z) == Fraction(-1, 9)
+    assert entry(s, z, z) == Fraction(-1, 9)
     alpha = INDEX[(1, 0, 0, 0)]
     # b((1,0,0,0), (1,0,0,0)) = 2/3, so the entry is -(1/9) e^(-4 pi i/3)
-    assert s.entry(alpha, alpha) == Fraction(-1, 9) * root_of_unity(-2, 3)
+    assert entry(s, alpha, alpha) == Fraction(-1, 9) * root_of_unity(-2, 3)
 
 
 def _full_cayley_table(rep):
@@ -308,7 +322,7 @@ def test_rho_commutes_with_orthogonal_group():
     group = orthogonal_group(M)
     idx = np.arange(81)
     for k in group.generator_rows:
-        p = group.perm[k].astype(np.intp)
+        p = np.frombuffer(group.perm[k], dtype=np.uint8).astype(np.intp)
         pinv = np.empty_like(p)
         pinv[p] = idx
         for m in (REP.rho_S, REP.rho_T):
@@ -504,19 +518,49 @@ def test_aggregated_dual_matches_display():
     assert mat_eq(mat_mul(st, mat_mul(st, st)), mat_identity(4))
 
 
-@pytest.mark.parametrize("matrix,message", [
-    (S_MAT, "column sums depend on the representative of type 1"),
-    (T_MAT, "diagonal phase not constant on type 1"),
-], ids=["rho_S", "rho_T"])
-def test_aggregated_dual_rejects_a_representative_dependent_action(matrix, message):
-    # add 1 to the diagonal entry of rho(S) or rho(T) at 1000, a type-1 element
-    j = INDEX[(1, 0, 0, 0)]
-    m = REP.rho[matrix]
-    a = m.a.copy()
-    a[j, j] += m.den
-    rep = dataclasses.replace(REP, rho={**REP.rho, matrix: OmegaMat(a, m.b, m.den)})
-    with pytest.raises(DualMismatchError, match=message):
-        aggregated_dual(rep)
+@pytest.mark.parametrize("relabel", [{(1, 0, 0, 0): "2"}], ids=["rho_S"])
+def test_aggregated_dual_rejects_a_representative_dependent_action(monkeypatch, relabel):
+    # with 1000 counted as type 2, the type-2 column sums of rho(S), that is
+    # the pairing counts of type-2 representatives, disagree
+    _perturbed_table(monkeypatch, M, relabel)
+    with pytest.raises(PairingConventionError, match="representative"):
+        aggregated_dual(REP)
+
+
+def test_aggregated_dual_rejects_a_consistent_wrong_count(monkeypatch):
+    table = fqm.pairing_table(M)
+    monkeypatch.setattr(fqm, "_pairing_counts", lambda t: {**table, ("1", "2"): (7, 11, 12)})
+    with pytest.raises(DualMismatchError, match="aggregated S-action differs"):
+        aggregated_dual(REP)
+
+
+def column_sum_dual(rep: WeilRep):
+    """The aggregated pair summed from rho itself: column sums of conj rho(S)
+    over each type's rows, and the conjugated rho(T) phase of each type."""
+    groups = [list(idx) for idx in module_table(rep.module).groups().values()]
+    s_conj = rep.rho_S.conjugate()
+    agg_s = []
+    for rows in groups:
+        sums = [{(int(s_conj.a[rows, j].sum()), int(s_conj.b[rows, j].sum())) for j in cols}
+                for cols in groups]
+        assert all(len(col) == 1 for col in sums)  # independent of the representative
+        agg_s.append(tuple(CycQ(3, list(col.pop()), s_conj.den) for col in sums))
+    phases = []
+    for idx in groups:
+        assert len({(int(rep.rho_T.a[i, i]), int(rep.rho_T.b[i, i])) for i in idx}) == 1
+        phases.append(entry(rep.rho_T, idx[0], idx[0]).conjugate())
+    agg_t = tuple(tuple(p if i == j else CycQ.rational(0) for j in range(len(groups)))
+                  for i, p in enumerate(phases))
+    return agg_t, tuple(agg_s)
+
+
+@pytest.mark.parametrize("module", [M, discriminant_form(alt_spec()).module],
+                         ids=["paper", "alt-decomposition"])
+def test_aggregated_action_equals_the_column_sums_of_rho(module):
+    agg_t, agg_s = aggregated_action(module)
+    oracle_t, oracle_s = column_sum_dual(build_weil(module))
+    assert mat_eq(agg_t, oracle_t) and mat_eq(agg_s, oracle_s)
+    assert [list(map(repr, row)) for row in agg_s] == [list(map(repr, row)) for row in oracle_s]
 
 
 # ---------------------------------------------------------------------------
