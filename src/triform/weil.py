@@ -9,9 +9,9 @@ and everything here is exact: matrices are stored as (A + B w)/d with
 integer numpy arrays A, B, a positive integer denominator d, and w a
 primitive cube root of unity (w^2 = -1 - w).  Every int64 kernel checks a
 bound on its entries first and raises OverflowError rather than wrap.  The
-module tables of `fqm` are bytes; the Q and B tables, the negation
-permutation and the O(q) rows become numpy arrays through np.frombuffer
-where they are read here.
+module tables of `fqm` are bytes: the Q and B tables, the negation
+permutation and, in o_q_character_norm, the O(q) rows become numpy arrays
+through np.frombuffer.
 
 Every product of Z[w] numerators goes through one kernel, _zw_matmul: four
 float64 matmuls.  For an inner dimension k and numerators of absolute value
