@@ -11,9 +11,8 @@ and the resulting per-basis weight is forty-five plus nine times five.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .fqm import (
     TYPE_Q_DISPLAY,
@@ -44,7 +43,6 @@ class AccountingError(ArithmeticError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
 class DivisorSpec:
     """Formal sum of orthogonal-complement divisors, keyed (label, norm).
 
@@ -52,11 +50,11 @@ class DivisorSpec:
     negative and congruent mod 2 to the displayed value of its type.
     """
 
-    entries: dict
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        cleaned = {}
-        for (label, norm), mult in self.entries.items():
+    def __init__(self, entries: dict):
+        self.entries = {}
+        for (label, norm), mult in entries.items():
             if label not in TYPE_Q_DISPLAY:
                 raise DivisorError(f"unknown type label {label!r}")
             norm = Fraction(norm)
@@ -67,8 +65,7 @@ class DivisorSpec:
                     f"norm {norm} is not congruent to {TYPE_Q_DISPLAY[label]} mod 2")
             if not isinstance(mult, int) or mult == 0:
                 raise DivisorError(f"multiplicity {mult!r} is not a nonzero integer")
-            cleaned[(label, norm)] = mult
-        object.__setattr__(self, "entries", cleaned)
+            self.entries[(label, norm)] = mult
 
 
 def long_root_divisor() -> DivisorSpec:
@@ -104,8 +101,7 @@ def ball_weight(divisor: DivisorSpec, form: VVForm) -> Fraction:
     return borcherds_weight(divisor, form) / 3
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     dims: DimensionReport
 
     @property
@@ -136,8 +132,7 @@ def lift_witness(sv: SpecialVector) -> tuple[tuple[int, ...], int]:
     return x, sv.coeffs[x]
 
 
-@dataclass(frozen=True)
-class AccountingReport:
+class AccountingReport(NamedTuple):
     n_bases: int
     long_pairs: int
     short_pairs: int

@@ -16,8 +16,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import CycQ, format_cyc
 from .qseries import eta_power_8, evaluate, numeric_transform_check, obstruction_eisenstein
@@ -25,8 +25,7 @@ from .qseries import eta_power_8, evaluate, numeric_transform_check, obstruction
 # The other layers are imported inside the handlers that read them, so a
 # command loads only what it runs: `eisenstein` never imports numpy.
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # pass | fail
     expected: str
@@ -558,7 +557,7 @@ def cmd_verify_all(args) -> int:
     failed = [c for c in checks if c.status != "pass"]
     if args.format == "json":
         _emit_json({
-            "checks": [asdict(c) for c in checks],
+            "checks": [c._asdict() for c in checks],
             "passed": len(checks) - len(failed),
             "failed": len(failed),
         })

@@ -292,6 +292,7 @@ def root_of_unity(k: int, n: int) -> CycQ:
 
 
 OMEGA = root_of_unity(1, 3)
+W_POWERS = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 = -1 - w over the basis 1, w
 
 
 def format_cyc(v: CycQ) -> str:

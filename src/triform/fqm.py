@@ -26,12 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .exact import OMEGA, CycQ, mat_eq, mat_from_rows
+from .exact import OMEGA, W_POWERS, CycQ, mat_eq, mat_from_rows
 
 Element = tuple  # digit tuples
 
@@ -77,22 +76,20 @@ def expand_patterns(patterns: Iterable[Element]) -> frozenset:
                      for x in itertools.product(*((1, 2) if d else (0,) for d in pat)))
 
 
-@dataclass(frozen=True)
 class QuadraticModule:
     """Finite quadratic module on a product of cyclic groups.
 
     `orders[i]` is the order of generator g_i, `gen_q[i]` = q(g_i) mod 2,
     `gen_b[i][j]` = b(g_i, g_j) mod 1.  q of a general element follows from
     q(sum x_i g_i) = sum x_i^2 q(g_i) + 2 sum_{i<j} x_i x_j b(g_i, g_j).
+    Equality and hash are over (orders, gen_q, gen_b): the memos key on them.
     """
 
-    orders: tuple[int, ...]
-    gen_q: tuple[Fraction, ...]
-    gen_b: tuple[tuple[Fraction, ...], ...]
-    # gen_q, gen_b and their common denominator D: q and b sum integers over D
-    numerators: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("orders", "gen_q", "gen_b", "numerators")
 
-    def __post_init__(self):
+    def __init__(self, orders: tuple[int, ...], gen_q: tuple[Fraction, ...],
+                 gen_b: tuple[tuple[Fraction, ...], ...]):
+        self.orders, self.gen_q, self.gen_b = orders, gen_q, gen_b
         n = len(self.orders)
         if not (len(self.gen_q) == n and len(self.gen_b) == n
                 and all(len(row) == n for row in self.gen_b)):
@@ -107,10 +104,19 @@ class QuadraticModule:
             if (self.gen_q[i] * self.orders[i] * self.orders[i]) % 2 != 0:
                 raise ValueError("quadratic value does not respect generator order")
         den = math.lcm(*(v.denominator for v in (*self.gen_q, *itertools.chain(*self.gen_b))))
-        object.__setattr__(self, "numerators", (
+        # gen_q, gen_b and their common denominator D: q and b sum integers over D
+        self.numerators = (
             tuple(v.numerator * (den // v.denominator) for v in self.gen_q),
             tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.gen_b),
-            den))
+            den)
+
+    def __eq__(self, other):
+        if type(other) is not QuadraticModule:
+            return NotImplemented
+        return (self.orders, self.gen_q, self.gen_b) == (other.orders, other.gen_q, other.gen_b)
+
+    def __hash__(self):
+        return hash((self.orders, self.gen_q, self.gen_b))
 
     # -- element arithmetic
 
@@ -195,8 +201,7 @@ def gram3(module: QuadraticModule) -> tuple[bytes, tuple[bytes, ...]]:
     return bytes(q), tuple(b)
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleTable:
+class ModuleTable(NamedTuple):
     """Integer tables of an exponent-3 module, indexed in `elements()` order.
 
     Index i is the base-3 number with digits elements[i], so index 0 is the
@@ -229,8 +234,8 @@ _KIND = bytes((1, 2, 3)) + bytes(253)  # Q = 0, 1, 2 -> the types 0, 1, 2 (q = 0
 
 def module_table(module: QuadraticModule) -> ModuleTable:
     """The memoized integer tables of `module` (orders all 3, at most 256 elements)."""
-    if module in _TABLE_MEMO:
-        return _TABLE_MEMO[module]
+    if (table := _TABLE_MEMO.get(module)) is not None:
+        return table
     elements = module.elements()
     n, r = len(elements), len(module.orders)
     if n > 256:  # an index fills one byte, and a bytes.translate table has 256 entries
@@ -308,9 +313,6 @@ _AGG_T = mat_from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, OMEGA * OMEGA, 0], [0
 _AGG_S = mat_from_rows([[Fraction(-x, 9) for x in row] for row in (
     (1, 1, 1, 1), (20, -7, 2, 2), (30, 3, 3, -6), (30, 3, -6, 3))])
 
-# conj(w^Q) = w^(2Q) for Q = 0, 1, 2, as (1-part, w-part) with w^2 = -1 - w
-_CONJ_PHASE = ((1, 0), (-1, -1), (0, 1))
-
 
 def aggregated_action(module: QuadraticModule):
     """(rho*_T, rho*_S): the conjugated Weil action compressed to the types.
@@ -327,7 +329,7 @@ def aggregated_action(module: QuadraticModule):
     table, groups = _pairing_counts(t), t.groups()
     agg_s = tuple(tuple(CycQ(3, [m1 - m0, m1 - m2], 9)
                         for m0, m1, m2 in (table[(s, tl)] for s in groups)) for tl in groups)
-    agg_t = tuple(tuple(CycQ(3, _CONJ_PHASE[t.q[idx[0]]]) if s == tl else CycQ.rational(0)
+    agg_t = tuple(tuple(CycQ(3, W_POWERS[2 * t.q[idx[0]] % 3]) if s == tl else CycQ.rational(0)
                         for s in groups) for tl, idx in groups.items())
     if not mat_eq(agg_t, _AGG_T):
         raise DualMismatchError("aggregated diagonal action differs from the display")
@@ -348,23 +350,17 @@ def _reflected(t: ModuleTable, a: int, xs: Iterable[int]) -> list[int]:
     return [t.add[x][multiples[pairing[x] * qa % 3]] for x in xs]
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     """The F_3-linear reflection in a non-isotropic element alpha."""
 
-    module: QuadraticModule
-    alpha: Element
-    matrix: tuple[tuple[int, ...], ...] = field(init=False)
-
-    def __post_init__(self):
-        t = module_table(self.module)
-        images = _reflected(t, t.index[self.alpha], t.unit)
-        object.__setattr__(self, "matrix", tuple(zip(*(t.elements[i] for i in images))))
+    matrix: tuple[tuple[int, ...], ...]
 
 
 def reflect(module: QuadraticModule, alpha: Element) -> Reflection:
     """r_alpha(x) = x - B(x, alpha) Q(alpha)^(-1) alpha over F_3."""
-    return Reflection(module, alpha)
+    t = module_table(module)
+    images = _reflected(t, t.index[alpha], t.unit)
+    return Reflection(tuple(zip(*(t.elements[i] for i in images))))
 
 
 # -- orthogonal group
@@ -393,8 +389,7 @@ def _closure(gens: Iterable[bytes], n: int) -> tuple[list[bytes], list[int]]:
     return group, used
 
 
-@dataclass(frozen=True)
-class OrthogonalGroup:
+class OrthogonalGroup(NamedTuple):
     """O(q) as permutations of the element indices.
 
     perm[k][i] is the index of the k-th map applied to elements[i].  The
@@ -403,8 +398,8 @@ class OrthogonalGroup:
     """
 
     module: QuadraticModule
-    perm: tuple[bytes, ...] = field(repr=False, compare=False)
-    position: dict = field(repr=False, compare=False)  # generator images -> row
+    perm: tuple[bytes, ...]
+    position: dict  # generator images -> row
     generator_rows: tuple[int, ...]
     orbits: tuple[tuple[Element, ...], ...]
 
@@ -440,8 +435,8 @@ def orthogonal_group(module: QuadraticModule) -> OrthogonalGroup:
     is a product of reflections there; reflections in x^perp fix x.  A
     nonzero element pairing to 0 with every element raises ReflectionError.
     """
-    if module in _GROUP_MEMO:
-        return _GROUP_MEMO[module]
+    if (group := _GROUP_MEMO.get(module)) is not None:
+        return group
     t = module_table(module)
     n = len(t.elements)
     if bytes(n) in t.b[1:]:
@@ -494,8 +489,7 @@ def canonical_sign(module: QuadraticModule, x: Element) -> Element:
     return min(x, module.neg(x))
 
 
-@dataclass(frozen=True)
-class OrthoBasis:
+class OrthoBasis(NamedTuple):
     """An orthogonal basis alpha_0 (type 1), alpha_1..alpha_3 (type 2): canonical
     sign representatives, alpha_1..alpha_3 in lexicographic order."""
 

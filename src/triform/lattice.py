@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exact import (
     CycQ,
@@ -65,18 +64,19 @@ def _block_diag(blocks: Sequence[Sequence[Sequence[int]]]) -> IntMatrix:
     return tuple(tuple(row) for row in out)
 
 
-@dataclass(frozen=True)
 class LatticeSpec:
-    """An even lattice, optionally with a fixed-point-free order-3 isometry."""
+    """An even lattice, optionally with a fixed-point-free order-3 isometry.
 
-    name: str
-    gram: IntMatrix
-    iota: IntMatrix | None = None
-    # ambient rational vectors, one per cyclic factor of L*/L, in the order
-    # the module's digits follow; discriminant_form certifies them
-    dual_generators: tuple | None = None
+    `dual_generators` are ambient rational vectors, one per cyclic factor of
+    L*/L, in the order the module's digits follow; discriminant_form
+    certifies them.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("name", "gram", "iota", "dual_generators")
+
+    def __init__(self, name: str, gram: IntMatrix, iota: IntMatrix | None = None,
+                 dual_generators: tuple | None = None):
+        self.name, self.gram, self.iota, self.dual_generators = name, gram, iota, dual_generators
         n = len(self.gram)
         if any(len(row) != n for row in self.gram):
             raise LatticeError("gram matrix must be square")
@@ -153,15 +153,16 @@ def iota_apply(spec: LatticeSpec, x):
     return mat_vec(spec.iota, x)
 
 
-@dataclass(frozen=True)
 class Isometry:
-    spec: LatticeSpec
-    matrix: IntMatrix
+    """A matrix that preserves the Gram matrix of `spec`, checked on construction."""
 
-    def __post_init__(self):
-        g = self.spec.gram
-        if mat_mul(mat_transpose(self.matrix), mat_mul(g, self.matrix)) != g:
+    __slots__ = ("matrix",)
+
+    def __init__(self, spec: LatticeSpec, matrix: IntMatrix):
+        g = spec.gram
+        if mat_mul(mat_transpose(matrix), mat_mul(g, matrix)) != g:
             raise LatticeError("matrix does not preserve the form")
+        self.matrix = matrix
 
     def __call__(self, x):
         return mat_vec(self.matrix, x)
@@ -222,8 +223,7 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
 # discriminant machinery
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(NamedTuple):
     """The finite quadratic module of a lattice plus ambient generators."""
 
     spec: LatticeSpec

@@ -23,33 +23,30 @@ spot check.  The package's other floats are the lattice-sum oracle
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .exact import CycQ, OMEGA, mat_det, mat_solve
+from .exact import CycQ, OMEGA, W_POWERS, mat_det, mat_solve
 
 
 class PrecisionError(ValueError):
     """A coefficient beyond the trustworthy range was requested."""
 
 
-@dataclass(frozen=True)
 class QSeries:
     """sum coeffs[n] q^(n/3), trustworthy for n <= precision."""
 
-    coeffs: dict
-    precision: int
+    __slots__ = ("coeffs", "precision")
 
-    def __post_init__(self):
-        cleaned = {}
-        for n, v in self.coeffs.items():
-            if n > self.precision:
+    def __init__(self, coeffs: dict, precision: int):
+        self.coeffs, self.precision = {}, precision
+        for n, v in coeffs.items():
+            if n > precision:
                 continue
             v = v if isinstance(v, CycQ) else CycQ.rational(v)
             if not v.is_zero():
-                cleaned[int(n)] = v
-        object.__setattr__(self, "coeffs", cleaned)
+                self.coeffs[int(n)] = v
 
     def coeff_at(self, numerator: int) -> CycQ:
         if numerator > self.precision:
@@ -100,9 +97,6 @@ def eta_power_8(precision: int) -> QSeries:
 # Eisenstein components
 
 
-_W_POWERS = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 = -1 - w over 1, w
-
-
 def _twist(p: int, x: list, y: list) -> tuple[list, list]:
     """The entries x[l] + y[l] w times w^p, as two lists."""
     for _ in range(p % 3):
@@ -126,7 +120,7 @@ def _divisor_sieve(a: int, b: int, precision: int) -> tuple[list, list[int]]:
             if m % 3 != sign * a % 3:
                 continue
             for r, l in enumerate(range(m, precision + 1, m), 1):
-                u, v = _W_POWERS[sign * r * b % 3]
+                u, v = W_POWERS[sign * r * b % 3]
                 cube = r ** 3
                 x[l] += u * cube
                 y[l] += v * cube
@@ -154,8 +148,7 @@ def eisenstein_g4(a: int, b: int, precision: int) -> QSeries:
     return _series(*_divisor_sieve(a, b, precision), 1, precision)
 
 
-@dataclass(frozen=True)
-class VVForm:
+class VVForm(NamedTuple):
     """A four-component form indexed by the element types."""
 
     components: dict

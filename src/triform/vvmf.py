@@ -26,8 +26,8 @@ its invariants in V+ number m_0(T+) - (n - d).  At d = 0 every X+ is I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     Matrix,
@@ -51,21 +51,14 @@ class DimensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RepSpec:
     """An exact matrix pair (T, S) generating a modular-group action."""
 
-    t_image: Matrix
-    s_image: Matrix
-    # S^2 and ST, built for the relation checks and read by dimension_report
-    s_squared: Matrix = field(init=False, compare=False)
-    st: Matrix = field(init=False, compare=False)
+    __slots__ = ("t_image", "s_image", "s_squared", "st")
 
-    def __post_init__(self):
-        t = mat_from_rows(self.t_image)
-        s = mat_from_rows(self.s_image)
-        object.__setattr__(self, "t_image", t)
-        object.__setattr__(self, "s_image", s)
+    def __init__(self, t_image: Matrix, s_image: Matrix):
+        self.t_image = t = mat_from_rows(t_image)
+        self.s_image = s = mat_from_rows(s_image)
         n = len(t)
         if len(s) != n or any(len(r) != n for r in t) or any(len(r) != n for r in s):
             raise DimensionError("generator matrices must be square, same size")
@@ -76,12 +69,11 @@ class RepSpec:
         st = mat_mul(s, t)
         if not mat_eq(mat_pow(st, 3), s2):
             raise DimensionError("(ST)^3 != S^2")
-        object.__setattr__(self, "s_squared", s2)
-        object.__setattr__(self, "st", st)
+        # S^2 and ST, built for the relation checks and read by dimension_report
+        self.s_squared, self.st = s2, st
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     weight: int
     dim_plus: int
     alpha_s: Fraction

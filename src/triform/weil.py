@@ -23,12 +23,12 @@ value at most 3 k m1 m2, so the products are exact; the kernel asserts
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .exact import CycQ, mat_mul, mat_rank, mat_transpose, root_of_unity
+from .exact import W_POWERS, CycQ, mat_mul, mat_rank, mat_transpose, root_of_unity
 from .fqm import (OrthoBasis, QuadraticModule, aggregated_action, module_table,
                   orthogonal_bases, orthogonal_group)
 
@@ -197,14 +197,12 @@ def _inv2(x: Mat2) -> Mat2:
     return ((d % 3, (-b) % 3), ((-c) % 3, a % 3))
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     mat: Mat2
     word: str  # shortest word in S, T; ties broken S before T
 
 
-@dataclass(frozen=True)
-class SL2F3:
+class SL2F3(NamedTuple):
     elements: tuple[GroupElement, ...]
     class_of: dict  # mat -> label
 
@@ -329,8 +327,7 @@ def validate_character_table() -> None:
 # ---------------------------------------------------------------------------
 # the representation
 
-@dataclass(frozen=True)
-class WeilRep:
+class WeilRep(NamedTuple):
     module: QuadraticModule
     group: SL2F3
     rho: dict  # mat -> OmegaMat
@@ -352,7 +349,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     table = module_table(module)
     n = len(table.elements)
     q, b = np.frombuffer(table.q, dtype=np.uint8), _byte_rows(table.b).astype(np.intp)
-    one, w = np.array([1, 0, -1]), np.array([0, 1, -1])  # w^k as (1-part, w-part)
+    one, w = np.array(W_POWERS).T  # the 1-parts and the w-parts of w^k, k = 0, 1, 2
     # rho(T): diagonal phases e^(pi i q)
     rho_t = OmegaMat(np.diag(one[q]), np.diag(w[q]))
     # rho(S): -(1/9) e^(-2 pi i b(delta, alpha)) at (delta, alpha)
@@ -430,8 +427,7 @@ def cayley_check(rep: WeilRep) -> int:
 # ---------------------------------------------------------------------------
 # traces and character decomposition
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     traces: tuple  # CycQ per class, display order
     multiplicities: tuple[int, ...]  # over char indices 1..7
 
@@ -480,8 +476,7 @@ def aggregated_dual(rep: WeilRep):
 # ---------------------------------------------------------------------------
 # the 5-dimensional isotypic subspace
 
-@dataclass(frozen=True)
-class IsotypicSubspace:
+class IsotypicSubspace(NamedTuple):
     projector: OmegaMat
     dimension: int
 
@@ -523,8 +518,7 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
 # ---------------------------------------------------------------------------
 # special vectors
 
-@dataclass(frozen=True)
-class SpecialVector:
+class SpecialVector(NamedTuple):
     basis: OrthoBasis
     coeffs: dict  # element -> -1, 0, +1
     vec: tuple[int, ...]  # over the 81 elements in lex order
@@ -551,8 +545,7 @@ def special_vectors(rep: WeilRep) -> tuple[SpecialVector, ...]:
     return tuple(special_vector(rep.module, b) for b in orthogonal_bases(rep.module))
 
 
-@dataclass(frozen=True)
-class SpecialChecks:
+class SpecialChecks(NamedTuple):
     s_fixed: bool
     t_eigenvector: bool
     reflections_negate: tuple[bool, ...]

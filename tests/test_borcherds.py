@@ -35,6 +35,8 @@ def test_divisor_validation():
     with pytest.raises(DivisorError):
         DivisorSpec({("1", Fraction(4, 3)): 1})          # positive norm
     with pytest.raises(DivisorError):
+        DivisorSpec({("0", 0): 1})                       # zero norm
+    with pytest.raises(DivisorError):
         DivisorSpec({("1", Fraction(-2, 3)): 1})         # wrong congruence
     with pytest.raises(DivisorError):
         DivisorSpec({("3", Fraction(-2, 3)): 1})         # no such type

@@ -1,6 +1,5 @@
 """Subcommand smoke tests, byte stability, JSON schemas, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +11,7 @@ import pytest
 from triform import borcherds, cli, exact, fqm, lattice, vvmf, weil
 from triform.cli import main, run_checks
 from triform.fqm import DualMismatchError
+from triform.qseries import QSeries
 from triform.weil import build_weil
 
 
@@ -281,19 +281,19 @@ def _corrupt_borcherds_weight(monkeypatch, corrupt):
      "type-census", "00=1 0=20 1=30 2=30 patterns=differ"),
     (fqm, "pairing_table", lambda table: {**table, ("1", "2"): (6, 13, 11)},
      "pairing-table", "1 triples differ"),
-    (fqm, "orthogonal_group", lambda group: dataclasses.replace(group, perm=group.perm[:-1]),
+    (fqm, "orthogonal_group", lambda group: group._replace(perm=group.perm[:-1]),
      "orthogonal-group", "order=1439 orbits=(20, 30, 30) central=-1 reflections=30"),
     (borcherds, "accounting_report",
-     lambda report: dataclasses.replace(report, short_incidence=2),
+     lambda report: report._replace(short_incidence=2),
      "orthogonal-bases", "bases=15 incidence=2 isotropic=covered cusps=10"),
-    (weil, "character_decompose", lambda dec: dataclasses.replace(
-        dec, multiplicities=dec.multiplicities[:-1] + (4,)),
+    (weil, "character_decompose", lambda dec: dec._replace(
+        multiplicities=dec.multiplicities[:-1] + (4,)),
      "weil-traces", "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 4) closed=576"),
     (vvmf, "dimension_report",
-     lambda report: dataclasses.replace(report, alpha_t=report.alpha_t + 1),
+     lambda report: report._replace(alpha_t=report.alpha_t + 1),
      "dimension-report", "d=4 alpha=(1, 4/3, 2) dim=2 eis=2 cusp=0"),
-    (cli, "eta_power_8", lambda eta8: dataclasses.replace(
-        eta8, coeffs={**eta8.coeffs, 7: eta8.coeff_at(7) + 1}),
+    (cli, "eta_power_8", lambda eta8: QSeries(
+        {**eta8.coeffs, 7: eta8.coeff_at(7) + 1}, eta8.precision),
      "numeric-transform", "max deviation 3.946e-06"),
     (borcherds, "borcherds_weight", lambda weight: weight + 1,
      "borcherds-weights", "long=136 ball=136/3 short=16 ball=16/3 obstruction=ok"),
@@ -304,7 +304,7 @@ def _corrupt_borcherds_weight(monkeypatch, corrupt):
     (lattice, "milgram_signature", lambda signature: (signature + 1) % 8, "lattice-layer",
      "trireflection=identity reflection=F3-reflection histograms=equal milgram=(5, 5)"),
     (borcherds, "accounting_report",
-     lambda report: dataclasses.replace(report, short_multiplicity=8),
+     lambda report: report._replace(short_multiplicity=8),
      "accounting", "45 + 8 * 5 = 90 = 6 * 15 multiplicity=broken"),
 ], ids=["type-census", "pairing-table", "orthogonal-group", "orthogonal-bases",
         "weil-traces", "dimension-report", "numeric-transform", "borcherds-weights",
@@ -339,8 +339,8 @@ def test_a_failing_accounting_report_fails_its_two_lines(monkeypatch, capsys):
 
 def _bump_f00_at_q2(form):
     f00 = form.component("00")
-    bumped = dataclasses.replace(f00, coeffs={**f00.coeffs, 6: f00.coeff_at(6) + 1})
-    return dataclasses.replace(form, components={**form.components, "00": bumped})
+    bumped = QSeries({**f00.coeffs, 6: f00.coeff_at(6) + 1}, f00.precision)
+    return form._replace(components={**form.components, "00": bumped})
 
 
 def test_a_perturbed_f00_coefficient_fails_the_lattice_sum_oracle(monkeypatch):
@@ -407,17 +407,20 @@ def test_module_entry_point_subprocess():
 @pytest.mark.parametrize("argv,unloaded", [
     (["eisenstein", "--format", "json", "--precision", "30"],
      {"numpy", "triform.fqm", "triform.lattice", "triform.weil", "triform.vvmf",
-      "triform.borcherds"}),
-    (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds"}),
-    (["accounting"], {"numpy", "triform.lattice", "triform.weil", "triform.vvmf"}),
-    (["special-vectors"], {"triform.lattice", "triform.vvmf"}),
-    (["dimension"], {"numpy", "triform.lattice", "triform.weil", "triform.borcherds"}),
-    (["verify-all"], {"numpy.ma"}),  # np.unique would load it
+      "triform.borcherds", "dataclasses", "inspect"}),
+    (["weil"], {"triform.lattice", "triform.vvmf", "triform.borcherds", "dataclasses"}),
+    (["accounting"], {"numpy", "triform.lattice", "triform.weil", "triform.vvmf",
+                      "dataclasses"}),
+    (["special-vectors"], {"triform.lattice", "triform.vvmf", "dataclasses"}),
+    (["dimension"], {"numpy", "triform.lattice", "triform.weil", "triform.borcherds",
+                     "dataclasses"}),
+    (["verify-all"], {"numpy.ma", "dataclasses"}),  # np.unique would load numpy.ma
     (["classify", "--preset", "alt-decomposition"],
-     {"numpy", "triform.weil", "triform.vvmf", "triform.borcherds"}),
+     {"numpy", "triform.weil", "triform.vvmf", "triform.borcherds", "dataclasses"}),
     (["pairing-table"], {"numpy", "triform.lattice", "triform.weil", "triform.vvmf",
-                         "triform.borcherds"}),
-    (["borcherds", "--divisor", "short"], {"numpy", "triform.lattice", "triform.weil"}),
+                         "triform.borcherds", "dataclasses"}),
+    (["borcherds", "--divisor", "short"], {"numpy", "triform.lattice", "triform.weil",
+                                           "dataclasses"}),
 ], ids=["eisenstein", "weil", "accounting", "special-vectors", "dimension", "verify-all",
         "classify-alt", "pairing-table", "borcherds-short"])
 def test_a_command_imports_only_the_layers_it_reads(argv, unloaded):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -304,6 +303,13 @@ def test_module_table_matches_the_fraction_forms(module):
     assert module_table(module) is t  # memoized
 
 
+def test_modules_are_equal_exactly_when_their_forms_are():
+    # the memos key on (orders, gen_q, gen_b); ALT has the orders of M, not its form
+    copy = QuadraticModule(ALT.orders, ALT.gen_q, ALT.gen_b)
+    assert copy == ALT and hash(copy) == hash(ALT) and module_table(copy) is module_table(ALT)
+    assert ALT.orders == M.orders and ALT != M
+
+
 @BOTH
 def test_classify_and_type_of_match_the_fraction_oracle(module):
     groups: dict = {}
@@ -541,7 +547,7 @@ def _perturbed_table(monkeypatch, module, relabel: dict):
     kind = bytearray(t.kind)
     for x, label in relabel.items():
         kind[t.index[x]] = TYPE_LABELS.index(label)
-    fake, original = dataclasses.replace(t, kind=bytes(kind)), fqm.module_table
+    fake, original = t._replace(kind=bytes(kind)), fqm.module_table
     monkeypatch.setattr(fqm, "module_table", lambda m: fake if m == module else original(m))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -210,6 +209,12 @@ def test_discriminant_form_of_main_preset_matches_module():
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
 
 
+def test_an_isometry_must_preserve_the_form():
+    from triform.lattice import Isometry
+    with pytest.raises(LatticeError, match="does not preserve the form"):
+        Isometry(SPEC, tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8)))
+
+
 def test_discriminant_form_of_alt_preset():
     data = discriminant_form(alt_spec())
     third = Fraction(1, 3)
@@ -232,7 +237,7 @@ _GENS = paper_spec().dual_generators
 ], ids=["duplicated", "outside-dual", "three-only", "none"])
 def test_the_certificate_rejects_bad_dual_generators(gens):
     with pytest.raises(LatticeError):
-        discriminant_form(dataclasses.replace(SPEC, dual_generators=gens))
+        discriminant_form(LatticeSpec(SPEC.name, SPEC.gram, SPEC.iota, gens))
 
 
 def test_milgram_signatures():

@@ -1,8 +1,9 @@
-"""Every function, method and dataclass field in src/triform is reached from src/triform.
+"""Every function, method and record field in src/triform is reached from src/triform.
 
 A module-level function must be referenced in the package outside its own
 body; a method other than a dunder must be reached there as an attribute
-`.name`, and a dataclass field must be read there as `.name`.  The only
+`.name`, and a record field (an annotated field of a NamedTuple class, or a
+name in the `__slots__` of a plain class) must be read there as `.name`.  The only
 exceptions are the names the benchmark's tracer wraps (STAGES and LEAVES
 of perfbench/tracer.py) and the names the frozen acceptance test imports.
 Code and data that only tests read belong in the tests.  Every name a
@@ -42,10 +43,13 @@ def _uses(tree) -> Counter:
     return uses
 
 
-def _is_dataclass(node) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _fields(node: ast.ClassDef) -> list[str]:
+    """The annotated fields of a NamedTuple class, else the names in `__slots__`."""
+    if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+        return [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+    return [elt.value for item in node.body if isinstance(item, ast.Assign)
+            and any(getattr(target, "id", None) == "__slots__" for target in item.targets)
+            for elt in item.value.elts]
 
 
 def unreached(src: Path = SRC) -> list[str]:
@@ -64,13 +68,13 @@ def unreached(src: Path = SRC) -> list[str]:
             if isinstance(node, ast.FunctionDef) and node.name not in allowed \
                     and uses[node.name] <= _uses(node)[node.name]:
                 out.append(f"{module}.{node.name}")
-            for item in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__") \
-                        and item.name not in allowed and not attrs[item.name]:
-                    out.append(f"{module}.{node.name}.{item.name}")
-                if isinstance(item, ast.AnnAssign) and _is_dataclass(node) \
-                        and item.target.id not in allowed and not reads[item.target.id]:
-                    out.append(f"{module}.{node.name}.{item.target.id}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            out += [f"{module}.{node.name}.{name}" for name in _fields(node)
+                    if name not in allowed and not reads[name]]
+            out += [f"{module}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                    and item.name not in allowed and not attrs[item.name]]
     return out
 
 
@@ -97,12 +101,16 @@ def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     (tmp_path / "extra.py").write_text(
-        "from dataclasses import dataclass\n\n\n"
+        "from typing import NamedTuple\n\n\n"
         "def lonely():\n    return lonely()\n\n\n"
-        "@dataclass(frozen=True)\nclass Box:\n    kept: int\n    unread: int\n\n"
+        "class Box(NamedTuple):\n    kept: int\n    unread: int\n\n"
         "    def used(self):\n        return self.kept\n\n"
-        "    def unused(self):\n        return 0\n\n\nBox(1, 2).used()\n")
-    assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unread", "extra.Box.unused"]
+        "    def unused(self):\n        return 0\n\n\n"
+        "class Slots:\n    __slots__ = ('held', 'idle')\n\n"
+        "    def __init__(self, held):\n        self.held, self.idle = held, 0\n\n\n"
+        "Box(1, 2).used()\nprint(Slots(1).held)\n")
+    assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unread", "extra.Box.unused",
+                                   "extra.Slots.idle"]
 
 
 def test_every_imported_name_is_read():

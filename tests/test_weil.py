@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -222,7 +221,7 @@ def _with_entry(word, value):
     r = REP.rho[g]
     a = r.a.copy()
     a[0, 0] = value
-    return dataclasses.replace(REP, rho={**REP.rho, g: OmegaMat(a, r.b, r.den)})
+    return REP._replace(rho={**REP.rho, g: OmegaMat(a, r.b, r.den)})
 
 
 def test_full_multiplication_table():
@@ -254,14 +253,14 @@ def test_cayley_check_catches_a_corrupted_entry_of_any_element(word):
 
 def test_cayley_check_requires_rho_e_to_be_the_identity():
     identity, minus = ((1, 0), (0, 1)), ((2, 0), (0, 2))
-    negated = dataclasses.replace(REP, rho={**REP.rho, identity: REP.rho[minus]})
+    negated = REP._replace(rho={**REP.rho, identity: REP.rho[minus]})
     with pytest.raises(RelationError, match=r"rho\(E\) is not the identity"):
         cayley_check(negated)
 
 
 def test_cayley_check_names_a_failing_pair():
-    swapped = dataclasses.replace(
-        REP, rho={**REP.rho, _matrix_of_word("ST"): REP.rho[_matrix_of_word("TS")]})
+    swapped = REP._replace(
+        rho={**REP.rho, _matrix_of_word("ST"): REP.rho[_matrix_of_word("TS")]})
     with pytest.raises(RelationError, match=r"rho\([ST]\) rho\(\w+\) disagrees"):
         cayley_check(swapped)
 
@@ -278,8 +277,8 @@ def test_cayley_check_refuses_numerators_past_the_float_bound():
 
 
 def test_cayley_check_rejects_a_denominator_outside_nine():
-    thirds = dataclasses.replace(
-        REP, rho={**REP.rho, S_MAT: OmegaMat(REP.rho_S.a, REP.rho_S.b, 27)})
+    thirds = REP._replace(
+        rho={**REP.rho, S_MAT: OmegaMat(REP.rho_S.a, REP.rho_S.b, 27)})
     with pytest.raises(RelationError, match="does not divide 9"):
         cayley_check(thirds)
 
@@ -619,7 +618,7 @@ def test_a_vector_outside_the_span_raises_the_rank_to_six():
     vectors = list(special_vectors(REP))
     outside = [0] * 81
     outside[INDEX[(0, 0, 0, 0)]] = 1  # every sign vector vanishes at 0
-    vectors[0] = dataclasses.replace(vectors[0], vec=tuple(outside))
+    vectors[0] = vectors[0]._replace(vec=tuple(outside))
     assert special_vector_rank(vectors) == 6
 
 
