@@ -82,7 +82,7 @@ class QuadraticModule:
     `orders[i]` is the order of generator g_i, `gen_q[i]` = q(g_i) mod 2,
     `gen_b[i][j]` = b(g_i, g_j) mod 1.  q of a general element follows from
     q(sum x_i g_i) = sum x_i^2 q(g_i) + 2 sum_{i<j} x_i x_j b(g_i, g_j).
-    Equality and hash are over (orders, gen_q, gen_b): the memos key on them.
+    The memos key on modules: equality is over (orders, gen_q, gen_b).
     """
 
     __slots__ = ("orders", "gen_q", "gen_b", "numerators")
@@ -116,7 +116,7 @@ class QuadraticModule:
         return (self.orders, self.gen_q, self.gen_b) == (other.orders, other.gen_q, other.gen_b)
 
     def __hash__(self):
-        return hash((self.orders, self.gen_q, self.gen_b))
+        return hash((self.orders, self.numerators))  # equal forms, equal numerators
 
     # -- element arithmetic
 

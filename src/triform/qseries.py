@@ -16,8 +16,7 @@ pentagonal series, O(P^1.5).
 
 Floating-point code lives at the bottom of this module: evaluation of a
 series at a point of the upper half plane and the modular-transformation
-spot check.  The package's other floats are the lattice-sum oracle
-(cli._lattice_sum) and the bounded-exact Z[w] product (weil._zw_matmul).
+spot check; the package's only other floats are in cli._lattice_sum.
 """
 
 from __future__ import annotations
@@ -236,7 +235,8 @@ def evaluate(series: QSeries, tau: complex) -> complex:
 
 def complex_matrix(m) -> list[list[complex]]:
     """An OmegaMat as complex numbers; each entry rounds as cyc_complex's."""
-    return (m.a / m.den + (m.b / m.den) * cyc_complex(OMEGA)).tolist()
+    w = cyc_complex(OMEGA)
+    return [[x / m.den + y / m.den * w for x, y in zip(*rows)] for rows in zip(*m.rows())]
 
 
 def numeric_transform_check(components, rho_t, rho_s, weight: int,

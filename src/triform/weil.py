@@ -5,31 +5,26 @@ The representation acts on the 81 basis vectors e_alpha by
     rho(T) e_alpha = e^(pi i q(alpha)) e_alpha
     rho(S) e_alpha = -(1/9) sum_delta e^(-2 pi i b(delta, alpha)) e_delta
 
-and everything here is exact: matrices are stored as (A + B w)/d with
-integer numpy arrays A, B, a positive integer denominator d, and w a
-primitive cube root of unity (w^2 = -1 - w).  Every int64 kernel checks a
-bound on its entries first and raises OverflowError rather than wrap.  The
-module tables of `fqm` are bytes: the Q and B tables, the negation
-permutation and, in o_q_character_norm, the O(q) rows become numpy arrays
-through np.frombuffer.
-
-Every product of Z[w] numerators goes through one kernel, _zw_matmul: four
-float64 matmuls.  For an inner dimension k and numerators of absolute value
-at most m1 and m2, every entry and partial sum is an integer of absolute
-value at most 3 k m1 m2, so the products are exact; the kernel asserts
-3 k m1 m2 < 2^53 before it multiplies and raises OverflowError otherwise.
+computed exactly: matrices are (A + B w)/d, w^2 = -1 - w, each row of A
+and B one int of signed 32-bit fields (Kronecker substitution; Harvey, J. Symbolic
+Comput. 44, 2009), so one addition adds whole rows while no field carries
+(_bound).  rho(T) M scales row alpha by w^Q(alpha); rho(S) M is -1/9 times
+the Fourier transform sum_alpha w^(-gamma . alpha) M[alpha] at the rows
+gamma = G delta, G the Gram matrix of B mod 3, one 3-point transform per
+base-3 digit (Good 1958; Cooley and Tukey 1965).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
+from itertools import chain, product
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-import numpy as np
-
 from .exact import W_POWERS, CycQ, mat_mul, mat_rank, mat_transpose, root_of_unity
-from .fqm import (OrthoBasis, QuadraticModule, aggregated_action, module_table,
+from .fqm import (ModuleTable, OrthoBasis, QuadraticModule, aggregated_action, module_table,
                   orthogonal_bases, orthogonal_group)
 
 
@@ -50,117 +45,175 @@ class GroupTableError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact matrices over Z[w] with a common denominator
+# exact matrices over Z[w] with a common denominator, one int per row
 
-_OVERFLOW_LIMIT = 1 << 61
-
-
-def _guard(bound: int) -> None:
-    """Raise unless `bound`, a bound on every intermediate of an int64 kernel, fits."""
-    if bound >= _OVERFLOW_LIMIT:
-        raise OverflowError("entries too large for the int64 representation")
+_BITS = 32  # per field; array and memoryview read a field as a C int, "i"
+_LIMIT = 1 << _BITS - 1  # every field holds an integer of absolute value below this
 
 
-def _byte_rows(rows: tuple[bytes, ...]) -> np.ndarray:
-    """Equal-length bytes rows as a uint8 matrix."""
-    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
+def _bias(n: int) -> int:
+    """2^31 in each of n fields: added, it makes every field nonnegative with
+    no carry; flipping the top bits back leaves the two's complements."""
+    return int.from_bytes(_LIMIT.to_bytes(4, "little") * n, "little")
 
 
-def _max_abs(x) -> int:
-    """The largest |entry| of an integer array, as a Python int (0 if empty)."""
-    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+def _pack(row) -> int:
+    bias = _bias(len(row))
+    return (int.from_bytes(array("i", row).tobytes(), "little") ^ bias) - bias
 
 
-_FLOAT_EXACT_LIMIT = 1 << 53
-
-
-def _zw_matmul(a1, b1, a2, b2):
-    """(A1 + B1 w)(A2 + B2 w) as a float64 (1-part, w-part) pair of exact integers.
-
-    The operands hold integers (any numeric dtype).  With k the inner
-    dimension and m1, m2 the largest numerators of the two factors, every
-    entry and partial sum has absolute value at most 3 k m1 m2; that bound
-    is checked against 2^53 before any product, so the floats are exact.
-    """
-    m1, m2 = max(_max_abs(a1), _max_abs(b1)), max(_max_abs(a2), _max_abs(b2))
-    if 3 * a1.shape[-1] * m1 * m2 >= _FLOAT_EXACT_LIMIT:
-        raise OverflowError(f"numerators up to {m1} and {m2} are too large for "
-                            "exact float64 products")
-    a1, b1, a2, b2 = (np.asarray(x, dtype=np.float64) for x in (a1, b1, a2, b2))
-    b1b2 = b1 @ b2
-    return a1 @ a2 - b1b2, a1 @ b2 + b1 @ a2 - b1b2
-
-
-def _zw_mul(x0, x1, y0, y1):
-    """(x0 + x1 w)(y0 + y1 w) as a (1-part, w-part) pair; w^2 = -1 - w."""
-    x1y1 = x1 * y1
-    return x0 * y0 - x1y1, x0 * y1 + x1 * y0 - x1y1
+def _unpack(rows, n: int) -> list[int]:
+    """The fields of packed rows of n fields each, row after row."""
+    bias = _bias(n)
+    return memoryview(b"".join(((x + bias) ^ bias).to_bytes(4 * n, "little")
+                               for x in rows)).cast("i").tolist()
 
 
 class OmegaMat:
-    """(A + B w) / den with int64 arrays A, B; w = e^(2 pi i / 3).
+    """(A + B w) / den, w = e^(2 pi i / 3): `a` and `b` hold a packed int per
+    row of `cols` fields, and `height` bounds every |numerator|.  Always in
+    lowest terms, den > 0 and gcd(A, B, den) = 1: equal matrices have equal
+    den, a and b."""
 
-    Always in lowest terms: den > 0 and gcd(A, B, den) = 1, so equal
-    matrices have equal den, A and B.
-    """
-
-    __slots__ = ("a", "b", "den")
+    __slots__ = ("a", "b", "den", "cols", "height", "_transpose")
 
     def __init__(self, a, b, den: int = 1):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if a.shape != b.shape:
+        a, b = [list(map(int, row)) for row in a], [list(map(int, row)) for row in b]
+        cols = len(a[0]) if a else 0
+        if len(a) != len(b) or any(len(row) != cols for row in chain(a, b)):
             raise ValueError("component shapes differ")
+        height = _bound(max(map(abs, chain(*a, *b)), default=0))
+        self._set(tuple(map(_pack, a)), tuple(map(_pack, b)), den, cols, height)
+
+    def _set(self, a, b, den, cols, height) -> None:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
-            a, b, den = -a, -b, -den
-        g = int(np.gcd.reduce(np.concatenate([np.abs(a).ravel(), np.abs(b).ravel(), [den]])))
-        if g > 1:
-            a, b, den = a // g, b // g, den // g
-        self.a, self.b, self.den = a, b, int(den)
+            a, b, den = tuple(-x for x in a), tuple(-x for x in b), -den
+        rows, g = (*a, *b), den
+        if g > 1 and rows:  # the first row's fields give g; the others check it
+            g = math.gcd(g, *_unpack(rows[:1], cols))
+        # x = g q, q + low with no bit of high set (fields in [-2^11, 2^11)),
+        # iff g divides every field of x and the quotients are that small, as
+        # g 2^11 <= _LIMIT; a row that fails cuts g by its own fields
+        ones = _bias(cols) >> _BITS - 1  # 1 in every field
+        low, high, first, quotients, wide = ones << 11, ~(ones * 4095), g, [], False
+        for x in rows:
+            q, r = divmod(x, g) if g > 1 else (x, 0)
+            if r or g << 11 > _LIMIT or q + low & high:
+                wide, g = True, g if g == 1 else math.gcd(g, *_unpack((x,), cols))
+            quotients.append(q)
+        rows, den, height = quotients if g == first else [x // g for x in rows], den // g, \
+            height // g if wide else min(height // g, 1 << 11)
+        if height > 1 << 11:  # the largest |numerator|
+            fields = _unpack(rows, cols)
+            height = max(max(fields), -min(fields))
+        self.a, self.b, self.den, self.cols, self.height = \
+            tuple(rows[:len(a)]), tuple(rows[len(a):]), den, cols, height
+        self._transpose = None
 
     @staticmethod
     def identity(n: int) -> "OmegaMat":
-        return OmegaMat(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
+        return _omega(tuple(1 << _BITS * i for i in range(n)), (0,) * n, 1, 1, n)
 
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def max_abs(self) -> int:
-        """The largest |numerator| over both components."""
-        return max(_max_abs(self.a), _max_abs(self.b))
+    def rows(self) -> tuple[list[list[int]], list[list[int]]]:  # A and B
+        return tuple([flat[i:i + self.cols] for i in range(0, len(flat), self.cols)]
+                     for flat in (_unpack(self.a, self.cols), _unpack(self.b, self.cols)))
 
     def __matmul__(self, other: "OmegaMat") -> "OmegaMat":
-        _guard(self.den * other.den)
-        a, b = _zw_matmul(self.a, self.b, other.a, other.b)
-        return OmegaMat(a, b, self.den * other.den)
+        if self.cols != len(other.a):
+            raise ValueError("inner dimensions differ")
+        bound = _bound(3 * self.cols, self, other)
+        ya, yb = other.a, other.b
+        yd = tuple(map(sub, ya, yb))
+        a, b = [], []
+        for xa, xb in zip(*self.rows()):
+            # (xa + xb w)(ya + yb w) = (xa ya - xb yb) + (xa yb + xb (ya - yb)) w
+            a.append(sum(map(mul, xa, ya)) - sum(map(mul, xb, yb)))
+            b.append(sum(map(mul, xa, yb)) + sum(map(mul, xb, yd)))
+        return _omega(tuple(a), tuple(b), self.den * other.den, bound, other.cols)
 
     def __eq__(self, other):
         if not isinstance(other, OmegaMat):
             return NotImplemented
-        return (self.den == other.den and np.array_equal(self.a, other.a)
-                and np.array_equal(self.b, other.b))
+        return (self.den, self.cols, self.a, self.b) == (other.den, other.cols, other.a, other.b)
 
     __hash__ = None  # type: ignore[assignment]
 
     def conjugate(self) -> "OmegaMat":
-        _guard(2 * self.max_abs())
-        return OmegaMat(self.a - self.b, -self.b, self.den)
+        return _omega(tuple(map(sub, self.a, self.b)), tuple(-y for y in self.b),
+                      self.den, _bound(2, self), self.cols)
 
     def trace(self) -> CycQ:
-        _guard(len(self.a) * self.max_abs())
-        ta, tb = int(np.trace(self.a)), int(np.trace(self.b))
-        return CycQ(3, [ta, tb], self.den)
+        bias, mask = _bias(self.cols), (1 << _BITS) - 1  # field i of row i, plus 2^31
+        return CycQ(3, [sum((x + bias) >> _BITS * i & mask for i, x in enumerate(rows))
+                        - len(rows) * _LIMIT for rows in (self.a, self.b)], self.den)
 
-    def matvec_int(self, v) -> tuple[np.ndarray, np.ndarray, int]:
-        v = np.asarray(v, dtype=np.int64)
-        av, bv = _zw_matmul(self.a, self.b, v, np.zeros_like(v))
-        return av, bv, self.den
+    def transpose(self) -> "OmegaMat":  # kept: matvec_int reads it for every vector
+        if self._transpose is None:
+            self._transpose = _omega(*(tuple(map(_pack, zip(*part))) for part in self.rows()),
+                                     self.den, self.height, len(self.a))
+        return self._transpose
 
-    def __repr__(self):
-        return f"OmegaMat(shape={self.shape}, den={self.den})"
+    def matvec_int(self, v) -> tuple[list[int], list[int], int]:
+        """(A v, B v, den) for integer v, which combines the rows of the transpose."""
+        _bound(len(v) * max(map(abs, v), default=0), self)
+        t = self.transpose()
+        return (*(_unpack((sum(map(mul, v, part)),), t.cols) for part in (t.a, t.b)), self.den)
+
+
+def _omega(a: tuple, b: tuple, den: int, height: int, cols: int) -> OmegaMat:
+    """The OmegaMat of packed rows whose |numerators| `height` bounds."""
+    m = OmegaMat.__new__(OmegaMat)
+    m._set(a, b, den, cols, height)
+    return m
+
+
+def _bound(factor: int, *ms: OmegaMat) -> int:
+    """factor times the heights of ms; OverflowError if a field could carry past it."""
+    bound = factor * math.prod(m.height for m in ms)
+    if bound >= _LIMIT:
+        raise OverflowError(f"numerators up to {bound} do not fit a {_BITS}-bit field")
+    return bound
+
+
+def _times_t(q: bytes, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """rho(T) on numerator rows: w (x + y w) = -y + (x - y) w, w^2 (x + y w) = (y - x) - x w."""
+    return tuple(zip(*[(x, y) if k == 0 else (-y, x - y) if k == 1 else (y - x, -x)
+                       for x, y, k in zip(a, b, q)]))
+
+
+def _fourier(t: ModuleTable, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """-9 rho(S) from the left on numerator rows.  Each round transforms the
+    leading base-3 digit, y_m = sum_d w^(-m d) x_d, and moves it to the end
+    as m; r rounds put the digits back.  A round at most quadruples |numerators|."""
+    third = len(a) // 3
+    for _ in t.unit:
+        a0, a1, a2, b0, b1, b2 = (x[k * third:(k + 1) * third] for x in (a, b) for k in range(3))
+        da, db = list(map(sub, a1, a2)), list(map(sub, b1, b2))
+        # y0 = x0 + x1 + x2, y1 = x0 + w^2 x1 + w x2, y2 = x0 + w x1 + w^2 x2
+        a = list(chain.from_iterable(zip(map(add, map(add, a0, a1), a2),
+                                         map(add, map(sub, a0, a1), db),
+                                         map(sub, map(sub, a0, a2), db))))
+        b = list(chain.from_iterable(zip(map(add, map(add, b0, b1), b2),
+                                         map(sub, map(sub, b0, da), b2),
+                                         map(sub, map(add, b0, da), b1))))
+    # digit j of G delta is B(g_j, delta), at place value unit[j]: the B rows
+    # add as base-256 numbers with no carry, as 2 (3^r - 1) / 2 < 256
+    rows = itemgetter(*sum(u * int.from_bytes(t.b[u], "big") for u in t.unit)
+                      .to_bytes(len(a), "big"))
+    return rows(a), rows(b)
+
+
+def _raw(t: ModuleTable, letter: str, m: OmegaMat) -> tuple[tuple, tuple, int, int]:
+    """rho(S) m or rho(T) m from the rows of m: numerator rows, den, height; not reduced."""
+    if letter == "T":
+        return (*_times_t(t.q, m.a, m.b), m.den, _bound(2, m))
+    return (*_fourier(t, m.a, m.b), -9 * m.den, _bound(4 ** len(t.unit), m))
+
+
+def _left(t: ModuleTable, letter: str, m: OmegaMat) -> OmegaMat:
+    return _omega(*_raw(t, letter, m), m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -230,37 +283,17 @@ def build_sl2f3() -> SL2F3:
     if len(elements) != 24:
         raise GroupTableError(f"SL(2, F_3) enumeration found {len(elements)} elements")
 
-    # conjugacy classes
-    remaining = {g.mat for g in elements}
-    raw_classes = []
-    for g in elements:
-        if g.mat not in remaining:
-            continue
-        orbit = {_mul2(_mul2(h.mat, g.mat), _inv2(h.mat)) for h in elements}
-        raw_classes.append(orbit)
-        remaining -= orbit
-
+    # conjugacy classes, each the orbit of its named representative
     st = _mul2(S_MAT, T_MAT)
     st2 = _mul2(st, T_MAT)
-    named = {
-        "E": ident,
-        "-E": _neg2(ident),
-        "S": S_MAT,
-        "ST2": st2,
-        "-ST2": _neg2(st2),
-        "ST": st,
-        "-ST": _neg2(st),
-    }
+    named = zip(CLASS_ORDER, CLASS_SIZES, (ident, _neg2(ident), S_MAT, st2, _neg2(st2), st,
+                                           _neg2(st)))
     class_of = {}
-    for label, size in zip(CLASS_ORDER, CLASS_SIZES):
-        rep = named[label]
-        orbit = next((o for o in raw_classes if rep in o), None)
-        if orbit is None:
-            raise GroupTableError(f"no conjugacy class contains {label}")
+    for label, size, rep in named:
+        orbit = {_mul2(_mul2(h.mat, rep), _inv2(h.mat)) for h in elements}
         if len(orbit) != size:
             raise GroupTableError(f"class {label} has size {len(orbit)}, expected {size}")
-        for m in orbit:
-            class_of[m] = label
+        class_of.update(dict.fromkeys(orbit, label))
     if len(class_of) != 24:
         raise GroupTableError("conjugacy classes do not partition the group")
     return SL2F3(tuple(elements), class_of)
@@ -285,43 +318,34 @@ CHARACTER_TABLE: dict[int, tuple[CycQ, ...]] = {
 }
 
 
-def _zw_rows(rows: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Character rows as (1-part, w-part) integer arrays, one row per key.
-
-    Raises GroupTableError naming the first row with a value outside Z[w].
-    """
+def _zw_rows(rows: dict) -> list[list[tuple[int, int]]]:
+    """Character rows as (1-part, w-part) pairs; GroupTableError names a row outside Z[w]."""
     parts = []
     for i, row in rows.items():
         values = [v.embed(3) for v in row if 3 % v.n == 0]
         if len(values) < len(row) or any(v.den != 1 for v in values):
             raise GroupTableError(f"character {i} takes a value outside Z[w]")
-        parts.append([v.num for v in values])
-    table = np.array(parts, dtype=np.int64).reshape(len(rows), -1, 2)
-    return table[..., 0], table[..., 1]
+        parts.append([tuple(v.num) for v in values])
+    return parts
 
 
 def validate_character_table() -> None:
     """First and second orthogonality for the frozen table; raises on failure.
 
-    Both relations are integer sums in Z[w]; conj(x + y w) = (x - y) - y w.
-    """
-    keys = list(CHARACTER_TABLE)
-    a, b = _zw_rows(CHARACTER_TABLE)
-    ca, cb = a - b, -b
-    sizes = np.array(CLASS_SIZES)
-    order = int(sizes.sum())
-    # [i, j, c] = chi_i(c) conj(chi_j(c)), summed over classes c with sizes
-    p, q = _zw_mul(a[:, None], b[:, None], ca[None], cb[None])
-    bad = ((p * sizes).sum(-1) != order * np.eye(len(keys))) | ((q * sizes).sum(-1) != 0)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
-    # [chi, c, d] = chi(c) conj(chi(d)), summed over characters, times size_c
-    p, q = _zw_mul(a[:, :, None], b[:, :, None], ca[:, None], cb[:, None])
-    bad = (p.sum(0) * sizes[:, None] != order * np.eye(len(sizes))) | (q.sum(0) != 0)
-    if bad.any():
-        c, d = np.argwhere(bad)[0]
-        raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
+    Both are integer sums in Z[w]: (x0 + x1 w) conj(y0 + y1 w) = (x0 y0 +
+    x1 y1 - x0 y1) + (x1 y0 - x0 y1) w."""
+    def pairing(u, v, weights):
+        return tuple(map(sum, zip(*((k * (x0 * y0 + x1 * y1 - x0 * y1), k * (x1 * y0 - x0 * y1))
+                                    for k, (x0, x1), (y0, y1) in zip(weights, u, v)))))
+
+    keys, rows, order = list(CHARACTER_TABLE), _zw_rows(CHARACTER_TABLE), sum(CLASS_SIZES)
+    for (i, u), (j, v) in product(enumerate(rows), repeat=2):
+        if pairing(u, v, CLASS_SIZES) != (order * (i == j), 0):
+            raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
+    for (c, u), (d, v) in product(enumerate(zip(*rows)), repeat=2):  # times |class c|
+        p, q = pairing(u, v, (1,) * len(rows))
+        if (p * CLASS_SIZES[c], q) != (order * (c == d), 0):
+            raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
 
 
 # ---------------------------------------------------------------------------
@@ -345,57 +369,35 @@ class WeilRep(NamedTuple):
 
 
 def build_weil(module: QuadraticModule) -> WeilRep:
-    """Construct rho on C[A] and certify its defining relations."""
-    table = module_table(module)
-    n = len(table.elements)
-    q, b = np.frombuffer(table.q, dtype=np.uint8), _byte_rows(table.b).astype(np.intp)
-    one, w = np.array(W_POWERS).T  # the 1-parts and the w-parts of w^k, k = 0, 1, 2
-    # rho(T): diagonal phases e^(pi i q)
-    rho_t = OmegaMat(np.diag(one[q]), np.diag(w[q]))
-    # rho(S): -(1/9) e^(-2 pi i b(delta, alpha)) at (delta, alpha)
-    k = (-b) % 3
-    rho_s = OmegaMat(-one[k], -w[k], 9)
+    """Construct rho on C[A] and certify its defining relations.  _left is
+    certified on the identity against rho(S) from the B table; every rho(g)
+    is then gen rho(rest), gen the first letter of the word of g."""
+    table, n = module_table(module), module.order()
+    ident = OmegaMat.identity(n)
+    rho_s = _left(table, "S", ident)
+    # rho(S) = -(1/9) w^(-B): each part of -w^(-B) as a signed byte per B
+    parts = (bytes(-W_POWERS[-x % 3][k] % 256 for x in range(256)) for k in (0, 1))
+    if not rho_s == _omega(*(tuple(_pack(array("b", row.translate(part))) for row in table.b)
+                             for part in parts), 9, 1, n):
+        raise RelationError("the Fourier transform is not rho(S)")
 
     # rho(T)^3 = 1 by construction: rho(T) = diag(w^Q(alpha))
-    s2 = rho_s @ rho_s
-    neg_perm = np.zeros((n, n), dtype=np.int64)
-    neg_perm[np.frombuffer(table.neg, dtype=np.uint8), np.arange(n)] = 1
-    if not s2 == OmegaMat(neg_perm, np.zeros_like(neg_perm)):
+    s2 = _left(table, "S", rho_s)
+    if not s2 == _omega(tuple(1 << _BITS * i for i in table.neg), (0,) * n, 1, 1, n):
         raise RelationError("rho(S)^2 is not the negation permutation")
     # rho(S)^4 = 1 follows: the negation permutation is an involution
-    st = rho_s @ rho_t
-    if not (st @ st @ st) == s2:
+    st3 = _left(table, "T", ident)
+    for letter in "STSTS":  # S T S T S T, applied from the right end
+        st3 = _left(table, letter, st3)
+    if not st3 == s2:
         raise RelationError("(rho(S) rho(T))^3 != rho(S)^2")
 
     group = build_sl2f3()
-    rho: dict = {}
-    gens = {S_MAT: rho_s, T_MAT: rho_t}
-    for g in group.elements:  # BFS order: g = parent * (last letter), parent first
-        if not g.word:
-            rho[g.mat] = OmegaMat.identity(n)
-            continue
-        gen = S_MAT if g.word[-1] == "S" else T_MAT
-        rho[g.mat] = rho[_mul2(g.mat, _inv2(gen))] @ gens[gen]
+    rho = {group.elements[0].mat: ident}
+    for g in group.elements[1:]:  # BFS order: every shorter word comes first
+        gen = S_MAT if g.word[0] == "S" else T_MAT
+        rho[g.mat] = _left(table, g.word[0], rho[_mul2(_inv2(gen), g.mat)])
     return WeilRep(module, group, rho)
-
-
-def _den9_stack(rep: WeilRep) -> tuple[np.ndarray, np.ndarray]:
-    """The 24 rho(g), in group order, as float64 Z[w] numerators over the denominator 9.
-
-    Raises RelationError if some rho(g) has a denominator that does not divide 9.
-    """
-    n = rep.dim()
-    num_a = np.empty((rep.group.order, n, n))
-    num_b = np.empty_like(num_a)
-    for i, g in enumerate(rep.group.elements):
-        r = rep.rho[g.mat]
-        if 9 % r.den:
-            raise RelationError(f"rho({g.word or 'E'}) has denominator {r.den}, "
-                                "which does not divide 9")
-        num_a[i], num_b[i] = r.a, r.b
-        num_a[i] *= 9 // r.den
-        num_b[i] *= 9 // r.den
-    return num_a, num_b
 
 
 def cayley_check(rep: WeilRep) -> int:
@@ -405,21 +407,24 @@ def cayley_check(rep: WeilRep) -> int:
     then rho(ab) rho(h) = rho(a) rho(b) rho(h) = rho(a) rho(bh) = rho(abh),
     so P(ab) holds.  rho(E) = I gives P(E), and build_sl2f3 reaches every
     element as a word in S and T, so P(S) and P(T) prove all 576 pairs.
-    They are 48 products, each one _zw_matmul of den-9 numerators compared
-    exactly with 9 times the numerators of rho(gh).
+    They are 48 left products by _raw, compared exactly with rho(gh) over
+    one denominator; (S, E) ties _raw to the stored rho(S), (T, E) to rho(T).
     """
     elements = rep.group.elements
-    num_a, num_b = _den9_stack(rep)
-    position = {g.mat: i for i, g in enumerate(elements)}
+    for g in elements:
+        if 9 % rep.rho[g.mat].den:
+            raise RelationError(f"rho({g.word or 'E'}) has denominator "
+                                f"{rep.rho[g.mat].den}, which does not divide 9")
     if not rep.rho[elements[0].mat] == OmegaMat.identity(rep.dim()):
         raise RelationError("rho(E) is not the identity")
-
-    for i in (position[S_MAT], position[T_MAT]):
-        for j, h in enumerate(elements):
-            a, b = _zw_matmul(num_a[i], num_b[i], num_a[j], num_b[j])
-            k = position[_mul2(elements[i].mat, h.mat)]
-            if not (np.array_equal(a, 9 * num_a[k]) and np.array_equal(b, 9 * num_b[k])):
-                raise RelationError(f"rho({elements[i].word}) rho({h.word or 'E'}) "
+    table = module_table(rep.module)
+    for gen, letter in ((S_MAT, "S"), (T_MAT, "T")):
+        for h in elements:
+            a, b, den, height = _raw(table, letter, rep.rho[h.mat])
+            y = rep.rho[_mul2(gen, h.mat)]
+            _bound(max(y.den * height, abs(den) * y.height))  # the cross products fit
+            if [x * y.den for x in a + b] != [x * den for x in y.a + y.b]:
+                raise RelationError(f"rho({letter}) rho({h.word or 'E'}) "
                                     "disagrees with the product element")
     return len(elements) ** 2
 
@@ -482,30 +487,33 @@ class IsotypicSubspace(NamedTuple):
 
     def contains_int_vector(self, v) -> bool:
         av, bv, den = self.projector.matvec_int(v)
-        v = np.asarray(v, dtype=np.int64)
-        return bool(np.array_equal(av, v * den) and not bv.any())
+        return av == [x * den for x in v] and not any(bv)
 
 
 def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
-    """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g).
-
-    The sum is one _zw_matmul: the 1 x 24 row of dim chi * conj(chi(g)) in
-    Z[w] times the 24 den-9 numerator matrices, each flattened to a row.
-    """
+    """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g),
+    summed row by row over the numerator rows of the 24 rho(g), scaled to one den."""
     chi = CHARACTER_TABLE[char_index]
     dim_chi = int(chi[CLASS_ORDER.index("E")].as_fraction())
-    xa, xb = _zw_rows({char_index: chi})
-    group, n = rep.group, rep.dim()
-    cls = [CLASS_ORDER.index(group.class_of[g.mat]) for g in group.elements]
-    ca, cb = dim_chi * (xa - xb)[:, cls], -dim_chi * xb[:, cls]
-    num_a, num_b = _den9_stack(rep)
-    a, b = _zw_matmul(ca, cb, num_a.reshape(group.order, n * n),
-                      num_b.reshape(group.order, n * n))
-    proj = OmegaMat(a.reshape(n, n), b.reshape(n, n), 9 * group.order)
+    (values,) = _zw_rows({char_index: chi})
+    group, table = rep.group, module_table(rep.module)
+    mats = [rep.rho[g.mat] for g in group.elements]
+    den = math.lcm(*(m.den for m in mats))  # the numerators over den, for each g
+    # dim chi conj(chi(g)) den / den(rho(g)) with conj(x + y w) = (x - y) - y w
+    c0, c1 = zip(*((dim_chi * (x - y) * den // m.den, -dim_chi * y * den // m.den)
+                   for (x, y), m in zip((values[CLASS_ORDER.index(group.class_of[g.mat])]
+                                         for g in group.elements), mats)))
+    height = _bound(sum((abs(x) + 2 * abs(y)) * m.height for x, y, m in zip(c0, c1, mats)))
+    a, b = [], []
+    for xa, xb in zip(zip(*(m.a for m in mats)), zip(*(m.b for m in mats))):
+        # (c0 + c1 w)(A + B w) = (c0 A - c1 B) + (c0 B + c1 (A - B)) w
+        a.append(sum(map(mul, c0, xa)) - sum(map(mul, c1, xb)))
+        b.append(sum(map(mul, c0, xb)) + sum(map(mul, c1, xa)) - sum(map(mul, c1, xb)))
+    proj = _omega(tuple(a), tuple(b), den * group.order, height, rep.dim())
     if not proj @ proj == proj:
         raise RankError("isotypic operator is not idempotent")
-    for gen in (rep.rho_S, rep.rho_T):
-        if not gen @ proj == proj @ gen:
+    for letter in "ST":  # rho(S), rho(T) are symmetric, so P rho = (rho P^T)^T
+        if not _left(table, letter, proj) == _left(table, letter, proj.transpose()).transpose():
             raise RankError("isotypic operator does not commute with rho")
     tr = proj.trace()
     if not tr.is_rational() or tr.as_fraction().denominator != 1:
@@ -559,23 +567,18 @@ class SpecialChecks(NamedTuple):
 
 def verify_special(rep: WeilRep, sv: SpecialVector,
                    subspace: IsotypicSubspace) -> SpecialChecks:
-    v = np.array(sv.vec, dtype=np.int64)
-
-    av, bv, den = rep.rho_S.matvec_int(v)
-    s_fixed = bool(np.array_equal(av, v * den) and not bv.any())
-
-    av, bv, den = rep.rho_T.matvec_int(v)
-    # w * v has a-part 0 and b-part v
-    t_eigen = bool(den == 1 and np.array_equal(bv, v) and not av.any())
+    # rho(S) v and rho(T) v from the left, as build_weil certified them
+    v, zero, table = sv.vec, (0,) * len(sv.vec), module_table(rep.module)
+    av, bv = _fourier(table, v, zero)
+    s_fixed = av == tuple(-9 * x for x in v) and bv == zero  # -9 rho(S) v = -9 v
+    av, bv = _times_t(table.q, v, zero)
+    t_eigen = av == zero and bv == v  # w * v has a-part 0 and b-part v
 
     # the reflection r in alpha negates v iff v[r(x)] = -v[x] for every x
     group = orthogonal_group(rep.module)
-    negations = []
-    for alpha in sv.basis.vectors:
-        k = group.reflection(alpha)
-        negations.append(k >= 0 and all(sv.vec[j] == -c for j, c in zip(group.perm[k], sv.vec)))
-
-    return SpecialChecks(s_fixed, t_eigen, tuple(negations), subspace.contains_int_vector(v))
+    negations = tuple(k >= 0 and all(v[j] == -c for j, c in zip(group.perm[k], v))
+                      for k in map(group.reflection, sv.basis.vectors))
+    return SpecialChecks(s_fixed, t_eigen, negations, subspace.contains_int_vector(v))
 
 
 def special_vector_rank(vectors) -> int:
@@ -594,27 +597,23 @@ def special_vector_rank(vectors) -> int:
 # O(q)-irreducibility of the subspace
 
 def o_q_character_norm(rep: WeilRep, projector: OmegaMat) -> Fraction:
-    """<chi, chi> for the O(q)-action on the image of an invariant projector.
-
-    The orthogonal group permutes the basis e_alpha; the value is
-    (1/|O|) sum_g |trace(P_g P)|^2, which equals 1 exactly when the image
-    is O(q)-irreducible.  Raises InvarianceError if the image is not
-    O(q)-stable (checked on the generators).
-    """
+    """<chi, chi> for the O(q)-action, which permutes the e_alpha, on the
+    image of an invariant projector: (1/|O|) sum_g |trace(P_g P)|^2, 1 exactly
+    when the image is O(q)-irreducible.  Raises InvarianceError if the image
+    is not O(q)-stable (checked on the generators)."""
     group = orthogonal_group(rep.module)
-    inverse = np.argsort(_byte_rows(group.perm), axis=1)  # each row is a permutation
-    for k in group.generator_rows:
-        pinv = inverse[k]
-        if not (np.array_equal(projector.a[np.ix_(pinv, pinv)], projector.a)
-                and np.array_equal(projector.b[np.ix_(pinv, pinv)], projector.b)):
-            raise InvarianceError("projector image is not stable under the "
-                                  "orthogonal group")
-
-    # trace(P_g P) = sum_i P[g^-1(i), i] for every g at once, as int64 sums of n entries
-    n = rep.dim()
-    _guard(n * projector.max_abs())
-    idx = np.arange(n)
-    xs = projector.a[inverse, idx].sum(axis=1).tolist()
-    ys = projector.b[inverse, idx].sum(axis=1).tolist()
-    total = sum(x * x - x * y + y * y for x, y in zip(xs, ys))
+    # entry x + y w as x + y 2^s, so that sums of n entries still split
+    s = 2 + (len(projector.a) * projector.height).bit_length()
+    rows = [tuple(x + (y << s) for x, y in zip(*pair)) for pair in zip(*projector.rows())]
+    for k in group.generator_rows:  # P_g P P_g^-1 = P iff P[g i, g j] = P[i, j]
+        image = itemgetter(*group.perm[k])
+        if any(image(rows[gi]) != row for gi, row in zip(group.perm[k], rows)):
+            raise InvarianceError("projector image is not stable under the orthogonal group")
+    # trace(P_g P) = sum_i P[i, g i]: column i of the perm rows holds g i for
+    # every g, so reading row i of P there gives term i for all g at once
+    terms = (itemgetter(*column)(row) for column, row in zip(zip(*group.perm), rows))
+    half, total = 1 << s - 1, 0
+    for y, x in (divmod(t + half, 2 * half) for t in map(sum, zip(*terms))):
+        x -= half
+        total += x * x - x * y + y * y
     return Fraction(total, projector.den * projector.den * group.order)

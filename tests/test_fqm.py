@@ -530,6 +530,19 @@ def test_tables_and_group_of_random_pairings_match_the_oracles(module):
     assert group.orbits == orbits
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exponent3_modules())
+def test_equal_modules_from_unreduced_data_hash_alike(module):
+    # the same form spelled as unreduced Fractions and plain ints: equal
+    # modules, so one hash and one memo entry, though the hash reads numerators
+    def respell(v):
+        return v.numerator if v.denominator == 1 else Fraction(7 * v.numerator, 7 * v.denominator)
+    copy = QuadraticModule(module.orders, tuple(map(respell, module.gen_q)),
+                           tuple(tuple(map(respell, row)) for row in module.gen_b))
+    assert copy == module and hash(copy) == hash(module)
+    assert module_table(copy) is module_table(module)
+
+
 def test_the_byte_tables_stop_at_256_elements():
     rank6 = QuadraticModule((3,) * 6, (Fraction(2, 3),) * 6,
                             tuple(tuple(Fraction(2 * (i == j), 3) for j in range(6))

@@ -126,3 +126,28 @@ def test_the_guard_sees_an_unread_import(tmp_path):
         "def area(r) -> float:\n    if False:\n        from .exact import mat_det\n"
         "    return pi * r * r\n")
     assert unused_imports(tmp_path) == ["extra.os", "extra.np", "extra.tau", "extra.mat_det"]
+
+
+def numpy_imports(src: Path = SRC) -> list[str]:
+    """`module:line` for every `import numpy...` or `from numpy... import` in src."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        lines = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                lines.append(node.lineno)
+        out += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return out
+
+
+def test_no_module_imports_numpy():
+    assert numpy_imports() == []
+
+
+def test_the_numpy_guard_sees_an_import(tmp_path):
+    (tmp_path / "extra.py").write_text(
+        "def f():\n    import numpy.linalg as la\n    return la\n\n\n"
+        "from numpy import array\n")
+    assert numpy_imports(tmp_path) == ["extra:2", "extra:6"]

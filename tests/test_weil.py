@@ -5,14 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_fqm import _perturbed_table
+import weil_oracle
+from test_fqm import ALT, _perturbed_table, exponent3_modules
 from triform import fqm, weil
 from triform.exact import (
     CycQ,
     OMEGA,
+    mat_det,
     mat_eq,
     mat_from_rows,
     mat_identity,
@@ -38,14 +40,15 @@ from triform.weil import (
     CLASS_SIZES,
     GroupTableError,
     OmegaMat,
+    RankError,
     RelationError,
     S_MAT,
     T_MAT,
     WeilRep,
     _inv2,
     _mul2,
+    _left,
     _neg2,
-    _zw_matmul,
     aggregated_dual,
     build_sl2f3,
     build_weil,
@@ -58,6 +61,7 @@ from triform.weil import (
     validate_character_table,
     verify_special,
 )
+from weil_oracle import _zw_matmul, numerators
 
 M = paper_module()
 REP = build_weil(M)
@@ -77,7 +81,7 @@ def test_omega_mat_arithmetic():
     w_scalar = OmegaMat(np.array([[0]]), np.array([[1]]))
     w2 = w_scalar @ w_scalar
     # w^2 = -1 - w
-    assert np.array_equal(w2.a, [[-1]]) and np.array_equal(w2.b, [[-1]])
+    assert np.array_equal(numerators(w2)[0], [[-1]]) and np.array_equal(numerators(w2)[1], [[-1]])
     assert (w2 @ w_scalar) == OmegaMat.identity(1)
     assert w_scalar.conjugate() == w2
     assert w_scalar.trace() == OMEGA
@@ -87,26 +91,56 @@ def test_omega_mat_equality_across_denominators():
     a = OmegaMat(np.array([[2]]), np.array([[4]]), 2)
     b = OmegaMat(np.array([[1]]), np.array([[2]]))
     assert a == b
-    assert (a.den, a.a.tolist(), a.b.tolist()) == (1, [[1]], [[2]])  # lowest terms
+    assert (a.den, numerators(a)[0].tolist(), numerators(a)[1].tolist()) == (1, [[1]], [[2]])
     assert OmegaMat([[3, 6]], [[0, 9]], -6) == OmegaMat([[-1, -2]], [[0, -3]], 2)
     assert not OmegaMat([[1]], [[0]], 3) == OmegaMat([[1]], [[0]], 2)
     assert not OmegaMat([[1, 0]], [[0, 0]]) == OmegaMat([[1]], [[0]])
 
 
-BIG = OmegaMat([[2**33]], [[0]])
-HUGE = 2**62
+HUGE = 2**30  # a field holds |x| < 2^31
 
 
-@pytest.mark.parametrize("operation", [
-    lambda: BIG @ BIG,
-    lambda: OmegaMat(np.diag([HUGE, HUGE]), np.zeros((2, 2)), 3).trace(),
-    lambda: OmegaMat([[HUGE]], [[-HUGE]]).conjugate(),
-], ids=["matmul", "trace", "conjugate"])
-def test_int64_paths_raise_instead_of_wrapping(operation):
-    # unguarded, the trace and conjugate wrap past 2^63 in int64 to a wrong
-    # answer; the matmul is past the exact float64 range
+def _spike(x):
+    """81 x 81 zeros but x at row (1, 0, 0, 0), column 0."""
+    m = np.zeros((81, 81), dtype=np.int64)
+    m[INDEX[(1, 0, 0, 0)], 0] = x
+    return m
+
+
+@pytest.mark.parametrize("operation,exact", [
+    # 2 * 2^30 in field 0 would carry into field 1 and read back as (-2^31, 1)
+    (lambda: OmegaMat([[2]], [[0]]) @ OmegaMat([[HUGE, 0]], [[0, 0]]),
+     ([[2**31, 0]], [[0, 0]])),
+    (lambda: OmegaMat([[HUGE, 0]], [[-HUGE, 0]]).conjugate(), ([[2**31, 0]], [[HUGE, 0]])),
+    # rho(T) on row (1, 0, 0, 0), Q = 1: w (x + y w) = -y + (x - y) w
+    (lambda: _left(module_table(M), "T", OmegaMat(_spike(HUGE), _spike(-HUGE))), None),
+], ids=["matmul", "conjugate", "left-product"])
+def test_numerators_past_the_field_bound_raise_or_stay_exact(operation, exact):
+    # a numerator past 2^31 - 1 cannot sit in a field: each operation must
+    # raise OverflowError before a field carries, or give the exact value
+    try:
+        result = operation()
+    except OverflowError:
+        return
+    assert exact is not None
+    assert [x.tolist() for x in numerators(result)] == list(exact)
+
+
+def test_a_trace_past_the_field_bound_stays_exact():
+    # traces add fields as Python ints, so no bound applies
+    assert OmegaMat(np.diag([HUGE, HUGE]), np.zeros((2, 2)), 3).trace() == Fraction(2**31, 3)
+
+
+def test_the_field_bound_is_sharp():
+    # (m - m w)^2 = -3 m^2 w: the w-part reaches the bound 3 k m^2 itself
+    m = math.isqrt((2**31 - 1) // 3)
+    x = OmegaMat([[m]], [[-m]])
+    assert [v.tolist() for v in numerators(x @ x)] == [[[0]], [[-3 * m * m]]]
+    y = OmegaMat([[m + 1]], [[-m - 1]])
     with pytest.raises(OverflowError):
-        operation()
+        y @ y
+    with pytest.raises(OverflowError):
+        OmegaMat([[2**31]], [[0]])
 
 
 def _object_zw_matmul(a1, b1, a2, b2):
@@ -152,13 +186,15 @@ def test_zw_matmul_bound_is_sharp():
 
 def entry(m: OmegaMat, i: int, j: int) -> CycQ:
     """The (i, j) entry of m as a CycQ."""
-    return CycQ(3, [int(m.a[i, j]), int(m.b[i, j])], m.den)
+    a, b = numerators(m)
+    return CycQ(3, [int(a[i, j]), int(b[i, j])], m.den)
 
 
 def cyc_rows(m: OmegaMat):
     """The entries of m as CycQ rows, for the generic echelon as an oracle."""
-    n, k = m.shape
-    return tuple(tuple(entry(m, i, j) for j in range(k)) for i in range(n))
+    a, b = numerators(m)
+    return tuple(tuple(CycQ(3, [int(x), int(y)], m.den) for x, y in zip(ra, rb))
+                 for ra, rb in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +255,9 @@ def _with_entry(word, value):
     """REP with the (0, 0) 1-part numerator of rho(word) set to `value`."""
     g = _matrix_of_word(word)
     r = REP.rho[g]
-    a = r.a.copy()
+    a, b = numerators(r)
     a[0, 0] = value
-    return REP._replace(rho={**REP.rho, g: OmegaMat(a, r.b, r.den)})
+    return REP._replace(rho={**REP.rho, g: OmegaMat(a, b, r.den)})
 
 
 def test_full_multiplication_table():
@@ -229,13 +265,13 @@ def test_full_multiplication_table():
 
 
 def test_cayley_check_makes_48_products(monkeypatch):
-    calls = []
+    calls, raw = [], weil._raw
 
-    def counting_matmul(*args):
+    def counting_raw(*args):
         calls.append(args)
-        return _zw_matmul(*args)
+        return raw(*args)
 
-    monkeypatch.setattr(weil, "_zw_matmul", counting_matmul)
+    monkeypatch.setattr(weil, "_raw", counting_raw)
     assert cayley_check(REP) == 576
     assert len(calls) == 48
 
@@ -244,7 +280,7 @@ def test_cayley_check_makes_48_products(monkeypatch):
                          ids=[g.word or "E" for g in REP.group.elements])
 def test_cayley_check_catches_a_corrupted_entry_of_any_element(word):
     # a corrupted rho(k) shows in rho(S) rho(S^-1 k); the oracle agrees
-    corrupted = _with_entry(word, REP.rho[_matrix_of_word(word)].a[0, 0] + 1)
+    corrupted = _with_entry(word, numerators(REP.rho[_matrix_of_word(word)])[0][0, 0] + 1)
     with pytest.raises(RelationError):
         cayley_check(corrupted)
     with pytest.raises(RelationError):
@@ -265,20 +301,17 @@ def test_cayley_check_names_a_failing_pair():
         cayley_check(swapped)
 
 
-def test_cayley_check_refuses_numerators_past_the_float_bound():
-    # 3 * 81 * (2^23)^2 > 2^53 in rho(S) rho(S); the inflated matrix would
-    # also fail a comparison, so OverflowError shows the bound is checked first
+def test_cayley_check_refuses_numerators_past_the_field_bound():
+    # rho(TS) first enters as h, rho(S) rho(TS), before any comparison reads
+    # it; the transform may quadruple numerators per digit, 4^4 2^30 >= 2^31,
+    # so OverflowError shows the bound is checked first
     with pytest.raises(OverflowError):
-        cayley_check(_with_entry("S", 2**23))
-    # rho(TS) enters only as h, first against rho(S), whose numerators are at
-    # most 1, before any comparison reads it: 3 * 81 * 1 * 2^46 > 2^53
-    with pytest.raises(OverflowError):
-        cayley_check(_with_entry("TS", 2**46))
+        cayley_check(_with_entry("TS", 2**30))
 
 
 def test_cayley_check_rejects_a_denominator_outside_nine():
     thirds = REP._replace(
-        rho={**REP.rho, S_MAT: OmegaMat(REP.rho_S.a, REP.rho_S.b, 27)})
+        rho={**REP.rho, S_MAT: OmegaMat(*numerators(REP.rho_S), 27)})
     with pytest.raises(RelationError, match="does not divide 9"):
         cayley_check(thirds)
 
@@ -300,7 +333,8 @@ def _matrix_of_word(word):
 
 
 def _transpose(m):
-    return OmegaMat(m.a.T, m.b.T, m.den)
+    a, b = numerators(m)
+    return OmegaMat(a.T, b.T, m.den)
 
 
 def test_traces_on_classes():
@@ -324,9 +358,9 @@ def test_rho_commutes_with_orthogonal_group():
         p = np.frombuffer(group.perm[k], dtype=np.uint8).astype(np.intp)
         pinv = np.empty_like(p)
         pinv[p] = idx
-        for m in (REP.rho_S, REP.rho_T):
-            assert np.array_equal(m.a[np.ix_(pinv, pinv)], m.a)
-            assert np.array_equal(m.b[np.ix_(pinv, pinv)], m.b)
+        for a, b in map(numerators, (REP.rho_S, REP.rho_T)):
+            assert np.array_equal(a[np.ix_(pinv, pinv)], a)
+            assert np.array_equal(b[np.ix_(pinv, pinv)], b)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +572,17 @@ def column_sum_dual(rep: WeilRep):
     over each type's rows, and the conjugated rho(T) phase of each type."""
     groups = [list(idx) for idx in module_table(rep.module).groups().values()]
     s_conj = rep.rho_S.conjugate()
+    s_a, s_b = numerators(s_conj)
+    t_a, t_b = numerators(rep.rho_T)
     agg_s = []
     for rows in groups:
-        sums = [{(int(s_conj.a[rows, j].sum()), int(s_conj.b[rows, j].sum())) for j in cols}
+        sums = [{(int(s_a[rows, j].sum()), int(s_b[rows, j].sum())) for j in cols}
                 for cols in groups]
         assert all(len(col) == 1 for col in sums)  # independent of the representative
         agg_s.append(tuple(CycQ(3, list(col.pop()), s_conj.den) for col in sums))
     phases = []
     for idx in groups:
-        assert len({(int(rep.rho_T.a[i, i]), int(rep.rho_T.b[i, i])) for i in idx}) == 1
+        assert len({(int(t_a[i, i]), int(t_b[i, i])) for i in idx}) == 1
         phases.append(entry(rep.rho_T, idx[0], idx[0]).conjugate())
     agg_t = tuple(tuple(p if i == j else CycQ.rational(0) for j in range(len(groups)))
                   for i, p in enumerate(phases))
@@ -576,9 +612,22 @@ def test_isotypic_projectors_of_all_characters_sum_to_the_identity():
     subs = [isotypic_subspace(REP, i) for i in sorted(CHARACTER_TABLE)]
     assert tuple(sub.dimension for sub in subs) == (1, 30, 5, 5, 10, 20, 10)
     den = math.lcm(*(sub.projector.den for sub in subs))
-    total_a = sum(sub.projector.a * (den // sub.projector.den) for sub in subs)
-    total_b = sum(sub.projector.b * (den // sub.projector.den) for sub in subs)
+    total_a = sum(numerators(sub.projector)[0] * (den // sub.projector.den) for sub in subs)
+    total_b = sum(numerators(sub.projector)[1] * (den // sub.projector.den) for sub in subs)
     assert np.array_equal(total_a, den * np.eye(81)) and not total_b.any()
+
+
+def test_isotypic_subspace_rejects_a_projector_that_does_not_commute_with_rho():
+    # every rho(g) conjugated by a transposition outside O(q) is still a
+    # representation, so its projector is idempotent with an integer trace,
+    # but it no longer commutes with rho(S) and rho(T) of the module
+    perm = np.arange(81)
+    i, j = INDEX[(1, 0, 0, 0)], INDEX[(0, 1, 0, 0)]
+    perm[[i, j]] = perm[[j, i]]
+    moved = {g: OmegaMat(*(x[np.ix_(perm, perm)] for x in numerators(m)), m.den)
+             for g, m in REP.rho.items()}
+    with pytest.raises(RankError, match="does not commute"):
+        isotypic_subspace(REP._replace(rho=moved))
 
 
 def test_isotypic_subspace_rejects_a_character_value_outside_z_w(monkeypatch):
@@ -668,3 +717,41 @@ def test_o_q_norm_rejects_unstable_projector():
     bad = OmegaMat(line, np.zeros_like(line))
     with pytest.raises(Exception):
         o_q_character_norm(REP, bad)
+
+
+# ---------------------------------------------------------------------------
+# the packed route against the former numpy route
+
+
+def _nondegenerate(module):
+    return mat_det([[3 * v for v in row] for row in module.gen_b]) % 3 != 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(exponent3_modules().filter(_nondegenerate))
+@example(M)
+@example(ALT)
+def test_the_packed_route_equals_the_numpy_oracle(module):
+    table, same = module_table(module), weil_oracle.same
+    oracle = weil_oracle.word_products(module)
+    # the transform certificate of build_weil, on every module
+    ident = OmegaMat.identity(module.order())
+    assert same(_left(table, "S", ident), weil_oracle.generators(module)[0])
+    # each word by left products, whether or not the relations hold
+    for g in build_sl2f3().elements:
+        m = ident
+        for letter in reversed(g.word):
+            m = _left(table, letter, m)
+        assert same(m, oracle[g.mat]) and m.trace() == weil_oracle.trace(oracle[g.mat])
+    if not weil_oracle.relations_hold(module):
+        with pytest.raises(RelationError):
+            build_weil(module)
+        return
+    rep = build_weil(module)
+    assert all(same(rep.rho[g], oracle[g]) for g in oracle)
+    traces = {rep.group.class_of[g]: weil_oracle.trace(oracle[g]) for g in oracle}
+    assert character_decompose(rep).traces == tuple(traces[c] for c in CLASS_ORDER)
+    sub = isotypic_subspace(rep)
+    projector = weil_oracle.projector(oracle, 3)
+    assert same(sub.projector, projector)
+    assert o_q_character_norm(rep, sub.projector) == weil_oracle.o_q_norm(module, projector)
