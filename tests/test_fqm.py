@@ -530,7 +530,7 @@ def test_tables_and_group_of_random_pairings_match_the_oracles(module):
     assert group.orbits == orbits
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(exponent3_modules())
 def test_equal_modules_from_unreduced_data_hash_alike(module):
     # the same form spelled as unreduced Fractions and plain ints: equal

@@ -151,11 +151,11 @@ def _object_zw_matmul(a1, b1, a2, b2):
 
 
 @st.composite
-def zw_operands(draw):
-    """Two Z[w] factors whose numerator bounds m1, m2 sit at 3 k m1 m2 < 2^53."""
+def zw_operands(draw, limit=2**53):
+    """Two Z[w] factors whose numerator bounds m1, m2 sit at 3 k m1 m2 < limit."""
     rows, k, cols = (draw(st.integers(1, 4)) for _ in range(3))
-    m1 = draw(st.integers(1, (2**53 - 1) // (3 * k)))
-    m2 = (2**53 - 1) // (3 * k * m1)
+    m1 = draw(st.integers(1, (limit - 1) // (3 * k)))
+    m2 = (limit - 1) // (3 * k * m1)
 
     def block(r, c, m):
         entries = st.lists(st.integers(-m, m), min_size=r * c, max_size=r * c)
@@ -171,6 +171,15 @@ def test_zw_matmul_matches_python_int_products(operands):
     want_a, want_b = _object_zw_matmul(*operands)
     assert a.astype(object).tolist() == want_a.tolist()
     assert b.astype(object).tolist() == want_b.tolist()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(zw_operands(2**31))
+def test_packed_products_match_python_int_products(operands):
+    # over the denominator 1 nothing reduces, so the numerators are the product
+    product = OmegaMat(*operands[:2]) @ OmegaMat(*operands[2:])
+    want = _object_zw_matmul(*operands)
+    assert [x.tolist() for x in numerators(product)] == [w.tolist() for w in want]
 
 
 def test_zw_matmul_bound_is_sharp():
@@ -242,11 +251,13 @@ def test_generator_matrices():
 
 
 def _full_cayley_table(rep):
-    """The 576-pair oracle: every rho(g) rho(h) against rho(gh), in exact OmegaMat arithmetic."""
+    """The 576-pair oracle: every rho(g) rho(h) against rho(gh), by the numpy route."""
     elements = rep.group.elements
+    mats = {g: (*numerators(m), m.den) for g, m in rep.rho.items()}
     for g in elements:
         for h in elements:
-            if not rep.rho[g.mat] @ rep.rho[h.mat] == rep.rho[_mul2(g.mat, h.mat)]:
+            product = weil_oracle.matmul(mats[g.mat], mats[h.mat])
+            if not weil_oracle.same(rep.rho[_mul2(g.mat, h.mat)], product):
                 raise RelationError(f"rho({g.word or 'E'}) rho({h.word or 'E'}) disagrees")
     return len(elements) ** 2
 
