@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .exact import CycQ, format_cyc
 from .qseries import eta_power_8, evaluate, numeric_transform_check, obstruction_eisenstein
 
-# The other layers are imported inside the handlers that read them, so a
-# command loads only what it runs: `eisenstein` never imports numpy.
+# The other layers are imported inside the functions that read them, so a
+# command loads only what it runs: `eisenstein` loads no other layer.
 
 class CheckResult(NamedTuple):
     name: str
@@ -237,27 +237,29 @@ def cmd_borcherds(args) -> int:
     return 0
 
 
-def cmd_special_vectors(args) -> int:
+def sign_vector_rows(rep, sub, svs) -> list[dict]:
+    """Per sign vector: its basis, support, lift witness and verify_special verdict."""
     from .borcherds import lift_witness
-    from .fqm import element_str, paper_module
+    from .fqm import element_str
+    from .weil import verify_special
+
+    return [{"basis": element_str(sv.basis.alpha0), "support": len(sv.coeffs),
+             "witness": {"element": element_str(x), "coefficient": c},
+             "checks_ok": verify_special(rep, sv, sub).ok}
+            for sv in svs for x, c in [lift_witness(sv)]]
+
+
+def cmd_special_vectors(args) -> int:
+    from .fqm import paper_module
     from .weil import (build_weil, isotypic_subspace, o_q_character_norm,
-                       special_vector_rank, special_vectors, verify_special)
+                       special_vector_rank, special_vectors)
 
     rep = build_weil(paper_module())
     sub = isotypic_subspace(rep)
     svs = special_vectors(rep)
     rank = special_vector_rank(svs)
     norm = o_q_character_norm(rep, sub.projector)
-    rows = []
-    for sv in svs:
-        checks = verify_special(rep, sv, sub)
-        x, c = lift_witness(sv)
-        rows.append({
-            "basis": element_str(sv.basis.alpha0),
-            "support": len(sv.coeffs),
-            "witness": {"element": element_str(x), "coefficient": c},
-            "checks_ok": checks.ok,
-        })
+    rows = sign_vector_rows(rep, sub, svs)
     if args.format == "json":
         return _emit_json({
             "count": len(svs),
@@ -305,205 +307,189 @@ def cmd_accounting(args) -> int:
 # the verification gauntlet
 
 
-def _check(name: str, expected: str, actual: str, source: str) -> CheckResult:
-    status = "pass" if expected == actual else "fail"
-    return CheckResult(name, status, expected, actual, source)
+FAILURES = (ValueError, ArithmeticError)  # a failed stage or command; anything else is a bug
+
+
+class _Failed(ValueError):
+    """Raised on reading a failed stage; `skip` is what the stages built on it report."""
+
+    def __init__(self, text: str, skip: str):
+        super().__init__(text)
+        self.skip = skip
 
 
 def run_checks() -> list[CheckResult]:
-    """All fourteen frozen-value checks, in a fixed order."""
-    from .borcherds import (AccountingError, accounting_report, borcherds_weight,
-                            lift_witness, long_root_divisor, short_root_divisor)
-    from .fqm import (REFERENCE_TABLE, TYPE_LABELS, TYPE_PATTERNS, DualMismatchError,
-                      central_negation, classify, element_str, expand_patterns,
-                      involutive_reflections, orthogonal_group, paper_module, pairing_table,
-                      reflect)
+    """All fourteen frozen-value checks, in a fixed order.
+
+    A check reads its inputs through `stage`, which runs each named stage
+    once per run.  A stage that raises one of FAILURES fails every check
+    that reads it, with the error text; a stage built on a failed one reads
+    `skipped: <stage> failed`.  Every other check still runs.
+    """
+    from .borcherds import (accounting_report, borcherds_weight, lift_witness,
+                            long_root_divisor, short_root_divisor)
+    from .fqm import (REFERENCE_TABLE, TYPE_LABELS, TYPE_PATTERNS, central_negation, classify,
+                      element_str, expand_patterns, involutive_reflections, orthogonal_group,
+                      paper_module, pairing_table, reflect)
     from .lattice import (alt_spec, discriminant_form, milgram_signature, paper_spec,
                           reflection_minus_one, trireflection)
     from .vvmf import RepSpec, dimension_report
-    from .weil import (RelationError, aggregated_dual, build_weil, cayley_check,
-                       character_decompose, isotypic_subspace, o_q_character_norm,
-                       special_vector_rank, special_vectors, verify_special)
+    from .weil import (aggregated_dual, build_weil, cayley_check, character_decompose,
+                       isotypic_subspace, o_q_character_norm, special_vector_rank,
+                       special_vectors)
 
+    memo = {}
+
+    def stage(name, thunk):
+        if name not in memo:
+            try:
+                memo[name] = thunk()
+            except _Failed as e:  # an input failed
+                memo[name] = _Failed(e.skip, e.skip)
+            except FAILURES as e:
+                memo[name] = _Failed(str(e), f"skipped: {name} failed")
+        if isinstance(memo[name], _Failed):
+            raise memo[name]
+        return memo[name]
+
+    module = lambda: stage("paper_module", paper_module)
+    rep = lambda: stage("build_weil", lambda: build_weil(module()))
+    dual = lambda: stage("aggregated_dual", lambda: aggregated_dual(rep()))
+    dims = lambda: stage("dimension_report", lambda: dimension_report(RepSpec(*dual()), 4))
+    form = lambda: stage("obstruction_eisenstein", lambda: obstruction_eisenstein(60))
+    acct = lambda: stage("accounting_report", lambda: accounting_report(module(), form()))
+    sub = lambda: stage("isotypic_subspace", lambda: isotypic_subspace(rep()))
+    svs = lambda: stage("special_vectors", lambda: special_vectors(rep()))
+    rows = lambda: stage("sign_vector_rows", lambda: sign_vector_rows(rep(), sub(), svs()))
+    standard = lambda: next(sv for sv in svs() if sv.basis.alpha0 == (1, 0, 0, 0))
+
+    def census():
+        types = classify(module())
+        same = all(expand_patterns(TYPE_PATTERNS[t]) == frozenset(types[t]) for t in TYPE_LABELS)
+        return (" ".join(f"{t}={len(types[t])}" for t in TYPE_LABELS)
+                + f" patterns={'match' if same else 'differ'}")
+
+    def pairing():
+        table = pairing_table(module())
+        bad = sum(1 for k, v in REFERENCE_TABLE.items() if table.get(k) != v)
+        return "16 triples match" if bad == 0 else f"{bad} triples differ"
+
+    def traces():
+        closed, dec = cayley_check(rep()), character_decompose(rep())
+        return (f"traces={tuple(int(t.as_fraction()) for t in dec.traces)} "
+                f"mult={dec.multiplicities} closed={closed}")
+
+    def normalization():
+        f00 = form().component("00")
+        leading = [_term(*form().component(label).leading()) for label in ("0", "1", "2")]
+        c = (2 * math.pi) ** 4 / 486
+        a_coef, b_coef = form().weights
+        sums = [_lattice_sum(*ab, 1.3j) / c for ab in ((0, 1), (1, 0), (1, 1), (1, 2))]
+        direct = float(a_coef) * sums[0] + float(b_coef) * (sums[1] + sums[2] + sums[3])
+        dev = abs(direct - evaluate(f00, 1.3j)) / abs(direct)
+        return (f"const={format_cyc(f00.coeff_at(0))} f_0={leading[0]} f_1={leading[1]} "
+                f"f_2={leading[2]} f_00_q={format_cyc(f00.coeff_at(3))} "
+                f"oracle={'ok' if dev < 1e-10 else f'relative deviation {dev:.3e}'}")
+
+    def weights():
+        w_long = borcherds_weight(long_root_divisor(), form())
+        w_short = borcherds_weight(short_root_divisor(), form())
+        obstruction = "ok" if dims().dim_cusp == 0 else "cusp forms remain"
+        return (f"long={w_long} ball={w_long / 3} short={w_short} "
+                f"ball={w_short / 3} obstruction={obstruction}")
+
+    def group():
+        g = orthogonal_group(module())
+        return (f"order={g.order} orbits={tuple(sorted(len(o) for o in g.orbits))} "
+                f"central={'-1' if central_negation(g) else 'missing'} "
+                f"reflections={len(involutive_reflections(g))}")
+
+    def special():
+        r, p, vs = rep(), sub().projector, svs()  # the inputs before the rows built on them
+        ok = all(row["checks_ok"] for row in rows())
+        return (f"count={len(vs)} checks={'ok' if ok else 'failed'} "
+                f"rank={special_vector_rank(vs)} norm={o_q_character_norm(r, p)}")
+
+    def witnesses():
+        x, coeff = lift_witness(standard())
+        signed = all(row["witness"]["coefficient"] in (-1, 1) for row in rows())
+        return f"all={'signed' if signed else 'broken'} standard={element_str(x)}->{coeff}"
+
+    def lattice_layer():
+        spec = paper_spec()
+        data = discriminant_form(spec)
+        identity4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        tri_ok = data.induced_map(trireflection(spec, (0, 0, 1, 0, 0, 0, 0, 0))) == identity4
+        long_root = (0, 0, 1, 0, 1, 0, 0, 0)
+        refl_ok = (data.induced_map(reflection_minus_one(spec, long_root))
+                   == reflect(module(), data.vector_class(long_root)).matrix)
+        alt = discriminant_form(alt_spec())
+        hist_ok = data.module.q_histogram() == alt.module.q_histogram()
+        sigs = (milgram_signature(data.module), milgram_signature(alt.module))
+        return (f"trireflection={'identity' if tri_ok else 'moves classes'} "
+                f"reflection={'F3-reflection' if refl_ok else 'mismatch'} "
+                f"histograms={'equal' if hist_ok else 'differ'} milgram={sigs}")
+
+    def transform():
+        r, eta8 = rep(), eta_power_8(60)
+        components = [eta8.scale(v) for v in standard().vec]
+        dev = numeric_transform_check(components, r.rho_T, r.rho_S, 4,
+                                      0.3 + 1.1j)["max_deviation"]
+        return "max deviation < 1e-8" if dev < 1e-8 else f"max deviation {dev:.3e}"
+
+    def accounting():
+        a = acct()
+        identity = (a.ball_long + a.short_multiplicity * a.ball_short
+                    == 6 * a.n_bases == a.per_basis_weight)
+        return (f"{a.ball_long} + {a.short_multiplicity} * {a.ball_short} "
+                f"= {a.per_basis_weight} = 6 * {a.n_bases} "
+                f"multiplicity={'enumerated' if identity else 'broken'}")
+
+    table = (
+        ("type-census", "00=1 0=20 1=30 2=30 patterns=match",
+         "census of q-values over the 81 digit tuples", census),
+        ("pairing-table", "16 triples match", "pairing-count table of the rank-4 module",
+         pairing),
+        ("weil-traces",
+         "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 5) closed=576",
+         "conjugacy-class traces of the metaplectic action", traces),
+        ("aggregated-dual", "matches the displayed pair", "type-aggregated conjugate action",
+         lambda: dual() and "matches the displayed pair"),
+        ("dimension-report", "d=4 alpha=(1, 4/3, 1) dim=2 eis=2 cusp=0",
+         "fixed-subspace dimension bookkeeping at weight 4",
+         lambda: "d={0.dim_plus} alpha=({0.alpha_s}, {0.alpha_st}, {0.alpha_t}) "
+                 "dim={0.dim_modular} eis={0.dim_eisenstein} cusp={0.dim_cusp}".format(dims())),
+        ("eisenstein-normalization",
+         "const=-1/2 f_0=270 q f_1=135 q^(2/3) f_2=15 q^(1/3) f_00_q=15 oracle=ok",
+         "normalized weight-4 congruence sums and a truncated lattice sum", normalization),
+        ("borcherds-weights", "long=135 ball=45 short=15 ball=5 obstruction=ok",
+         "divisor pairing against the Eisenstein coefficients", weights),
+        ("orthogonal-group", "order=1440 orbits=(20, 30, 30) central=-1 reflections=30",
+         "enumerated isometry group of the quadratic module", group),
+        ("orthogonal-bases", "bases=15 incidence=3 isotropic=covered cusps=10",
+         "orthogonal-basis combinatorics and isotropic incidence",
+         lambda: "bases={0.n_bases} incidence={0.short_incidence} "
+                 "isotropic=covered cusps={0.cusps}".format(acct())),
+        ("special-vectors", "count=15 checks=ok rank=5 norm=1",
+         "sign vectors in the five-dimensional isotypic subspace", special),
+        ("lift-witness", "all=signed standard=1111->-1",
+         "leading support coefficients of the sign vectors", witnesses),
+        ("lattice-layer",
+         "trireflection=identity reflection=F3-reflection histograms=equal milgram=(4, 4)",
+         "rank-8 even lattices inducing the module and their isometries", lattice_layer),
+        ("numeric-transform", "max deviation < 1e-8",
+         "modular-transformation spot check at tau = 0.3 + 1.1i", transform),
+        ("accounting", "45 + 9 * 5 = 90 = 6 * 15 multiplicity=enumerated",
+         "weight bookkeeping over the fifteen bases", accounting),
+    )
     out = []
-    module = paper_module()
-    types = classify(module)
-
-    counts = " ".join(f"{t}={len(types[t])}" for t in TYPE_LABELS)
-    patterns_ok = all(
-        expand_patterns(TYPE_PATTERNS[t]) == frozenset(types[t])
-        for t in TYPE_LABELS)
-    out.append(_check(
-        "type-census",
-        "00=1 0=20 1=30 2=30 patterns=match",
-        f"{counts} patterns={'match' if patterns_ok else 'differ'}",
-        "census of q-values over the 81 digit tuples"))
-
-    table = pairing_table(module)
-    bad = sum(1 for k, v in REFERENCE_TABLE.items() if table.get(k) != v)
-    out.append(_check(
-        "pairing-table",
-        "16 triples match",
-        "16 triples match" if bad == 0 else f"{bad} triples differ",
-        "pairing-count table of the rank-4 module"))
-
-    rep = build_weil(module)
-    try:
-        closed = cayley_check(rep)
-    except RelationError as e:
-        closed = str(e)
-    dec = character_decompose(rep)
-    trace_ints = tuple(int(t.as_fraction()) for t in dec.traces)
-    out.append(_check(
-        "weil-traces",
-        "traces=(81, 1, 1, -9, 1, 1, -9) mult=(1, 10, 5, 5, 5, 10, 5) closed=576",
-        f"traces={trace_ints} mult={dec.multiplicities} closed={closed}",
-        "conjugacy-class traces of the metaplectic action"))
-
-    try:
-        agg_t, agg_s = aggregated_dual(rep)
-        agg_actual = "matches the displayed pair"
-    except DualMismatchError as e:
-        agg_t = agg_s = None
-        agg_actual = str(e)
-    out.append(_check(
-        "aggregated-dual",
-        "matches the displayed pair",
-        agg_actual,
-        "type-aggregated conjugate action"))
-
-    if agg_t is not None:
-        report = dimension_report(RepSpec(agg_t, agg_s), 4)
-        dim_actual = (f"d={report.dim_plus} alpha=({report.alpha_s}, "
-                      f"{report.alpha_st}, {report.alpha_t}) "
-                      f"dim={report.dim_modular} eis={report.dim_eisenstein} "
-                      f"cusp={report.dim_cusp}")
-        obstruction = "ok" if report.dim_cusp == 0 else "cusp forms remain"
-    else:
-        dim_actual = obstruction = "skipped: no aggregated action"
-    out.append(_check(
-        "dimension-report",
-        "d=4 alpha=(1, 4/3, 1) dim=2 eis=2 cusp=0",
-        dim_actual,
-        "fixed-subspace dimension bookkeeping at weight 4"))
-
-    form = obstruction_eisenstein(60)
-    f00 = form.component("00")
-    leading = (format_cyc(f00.coeff_at(0)),
-               _term(*form.component("0").leading()),
-               _term(*form.component("1").leading()),
-               _term(*form.component("2").leading()),
-               format_cyc(f00.coeff_at(3)))
-    tau = 1.3j
-    c = (2 * math.pi) ** 4 / 486
-    a_coef, b_coef = form.weights
-    sums = {ab: _lattice_sum(*ab, tau) / c
-            for ab in ((0, 1), (1, 0), (1, 1), (1, 2))}
-    direct = (float(a_coef) * sums[(0, 1)]
-              + float(b_coef) * (sums[(1, 0)] + sums[(1, 1)] + sums[(1, 2)]))
-    dev = abs(direct - evaluate(f00, tau)) / abs(direct)
-    oracle = "ok" if dev < 1e-10 else f"relative deviation {dev:.3e}"
-    out.append(_check(
-        "eisenstein-normalization",
-        "const=-1/2 f_0=270 q f_1=135 q^(2/3) f_2=15 q^(1/3) f_00_q=15 oracle=ok",
-        (f"const={leading[0]} f_0={leading[1]} f_1={leading[2]} "
-         f"f_2={leading[3]} f_00_q={leading[4]} oracle={oracle}"),
-        "normalized weight-4 congruence sums and a truncated lattice sum"))
-
-    w_long = borcherds_weight(long_root_divisor(), form)
-    w_short = borcherds_weight(short_root_divisor(), form)
-    out.append(_check(
-        "borcherds-weights",
-        "long=135 ball=45 short=15 ball=5 obstruction=ok",
-        (f"long={w_long} ball={w_long / 3} short={w_short} "
-         f"ball={w_short / 3} obstruction={obstruction}"),
-        "divisor pairing against the Eisenstein coefficients"))
-
-    group = orthogonal_group(module)
-    orbit_sizes = tuple(sorted(len(o) for o in group.orbits))
-    out.append(_check(
-        "orthogonal-group",
-        "order=1440 orbits=(20, 30, 30) central=-1 reflections=30",
-        (f"order={group.order} orbits={orbit_sizes} "
-         f"central={'-1' if central_negation(group) else 'missing'} "
-         f"reflections={len(involutive_reflections(group))}"),
-        "enumerated isometry group of the quadratic module"))
-
-    try:
-        acct, acct_error = accounting_report(module, form), None
-    except AccountingError as e:  # fails this line and accounting, not the gauntlet
-        acct, acct_error = None, str(e)
-    out.append(_check(
-        "orthogonal-bases",
-        "bases=15 incidence=3 isotropic=covered cusps=10",
-        acct_error or (f"bases={acct.n_bases} incidence={acct.short_incidence} "
-                       f"isotropic=covered cusps={acct.cusps}"),
-        "orthogonal-basis combinatorics and isotropic incidence"))
-
-    sub = isotypic_subspace(rep)
-    svs = special_vectors(rep)
-    checks_ok = all(verify_special(rep, sv, sub).ok for sv in svs)
-    rank = special_vector_rank(svs)
-    norm = o_q_character_norm(rep, sub.projector)
-    out.append(_check(
-        "special-vectors",
-        "count=15 checks=ok rank=5 norm=1",
-        (f"count={len(svs)} checks={'ok' if checks_ok else 'failed'} "
-         f"rank={rank} norm={norm}"),
-        "sign vectors in the five-dimensional isotypic subspace"))
-
-    witnesses_ok = all(lift_witness(sv)[1] in (-1, 1) for sv in svs)
-    standard = next(sv for sv in svs if sv.basis.alpha0 == (1, 0, 0, 0))
-    x, coeff = lift_witness(standard)
-    out.append(_check(
-        "lift-witness",
-        "all=signed standard=1111->-1",
-        (f"all={'signed' if witnesses_ok else 'broken'} "
-         f"standard={element_str(x)}->{coeff}"),
-        "leading support coefficients of the sign vectors"))
-
-    spec = paper_spec()
-    data = discriminant_form(spec)
-    identity4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    tri = trireflection(spec, (0, 0, 1, 0, 0, 0, 0, 0))
-    tri_ok = data.induced_map(tri) == identity4
-    long_root = (0, 0, 1, 0, 1, 0, 0, 0)
-    refl = reflection_minus_one(spec, long_root)
-    alpha = data.vector_class(long_root)
-    refl_ok = data.induced_map(refl) == reflect(module, alpha).matrix
-    alt = discriminant_form(alt_spec())
-    hist_ok = data.module.q_histogram() == alt.module.q_histogram()
-    sigs = (milgram_signature(data.module), milgram_signature(alt.module))
-    out.append(_check(
-        "lattice-layer",
-        "trireflection=identity reflection=F3-reflection histograms=equal "
-        "milgram=(4, 4)",
-        (f"trireflection={'identity' if tri_ok else 'moves classes'} "
-         f"reflection={'F3-reflection' if refl_ok else 'mismatch'} "
-         f"histograms={'equal' if hist_ok else 'differ'} milgram={sigs}"),
-        "rank-8 even lattices inducing the module and their isometries"))
-
-    eta8 = eta_power_8(60)
-    components = [eta8.scale(v) for v in standard.vec]
-    transform = numeric_transform_check(components, rep.rho_T, rep.rho_S, 4,
-                                        0.3 + 1.1j)
-    dev = transform["max_deviation"]
-    out.append(_check(
-        "numeric-transform",
-        "max deviation < 1e-8",
-        "max deviation < 1e-8" if dev < 1e-8 else f"max deviation {dev:.3e}",
-        "modular-transformation spot check at tau = 0.3 + 1.1i"))
-
-    identity = acct is not None and (acct.ball_long + acct.short_multiplicity * acct.ball_short
-                                     == 6 * acct.n_bases == acct.per_basis_weight)
-    out.append(_check(
-        "accounting",
-        "45 + 9 * 5 = 90 = 6 * 15 multiplicity=enumerated",
-        acct_error or (f"{acct.ball_long} + {acct.short_multiplicity} * {acct.ball_short} "
-                       f"= {acct.per_basis_weight} = 6 * {acct.n_bases} "
-                       f"multiplicity={'enumerated' if identity else 'broken'}"),
-        "weight bookkeeping over the fifteen bases"))
-
+    for name, expected, source, check in table:
+        try:
+            actual = check()
+        except FAILURES as e:  # a failed stage, or a failure in this check alone
+            actual = str(e)
+        out.append(CheckResult(name, "pass" if actual == expected else "fail",
+                               expected, actual, source))
     return out
 
 
@@ -554,22 +540,17 @@ def _lattice_sum(a: int, b: int, tau: complex) -> complex:
 
 def cmd_verify_all(args) -> int:
     checks = run_checks()
-    failed = [c for c in checks if c.status != "pass"]
+    failed = sum(c.status != "pass" for c in checks)
     if args.format == "json":
-        _emit_json({
-            "checks": [c._asdict() for c in checks],
-            "passed": len(checks) - len(failed),
-            "failed": len(failed),
-        })
+        _emit_json({"checks": [c._asdict() for c in checks],
+                    "passed": len(checks) - failed, "failed": failed})
         return 1 if failed else 0
     for c in checks:
         if c.status == "pass":
             print(f"[PASS] {c.name}: {c.actual} ({c.source})")
         else:
-            print(f"[FAIL] {c.name}: expected {c.expected}, got {c.actual} "
-                  f"({c.source})")
-    print(f"{len(checks)} checks: {len(checks) - len(failed)} passed, "
-          f"{len(failed)} failed")
+            print(f"[FAIL] {c.name}: expected {c.expected}, got {c.actual} ({c.source})")
+    print(f"{len(checks)} checks: {len(checks) - failed} passed, {failed} failed")
     return 1 if failed else 0
 
 
@@ -644,7 +625,7 @@ def main(argv=None) -> int:
         parser.error("--weight must be at least 3")
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, ArithmeticError) as e:
+    except FAILURES as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -140,10 +140,6 @@ class OmegaMat:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def conjugate(self) -> "OmegaMat":
-        return _omega(tuple(map(sub, self.a, self.b)), tuple(-y for y in self.b),
-                      self.den, _bound(2, self), self.cols)
-
     def trace(self) -> CycQ:
         bias, mask = _bias(self.cols), (1 << _BITS) - 1  # field i of row i, plus 2^31
         return CycQ(3, [sum((x + bias) >> _BITS * i & mask for i, x in enumerate(rows))
@@ -370,8 +366,9 @@ class WeilRep(NamedTuple):
 
 def build_weil(module: QuadraticModule) -> WeilRep:
     """Construct rho on C[A] and certify its defining relations.  _left is
-    certified on the identity against rho(S) from the B table; every rho(g)
-    is then gen rho(rest), gen the first letter of the word of g."""
+    certified on the identity against rho(S) from the B table.  rho(E),
+    rho(S) and rho(S)^2 are the matrices certified; every other rho(g) is
+    gen rho(rest), gen the first letter of the word of g."""
     table, n = module_table(module), module.order()
     ident = OmegaMat.identity(n)
     rho_s = _left(table, "S", ident)
@@ -393,10 +390,11 @@ def build_weil(module: QuadraticModule) -> WeilRep:
         raise RelationError("(rho(S) rho(T))^3 != rho(S)^2")
 
     group = build_sl2f3()
-    rho = {group.elements[0].mat: ident}
+    rho = {group.elements[0].mat: ident, S_MAT: rho_s, _mul2(S_MAT, S_MAT): s2}
     for g in group.elements[1:]:  # BFS order: every shorter word comes first
-        gen = S_MAT if g.word[0] == "S" else T_MAT
-        rho[g.mat] = _left(table, g.word[0], rho[_mul2(_inv2(gen), g.mat)])
+        if g.mat not in rho:
+            gen = S_MAT if g.word[0] == "S" else T_MAT
+            rho[g.mat] = _left(table, g.word[0], rho[_mul2(_inv2(gen), g.mat)])
     return WeilRep(module, group, rho)
 
 

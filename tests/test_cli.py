@@ -12,7 +12,6 @@ from triform import borcherds, cli, exact, fqm, lattice, vvmf, weil
 from triform.cli import main, run_checks
 from triform.fqm import DualMismatchError
 from triform.qseries import QSeries
-from triform.weil import build_weil
 
 
 def run(capsys, *argv):
@@ -190,16 +189,33 @@ def test_precision_three_is_the_floor(capsys):
     assert "f_00: -1/2 + 15 q" in out
 
 
-def test_gauntlet_builds_the_weil_representation_once(monkeypatch):
+SHARED_STAGES = [
+    (weil, "build_weil", 1), (weil, "special_vectors", 1), (weil, "isotypic_subspace", 1),
+    (fqm, "paper_module", 1), (vvmf, "dimension_report", 1),
+    (borcherds, "accounting_report", 1), (cli, "obstruction_eisenstein", 1),
+    (cli, "eta_power_8", 1), (lattice, "discriminant_form", 2),
+]
+
+
+def _stage_id(module, name):
+    return f"{module.__name__.rpartition('.')[2]}.{name}"
+
+
+@pytest.mark.parametrize("module,name,runs", SHARED_STAGES,
+                         ids=[_stage_id(m, name) for m, name, _ in SHARED_STAGES])
+def test_gauntlet_builds_the_weil_representation_once(monkeypatch, module, name, runs):
+    # the stages that several checks read run once per gauntlet; the lattice
+    # line builds the discriminant forms of the two presets
     calls = []
+    stage = getattr(module, name)
 
-    def counting_build_weil(module):
-        calls.append(module)
-        return build_weil(module)
+    def counting_stage(*args):
+        calls.append(args)
+        return stage(*args)
 
-    monkeypatch.setattr(weil, "build_weil", counting_build_weil)
+    monkeypatch.setattr(module, name, counting_stage)
     assert all(c.status == "pass" for c in run_checks())
-    assert len(calls) == 1
+    assert len(calls) == runs
 
 
 def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
@@ -212,8 +228,7 @@ def test_failed_aggregated_dual_fails_the_obstruction_field(monkeypatch):
     failed = {name for name, c in checks.items() if c.status == "fail"}
     assert failed == {"aggregated-dual", "dimension-report", "borcherds-weights"}
     assert checks["aggregated-dual"].actual == "injected mismatch"
-    assert checks["borcherds-weights"].actual.endswith(
-        "obstruction=skipped: no aggregated action")
+    assert checks["borcherds-weights"].actual == "skipped: aggregated_dual failed"
 
 
 def test_a_failing_cayley_check_fails_only_the_weil_traces_line(monkeypatch, capsys):
@@ -224,11 +239,70 @@ def test_a_failing_cayley_check_fails_only_the_weil_traces_line(monkeypatch, cap
     checks = run_checks()
     assert len(checks) == 14
     assert [c.name for c in checks if c.status == "fail"] == ["weil-traces"]
-    assert next(c for c in checks if c.name == "weil-traces").actual.endswith(
-        "closed=rho(S) rho(T) disagrees with the product element")
+    assert next(c for c in checks if c.name == "weil-traces").actual == (
+        "rho(S) rho(T) disagrees with the product element")
     code, out, err = run(capsys, "verify-all")
     assert code == 1
     assert out.endswith("14 checks: 13 passed, 1 failed\n") and err == ""
+
+
+ALL_CHECKS = {"type-census", "pairing-table", "weil-traces", "aggregated-dual",
+              "dimension-report", "eisenstein-normalization", "borcherds-weights",
+              "orthogonal-group", "orthogonal-bases", "special-vectors", "lift-witness",
+              "lattice-layer", "numeric-transform", "accounting"}
+WEIL_READERS = {"weil-traces", "special-vectors", "numeric-transform"}
+MODULE_READERS = {"type-census", "pairing-table", "orthogonal-group", "lattice-layer"}
+
+# (module, stage, error, the lines that read the stage, the lines built on it)
+FAILED_STAGES = [
+    (fqm, "paper_module", ZeroDivisionError("injected division by zero"), MODULE_READERS,
+     ALL_CHECKS - MODULE_READERS - {"eisenstein-normalization"}),
+    (weil, "build_weil", weil.RelationError("injected relation failure"), WEIL_READERS,
+     {"aggregated-dual", "dimension-report", "borcherds-weights", "lift-witness"}),
+    (weil, "cayley_check", weil.RelationError("injected product failure"), {"weil-traces"},
+     set()),
+    (weil, "aggregated_dual", DualMismatchError("injected mismatch"), {"aggregated-dual"},
+     {"dimension-report", "borcherds-weights"}),
+    (vvmf, "dimension_report", vvmf.DimensionError("injected dimension failure"),
+     {"dimension-report", "borcherds-weights"}, set()),
+    (cli, "obstruction_eisenstein", OverflowError("injected overflow"),
+     {"eisenstein-normalization", "borcherds-weights"}, {"orthogonal-bases", "accounting"}),
+    (borcherds, "accounting_report", borcherds.AccountingError("injected accounting", {}),
+     {"orthogonal-bases", "accounting"}, set()),
+    (fqm, "orthogonal_group", ValueError("injected group failure"), {"orthogonal-group"},
+     set()),
+    (weil, "isotypic_subspace", weil.RankError("injected rank failure"), {"special-vectors"},
+     {"lift-witness"}),
+    (weil, "special_vectors", fqm.BasisError("injected basis failure"),
+     {"special-vectors", "lift-witness", "numeric-transform"}, set()),
+    (lattice, "discriminant_form", lattice.LatticeError("injected lattice failure"),
+     {"lattice-layer"}, set()),
+    (cli, "eta_power_8", ArithmeticError("injected eta failure"), {"numeric-transform"},
+     set()),
+]
+
+
+@pytest.mark.parametrize("module,name,error,readers,built_on", FAILED_STAGES,
+                         ids=[_stage_id(m, name) for m, name, *_ in FAILED_STAGES])
+def test_a_failed_stage_fails_its_readers_and_skips_what_is_built_on_it(
+        monkeypatch, capsys, module, name, error, readers, built_on):
+    def failing_stage(*args):
+        raise error
+
+    monkeypatch.setattr(module, name, failing_stage)
+    code, out, err = run(capsys, "verify-all", "--format", "json")
+    assert code == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert set(checks) == ALL_CHECKS
+    assert {n for n, c in checks.items() if c["actual"] == str(error)} == readers
+    assert {n for n, c in checks.items()
+            if c["actual"] == f"skipped: {name} failed"} == built_on
+    assert {n for n, c in checks.items() if c["status"] == "pass"} == (
+        ALL_CHECKS - readers - built_on)
+    code, out, err = run(capsys, "verify-all")
+    failed = len(readers | built_on)
+    assert code == 1 and err == "" and "Traceback" not in out
+    assert out.endswith(f"14 checks: {14 - failed} passed, {failed} failed\n")
 
 
 @pytest.mark.parametrize("error", [
