@@ -9,17 +9,18 @@ floats.
 
 The matrix helpers at the bottom operate on tuples of tuples and, except
 for `mat_from_rows` (which lifts to CycQ), keep the entry type: ints stay
-ints, Fractions stay Fractions, CycQ stays CycQ.  One
-reduced row echelon serves rank, nullspace, solve, inverse and determinant
-over Q (ints and Fractions) and over Q(zeta_n) (CycQ); it rejects inexact
-entries such as floats with a TypeError.
+ints, Fractions stay Fractions, CycQ stays CycQ.  One elimination serves
+rank, nullspace, solve, inverse and determinant: fraction-free over Z, on
+ints and on rows of Fractions scaled to ints, so that over Q only the values
+it returns are Fractions, and with one inverse per pivot over Q(zeta_n)
+(CycQ).  It rejects inexact entries such as floats with a TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -385,11 +386,20 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return result
 
 
-def _field_rows(a: Matrix) -> tuple[list[list], Callable]:
-    """Mutable rows of a over one field, and the lift of a rational into it.
+def _echelon(a: Matrix) -> tuple[list[list], list[int], object, Callable, Callable]:
+    """The reduced row echelon form of a, times a common pivot D.
 
-    The field is Q(zeta_n) if any entry is a CycQ and Q otherwise, with ints
-    turned into Fractions; any other entry type, a float say, is a TypeError.
+    Over Q each row is scaled to ints by the lcm of its denominators, and the
+    ints go through fraction-free Gauss-Jordan elimination (Bareiss, Math.
+    Comp. 22, 1968): with p the new pivot and D the one before, every other
+    row becomes (p row - f pivot_row) / D, an exact division, so every pivot
+    ends equal to the last.  If any entry is a CycQ, each pivot row is first
+    divided by its pivot, which makes p = D = 1.  Any other entry type, a
+    float say, is a TypeError.
+
+    Returns the rows, the pivot columns, D, x -> x / D into the field (a
+    Fraction or a CycQ), and a thunk for the determinant of a square a of
+    full rank.
     """
     cyclotomic = False
     for row in a:
@@ -398,72 +408,72 @@ def _field_rows(a: Matrix) -> tuple[list[list], Callable]:
                 cyclotomic = True
             elif not isinstance(x, (int, Fraction)):
                 raise TypeError(f"exact linear algebra got a {type(x).__name__} entry")
-    lift = CycQ._coerce if cyclotomic else Fraction
-    return [[lift(x) for x in row] for row in a], lift
-
-
-def _echelon(rows: list[list]) -> tuple[list[int], object]:
-    """Bring rows to reduced row echelon form in place.
-
-    Returns the pivot columns and the signed product of the pivots, which
-    is the determinant of a square matrix of full rank.
-    """
+    if cyclotomic:
+        rows = [[CycQ._coerce(x) for x in row] for row in a]
+    else:
+        scales = [lcm(*(x.denominator for x in row)) for row in a]
+        rows = [[s // x.denominator * x.numerator for x in row] for s, row in zip(scales, a)]
+        scale = prod(scales)
     pivots: list[int] = []
-    det = 1
+    det, d = 1, 1  # det: the sign of the swaps, times the pivots over Q(zeta_n)
     r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             det = -det
-        det = det * rows[r][col]
-        inv = 1 / rows[r][col]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != r and f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        p = rows[r][col]
+        if cyclotomic:
+            det = det * p
+            inv = 1 / p
+            rows[r] = [inv * x for x in rows[r]]
+            p = 1
+        pivot = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and (f or p != d):  # a row with f = 0 still moves from D to p
+                rows[i] = ([x - f * y for x, y in zip(row, pivot)] if p == d == 1 else
+                           [(p * x - f * y) // d for x, y in zip(row, pivot)])
+        d = p
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return pivots, det
+    if cyclotomic:
+        return rows, pivots, d, CycQ._coerce, lambda: det
+    return rows, pivots, d, lambda x: Fraction(x, d), lambda: Fraction(det * d, scale)
 
 
 def mat_rank(a: Matrix) -> int:
-    rows, _ = _field_rows(a)
-    return len(_echelon(rows)[0])
+    return len(_echelon(a)[1])
 
 
 def mat_nullspace(a: Matrix) -> list[Vector]:
     """Basis of the right kernel, deterministic (free columns ascending)."""
-    rows, lift = _field_rows(a)
-    pivots, _ = _echelon(rows)
+    rows, pivots, d, value, _ = _echelon(a)
     ncols = len(a[0]) if a else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [lift(0)] * ncols
-        v[f] = lift(1)
+        v = [value(0)] * ncols
+        v[f] = value(d)
         for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+            v[p] = value(-rows[r][f])
         basis.append(tuple(v))
     return basis
 
 
 def mat_solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of A x = b, or None if inconsistent."""
-    rows, lift = _field_rows([list(row) + [bv] for row, bv in zip(a, b)])
-    pivots, _ = _echelon(rows)
+    rows, pivots, _, value, _ = _echelon([list(row) + [bv] for row, bv in zip(a, b)])
     ncols = len(a[0]) if a else 0
     if ncols in pivots:  # a row reads 0 = 1
         return None
-    x = [lift(0)] * ncols
+    x = [value(0)] * ncols
     for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
+        x[p] = value(rows[r][ncols])
     return tuple(x)
 
 
@@ -476,18 +486,18 @@ def _square(a: Matrix) -> int:
 
 def mat_inverse(a: Matrix) -> Matrix:
     k = _square(a)
-    rows, _ = _field_rows([list(row) + list(e) for row, e in zip(a, mat_identity(k))])
-    if _echelon(rows)[0] != list(range(k)):
+    rows, pivots, _, value, _ = _echelon(
+        [list(row) + list(e) for row, e in zip(a, mat_identity(k))])
+    if pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[k:]) for row in rows)
+    return tuple(tuple(map(value, row[k:])) for row in rows)
 
 
 def mat_det(a: Matrix):
     """Determinant, a Fraction over Q and a CycQ over Q(zeta_n)."""
     k = _square(a)
-    rows, lift = _field_rows(a)
-    pivots, det = _echelon(rows)
-    return lift(det if len(pivots) == k else 0)
+    _, pivots, _, value, det = _echelon(a)
+    return det() if len(pivots) == k else value(0)
 
 
 # ---------------------------------------------------------------------------

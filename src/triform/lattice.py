@@ -9,8 +9,10 @@ its discriminant group L*/L, and `discriminant_form` certifies them
 (membership in L*, distinct classes, |det G| of them) rather than
 searching for generators.
 
-Conventions: vectors are integer (or Fraction) tuples in basis coordinates;
-matrices act on the left, x -> M x; the Gram matrix G gives <x, y> = x G y.
+Conventions: vectors are tuples in basis coordinates, of ints, or of Fractions
+for a dual vector, which the code computes with as integer numerators over one
+denominator (`_numerators`); matrices act on the left, x -> M x; the Gram
+matrix G gives <x, y> = x G y.
 """
 
 from __future__ import annotations
@@ -231,26 +233,26 @@ class DiscriminantData(NamedTuple):
     generators: tuple  # ambient rational vectors, one per cyclic factor
     classes: dict  # class mod L (numerators over lcm(orders), reduced) -> digits
 
-    def digits(self, c) -> tuple[int, ...]:
-        """Coordinates of the class of a dual vector c over the generators."""
-        num, d = _numerators(c)
+    def digits(self, num, d: int) -> tuple[int, ...]:
+        """Coordinates over the generators of the class of the dual vector num / d."""
         if any(v % d for v in mat_vec(self.spec.gram, num)):
-            raise LatticeError(f"{tuple(map(Fraction, c))} is not in the dual lattice")
+            raise LatticeError(f"{tuple(Fraction(v, d) for v in num)} is not in the dual lattice")
         den = math.lcm(*self.module.orders)
         key = tuple(v * den // d % den for v in num)
         if any(v * den % d for v in num) or key not in self.classes:
-            raise LatticeError(f"{tuple(map(Fraction, c))}: no expression over the generators")
+            raise LatticeError(
+                f"{tuple(Fraction(v, d) for v in num)}: no expression over the generators")
         return self.classes[key]
 
     def vector_class(self, r) -> tuple[int, ...]:
         """Digits of the class of (r + 2 iota r)/3; needs the isometry."""
         ir = iota_apply(self.spec, r)
-        c = tuple(Fraction(a + 2 * b, 3) for a, b in zip(r, ir))
-        return self.digits(c)
+        return self.digits(tuple(a + 2 * b for a, b in zip(r, ir)), 3)
 
     def induced_map(self, iso: Isometry):
         """The matrix over F_3 (or Z/d) induced on the module by an isometry."""
-        cols = [self.digits(mat_vec(iso.matrix, g)) for g in self.generators]
+        cols = [self.digits(mat_vec(iso.matrix, num), d)
+                for num, d in map(_numerators, self.generators)]
         return tuple(zip(*cols))
 
 

@@ -77,15 +77,7 @@ class OmegaMat:
 
     __slots__ = ("a", "b", "den", "cols", "height", "_transpose")
 
-    def __init__(self, a, b, den: int = 1):
-        a, b = [list(map(int, row)) for row in a], [list(map(int, row)) for row in b]
-        cols = len(a[0]) if a else 0
-        if len(a) != len(b) or any(len(row) != cols for row in chain(a, b)):
-            raise ValueError("component shapes differ")
-        height = _bound(max(map(abs, chain(*a, *b)), default=0))
-        self._set(tuple(map(_pack, a)), tuple(map(_pack, b)), den, cols, height)
-
-    def _set(self, a, b, den, cols, height) -> None:
+    def __init__(self, a: tuple, b: tuple, den: int, height: int, cols: int):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
@@ -114,7 +106,7 @@ class OmegaMat:
 
     @staticmethod
     def identity(n: int) -> "OmegaMat":
-        return _omega(tuple(1 << _BITS * i for i in range(n)), (0,) * n, 1, 1, n)
+        return OmegaMat(tuple(1 << _BITS * i for i in range(n)), (0,) * n, 1, 1, n)
 
     def rows(self) -> tuple[list[list[int]], list[list[int]]]:  # A and B
         return tuple([flat[i:i + self.cols] for i in range(0, len(flat), self.cols)]
@@ -131,7 +123,7 @@ class OmegaMat:
             # (xa + xb w)(ya + yb w) = (xa ya - xb yb) + (xa yb + xb (ya - yb)) w
             a.append(sum(map(mul, xa, ya)) - sum(map(mul, xb, yb)))
             b.append(sum(map(mul, xa, yb)) + sum(map(mul, xb, yd)))
-        return _omega(tuple(a), tuple(b), self.den * other.den, bound, other.cols)
+        return OmegaMat(tuple(a), tuple(b), self.den * other.den, bound, other.cols)
 
     def __eq__(self, other):
         if not isinstance(other, OmegaMat):
@@ -147,8 +139,8 @@ class OmegaMat:
 
     def transpose(self) -> "OmegaMat":  # kept: matvec_int reads it for every vector
         if self._transpose is None:
-            self._transpose = _omega(*(tuple(map(_pack, zip(*part))) for part in self.rows()),
-                                     self.den, self.height, len(self.a))
+            self._transpose = OmegaMat(*(tuple(map(_pack, zip(*part))) for part in self.rows()),
+                                       self.den, self.height, len(self.a))
         return self._transpose
 
     def matvec_int(self, v) -> tuple[list[int], list[int], int]:
@@ -156,13 +148,6 @@ class OmegaMat:
         _bound(len(v) * max(map(abs, v), default=0), self)
         t = self.transpose()
         return (*(_unpack((sum(map(mul, v, part)),), t.cols) for part in (t.a, t.b)), self.den)
-
-
-def _omega(a: tuple, b: tuple, den: int, height: int, cols: int) -> OmegaMat:
-    """The OmegaMat of packed rows whose |numerators| `height` bounds."""
-    m = OmegaMat.__new__(OmegaMat)
-    m._set(a, b, den, cols, height)
-    return m
 
 
 def _bound(factor: int, *ms: OmegaMat) -> int:
@@ -209,7 +194,7 @@ def _raw(t: ModuleTable, letter: str, m: OmegaMat) -> tuple[tuple, tuple, int, i
 
 
 def _left(t: ModuleTable, letter: str, m: OmegaMat) -> OmegaMat:
-    return _omega(*_raw(t, letter, m), m.cols)
+    return OmegaMat(*_raw(t, letter, m), m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +359,13 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     rho_s = _left(table, "S", ident)
     # rho(S) = -(1/9) w^(-B): each part of -w^(-B) as a signed byte per B
     parts = (bytes(-W_POWERS[-x % 3][k] % 256 for x in range(256)) for k in (0, 1))
-    if not rho_s == _omega(*(tuple(_pack(array("b", row.translate(part))) for row in table.b)
-                             for part in parts), 9, 1, n):
+    if not rho_s == OmegaMat(*(tuple(_pack(array("b", row.translate(part))) for row in table.b)
+                               for part in parts), 9, 1, n):
         raise RelationError("the Fourier transform is not rho(S)")
 
     # rho(T)^3 = 1 by construction: rho(T) = diag(w^Q(alpha))
     s2 = _left(table, "S", rho_s)
-    if not s2 == _omega(tuple(1 << _BITS * i for i in table.neg), (0,) * n, 1, 1, n):
+    if not s2 == OmegaMat(tuple(1 << _BITS * i for i in table.neg), (0,) * n, 1, 1, n):
         raise RelationError("rho(S)^2 is not the negation permutation")
     # rho(S)^4 = 1 follows: the negation permutation is an involution
     st3 = _left(table, "T", ident)
@@ -507,7 +492,7 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
         # (c0 + c1 w)(A + B w) = (c0 A - c1 B) + (c0 B + c1 (A - B)) w
         a.append(sum(map(mul, c0, xa)) - sum(map(mul, c1, xb)))
         b.append(sum(map(mul, c0, xb)) + sum(map(mul, c1, xa)) - sum(map(mul, c1, xb)))
-    proj = _omega(tuple(a), tuple(b), den * group.order, height, rep.dim())
+    proj = OmegaMat(tuple(a), tuple(b), den * group.order, height, rep.dim())
     if not proj @ proj == proj:
         raise RankError("isotypic operator is not idempotent")
     for letter in "ST":  # rho(S), rho(T) are symmetric, so P rho = (rho P^T)^T

@@ -1,4 +1,5 @@
-"""tools/bench_record.py: every timed run is checked against the first."""
+"""tools/bench_record.py: every timed run is checked against the first, and the
+call counts of `verify-all` are read from a fresh interpreter."""
 
 import importlib.util
 import subprocess
@@ -69,3 +70,20 @@ def test_describe_is_none_outside_git(monkeypatch, error):
 
     monkeypatch.setattr(tool.subprocess, "run", run)
     assert tool.describe(Path("/some/archive")) is None
+
+
+def test_call_counts_reads_a_fresh_verify_all():
+    tool = _load()
+    counts = tool.call_counts(TOOL.parent.parent)
+    assert set(counts) == {"python_calls", "fractions_calls"}
+    # integer matrices are eliminated without Fractions: 32,038 calls when they were not
+    assert 0 < counts["fractions_calls"] < 10_000 < counts["python_calls"]
+
+
+def test_call_counts_fails_when_verify_all_fails(tmp_path):
+    tool = _load()
+    (tmp_path / "src" / "triform").mkdir(parents=True)
+    (tmp_path / "src" / "triform" / "__init__.py").write_text("")
+    (tmp_path / "src" / "triform" / "cli.py").write_text("def main(argv):\n    return 1\n")
+    with pytest.raises(subprocess.CalledProcessError):
+        tool.call_counts(tmp_path)

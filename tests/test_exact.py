@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -282,6 +283,74 @@ def test_float_entries_are_rejected(a, data):
                 entry_point(bad)
     with pytest.raises(TypeError):
         mat_solve(a, (x,) + (0,) * (len(a) - 1))
+
+
+RATIONAL = st.builds(Fraction, SMALL, st.integers(1, 6))
+
+
+@st.composite
+def rational_systems(draw):
+    """A small matrix of Fractions and a right-hand side of matching length."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = tuple(tuple(draw(RATIONAL) for _ in range(cols)) for _ in range(rows))
+    return a, tuple(draw(RATIONAL) for _ in range(rows))
+
+
+@EXAMPLES
+@given(rational_systems())
+def test_fraction_rows_are_scaled_to_integers_exactly(system):
+    a, b = system
+    rank, kernel, sol = mat_rank(a), mat_nullspace(a), mat_solve(a, b)
+    assert len(kernel) == len(a[0]) - rank
+    for v in kernel:
+        assert all(isinstance(x, Fraction) for x in v)
+        assert mat_vec(a, v) == (0,) * len(a)
+    if sol is not None:
+        assert mat_vec(a, sol) == b
+    up = lift(a, 3)
+    assert mat_rank(up) == rank
+    assert mat_nullspace(up) == kernel
+    up_sol = mat_solve(up, lift((b,), 3)[0])
+    assert (up_sol is None) == (sol is None)
+    if sol is not None:
+        assert up_sol == sol
+    if len(a) == len(a[0]):
+        det = mat_det(a)
+        assert isinstance(det, Fraction) and det == leibniz_det(a) == mat_det(up)
+        if det:
+            assert mat_mul(a, mat_inverse(a)) == mat_identity(len(a))
+
+
+def outer_fraction_calls(fn, *args) -> tuple[object, list[str]]:
+    """fn(*args), and the names of the calls into fractions.py that it makes
+    from outside fractions.py."""
+    path, calls = sys.modules["fractions"].__file__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path \
+                and frame.f_back.f_code.co_filename != path:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_integer_matrices_are_eliminated_without_fractions():
+    rng = random.Random(3)
+    for k in (2, 8, 15):
+        full = tuple(tuple(rng.randint(-5, 5) for _ in range(k)) for _ in range(k))
+        low = full[:-1] + (tuple(x - 2 * y for x, y in zip(full[0], full[-2])),)
+        for a in (full, low):
+            rank, calls = outer_fraction_calls(mat_rank, a)
+            assert calls == [] and rank == k - (a is low)
+            det, calls = outer_fraction_calls(mat_det, a)
+            assert calls == ["__new__"] and isinstance(det, Fraction)  # the value returned
+            assert (det == 0) == (a is low)
+            if k < 15:
+                assert det == mat_det(lift(a, 3))
 
 
 # ---------------------------------------------------------------------------

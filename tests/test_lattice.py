@@ -15,6 +15,7 @@ from triform.lattice import (
     LatticeSpec,
     MilgramError,
     RootError,
+    _numerators,
     _sqrt_exact,
     alt_spec,
     discriminant_form,
@@ -255,7 +256,7 @@ def test_dual_digits_round_trip():
         c = [Fraction(0)] * 8
         for digit, gen in zip(x, data.generators):
             c = [a + digit * b for a, b in zip(c, gen)]
-        assert data.digits(tuple(c)) == x
+        assert data.digits(*_numerators(c)) == x
 
 
 def test_inner_matches_fraction_sums_seeded():
@@ -276,11 +277,13 @@ def test_digits_reads_classes_mod_l_and_rejects_non_dual_vectors():
     for x in rng.sample(data.module.elements(), 12):
         c = [sum(d * g[k] for d, g in zip(x, data.generators)) for k in range(8)]
         shifted = tuple(a + rng.randint(-3, 3) for a in c)  # the same class mod L
-        assert data.digits(shifted) == x
-    with pytest.raises(LatticeError, match="not in the dual lattice"):
-        data.digits((Fraction(1, 3),) + (0,) * 7)
-    with pytest.raises(LatticeError, match="not in the dual lattice"):
-        data.digits((Fraction(1, 2), Fraction(1, 2)) + (0,) * 6)
+        assert data.digits(*_numerators(shifted)) == x
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    for num, d, c in (((1,) + (0,) * 7, 3, (third,) + (0,) * 7),
+                      ((2, 2) + (0,) * 6, 4, (half, half) + (0,) * 6)):
+        with pytest.raises(LatticeError) as info:
+            data.digits(num, d)  # rendered as the rational vector, in lowest terms
+        assert str(info.value) == f"{tuple(map(Fraction, c))} is not in the dual lattice"
 
 
 def milgram_by_elements(module) -> int:

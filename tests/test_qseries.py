@@ -42,7 +42,7 @@ from triform.weil import (
     build_weil,
     special_vectors,
 )
-from weil_oracle import numerators
+from weil_oracle import numerators, omega_mat
 
 
 def series(pairs, precision):
@@ -338,17 +338,17 @@ def test_cyc_complex_values():
     assert abs(w - cmath.exp(2j * cmath.pi / 3)) < 1e-15
 
 
-def omega_mat(grid):
+def cyc_omega_mat(grid):
     """A matrix of CycQ values in Q(w) as an OmegaMat."""
     values = [[v.embed(3) for v in row] for row in grid]
     den = math.lcm(*(v.den for row in values for v in row))
     a, b = ([[v.num[k] * (den // v.den) for v in row] for row in values] for k in (0, 1))
-    return OmegaMat(a, b, den)
+    return omega_mat(a, b, den)
 
 
 def test_aggregated_eisenstein_transforms_numerically():
     rep = build_weil(paper_module())
-    agg_t, agg_s = (omega_mat(m) for m in aggregated_dual(rep))
+    agg_t, agg_s = (cyc_omega_mat(m) for m in aggregated_dual(rep))
     form = obstruction_eisenstein(60)
     components = [form.component(t) for t in ("00", "0", "1", "2")]
     out = numeric_transform_check(components, agg_t, agg_s, 4, 0.3 + 1.1j)

@@ -8,6 +8,8 @@ exceptions are the names the benchmark's tracer wraps (STAGES and LEAVES
 of perfbench/tracer.py) and the names the frozen acceptance test imports.
 Code and data that only tests read belong in the tests.  Every name a
 module imports (`from __future__` aside) must also be read in that module.
+A method name that another definition in src shares is pinned, with its
+readers, in SHARED_NAMES.
 """
 
 import ast
@@ -111,6 +113,57 @@ def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
         "Box(1, 2).used()\nprint(Slots(1).held)\n")
     assert unreached(tmp_path) == ["extra.lonely", "extra.Box.unread", "extra.Box.unused",
                                    "extra.Slots.idle"]
+
+
+# The guard matches a method by its name alone, so a method whose name also
+# names another method, a function or a record field in src counts as reached
+# when any namesake is read.  Each such name is pinned here with where its
+# methods are read, so that a new collision fails until it is checked by hand.
+SHARED_NAMES = {
+    "b": "QuadraticModule.b, the Fraction pairing, read by fqm.gram3 and a tracer leaf; "
+         "fields ModuleTable.b (the B table) and OmegaMat.b (the w rows)",
+    "elements": "QuadraticModule.elements(), read by q_histogram and module_table; fields "
+                "ModuleTable.elements and SL2F3.elements",
+    "neg": "QuadraticModule.neg, read by fqm.canonical_sign; field ModuleTable.neg",
+    "ok": "ObstructionReport.ok, read by cli.cmd_borcherds, and SpecialChecks.ok, read by "
+          "cli.sign_vector_rows",
+    "order": "QuadraticModule.order(), read by milgram_signature and build_weil; "
+             "OrthogonalGroup.order, read by cli and o_q_character_norm; SL2F3.order, read "
+             "by isotypic_subspace",
+    "q": "QuadraticModule.q, read by q_histogram and gram3; field ModuleTable.q",
+    "to_json": "AccountingReport.to_json and DimensionReport.to_json, one per JSON handler "
+               "in cli",
+}
+
+
+def shared_method_names(src: Path = SRC) -> list[str]:
+    """Method names (dunders aside) that also name another method, a
+    module-level function or a record field in `src`."""
+    names, methods = Counter(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                names[node.name] += 1
+            elif isinstance(node, ast.ClassDef):
+                own = [item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                       and not item.name.startswith("__")]
+                names.update(own + _fields(node))
+                methods.update(own)
+    return sorted(name for name in methods if names[name] > 1)
+
+
+def test_every_shared_method_name_is_pinned_with_its_reason():
+    assert shared_method_names() == sorted(SHARED_NAMES)
+
+
+def test_a_new_namesake_of_a_method_is_seen(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "from typing import NamedTuple\n\n\n"
+        "def trace():\n    return 0\n\n\n"
+        "class Box(NamedTuple):\n    transpose: int\n")
+    assert shared_method_names(tmp_path) == sorted([*SHARED_NAMES, "trace", "transpose"])
 
 
 def test_every_imported_name_is_read():

@@ -61,7 +61,7 @@ from triform.weil import (
     validate_character_table,
     verify_special,
 )
-from weil_oracle import _zw_matmul, numerators
+from weil_oracle import _zw_matmul, numerators, omega_mat
 
 M = paper_module()
 REP = build_weil(M)
@@ -78,7 +78,7 @@ def class_members(group, label):
 
 
 def test_omega_mat_arithmetic():
-    w_scalar = OmegaMat(np.array([[0]]), np.array([[1]]))
+    w_scalar = omega_mat(np.array([[0]]), np.array([[1]]))
     w2 = w_scalar @ w_scalar
     # w^2 = -1 - w
     assert np.array_equal(numerators(w2)[0], [[-1]]) and np.array_equal(numerators(w2)[1], [[-1]])
@@ -88,13 +88,13 @@ def test_omega_mat_arithmetic():
 
 
 def test_omega_mat_equality_across_denominators():
-    a = OmegaMat(np.array([[2]]), np.array([[4]]), 2)
-    b = OmegaMat(np.array([[1]]), np.array([[2]]))
+    a = omega_mat(np.array([[2]]), np.array([[4]]), 2)
+    b = omega_mat(np.array([[1]]), np.array([[2]]))
     assert a == b
     assert (a.den, numerators(a)[0].tolist(), numerators(a)[1].tolist()) == (1, [[1]], [[2]])
-    assert OmegaMat([[3, 6]], [[0, 9]], -6) == OmegaMat([[-1, -2]], [[0, -3]], 2)
-    assert not OmegaMat([[1]], [[0]], 3) == OmegaMat([[1]], [[0]], 2)
-    assert not OmegaMat([[1, 0]], [[0, 0]]) == OmegaMat([[1]], [[0]])
+    assert omega_mat([[3, 6]], [[0, 9]], -6) == omega_mat([[-1, -2]], [[0, -3]], 2)
+    assert not omega_mat([[1]], [[0]], 3) == omega_mat([[1]], [[0]], 2)
+    assert not omega_mat([[1, 0]], [[0, 0]]) == omega_mat([[1]], [[0]])
 
 
 HUGE = 2**30  # a field holds |x| < 2^31
@@ -109,10 +109,10 @@ def _spike(x):
 
 @pytest.mark.parametrize("operation,exact", [
     # 2 * 2^30 in field 0 would carry into field 1 and read back as (-2^31, 1)
-    (lambda: OmegaMat([[2]], [[0]]) @ OmegaMat([[HUGE, 0]], [[0, 0]]),
+    (lambda: omega_mat([[2]], [[0]]) @ omega_mat([[HUGE, 0]], [[0, 0]]),
      ([[2**31, 0]], [[0, 0]])),
     # rho(T) on row (1, 0, 0, 0), Q = 1: w (x + y w) = -y + (x - y) w
-    (lambda: _left(module_table(M), "T", OmegaMat(_spike(HUGE), _spike(-HUGE))), None),
+    (lambda: _left(module_table(M), "T", omega_mat(_spike(HUGE), _spike(-HUGE))), None),
 ], ids=["matmul", "left-product"])
 def test_numerators_past_the_field_bound_raise_or_stay_exact(operation, exact):
     # a numerator past 2^31 - 1 cannot sit in a field: each operation must
@@ -127,19 +127,19 @@ def test_numerators_past_the_field_bound_raise_or_stay_exact(operation, exact):
 
 def test_a_trace_past_the_field_bound_stays_exact():
     # traces add fields as Python ints, so no bound applies
-    assert OmegaMat(np.diag([HUGE, HUGE]), np.zeros((2, 2)), 3).trace() == Fraction(2**31, 3)
+    assert omega_mat(np.diag([HUGE, HUGE]), np.zeros((2, 2)), 3).trace() == Fraction(2**31, 3)
 
 
 def test_the_field_bound_is_sharp():
     # (m - m w)^2 = -3 m^2 w: the w-part reaches the bound 3 k m^2 itself
     m = math.isqrt((2**31 - 1) // 3)
-    x = OmegaMat([[m]], [[-m]])
+    x = omega_mat([[m]], [[-m]])
     assert [v.tolist() for v in numerators(x @ x)] == [[[0]], [[-3 * m * m]]]
-    y = OmegaMat([[m + 1]], [[-m - 1]])
+    y = omega_mat([[m + 1]], [[-m - 1]])
     with pytest.raises(OverflowError):
         y @ y
     with pytest.raises(OverflowError):
-        OmegaMat([[2**31]], [[0]])
+        omega_mat([[2**31]], [[0]])
 
 
 def _object_zw_matmul(a1, b1, a2, b2):
@@ -176,7 +176,7 @@ def test_zw_matmul_matches_python_int_products(operands):
 @given(zw_operands(2**31))
 def test_packed_products_match_python_int_products(operands):
     # over the denominator 1 nothing reduces, so the numerators are the product
-    product = OmegaMat(*operands[:2]) @ OmegaMat(*operands[2:])
+    product = omega_mat(*operands[:2]) @ omega_mat(*operands[2:])
     want = _object_zw_matmul(*operands)
     assert [x.tolist() for x in numerators(product)] == [w.tolist() for w in want]
 
@@ -282,7 +282,7 @@ def _with_entry(word, value):
     r = REP.rho[g]
     a, b = numerators(r)
     a[0, 0] = value
-    return REP._replace(rho={**REP.rho, g: OmegaMat(a, b, r.den)})
+    return REP._replace(rho={**REP.rho, g: omega_mat(a, b, r.den)})
 
 
 def test_full_multiplication_table():
@@ -336,7 +336,7 @@ def test_cayley_check_refuses_numerators_past_the_field_bound():
 
 def test_cayley_check_rejects_a_denominator_outside_nine():
     thirds = REP._replace(
-        rho={**REP.rho, S_MAT: OmegaMat(*numerators(REP.rho_S), 27)})
+        rho={**REP.rho, S_MAT: omega_mat(*numerators(REP.rho_S), 27)})
     with pytest.raises(RelationError, match="does not divide 9"):
         cayley_check(thirds)
 
@@ -359,13 +359,13 @@ def _matrix_of_word(word):
 
 def _transpose(m):
     a, b = numerators(m)
-    return OmegaMat(a.T, b.T, m.den)
+    return omega_mat(a.T, b.T, m.den)
 
 
 def _conjugate(m):
     """Entrywise complex conjugate: conj(a + b w) = a + b w^2 = (a - b) - b w."""
     a, b = numerators(m)
-    return OmegaMat(a - b, -b, m.den)
+    return omega_mat(a - b, -b, m.den)
 
 
 def test_traces_on_classes():
@@ -655,7 +655,7 @@ def test_isotypic_subspace_rejects_a_projector_that_does_not_commute_with_rho():
     perm = np.arange(81)
     i, j = INDEX[(1, 0, 0, 0)], INDEX[(0, 1, 0, 0)]
     perm[[i, j]] = perm[[j, i]]
-    moved = {g: OmegaMat(*(x[np.ix_(perm, perm)] for x in numerators(m)), m.den)
+    moved = {g: omega_mat(*(x[np.ix_(perm, perm)] for x in numerators(m)), m.den)
              for g, m in REP.rho.items()}
     with pytest.raises(RankError, match="does not commute"):
         isotypic_subspace(REP._replace(rho=moved))
@@ -737,7 +737,7 @@ def test_o_q_character_norms():
     assert o_q_character_norm(REP, sub.projector) == 1
     zero_line = np.zeros((81, 81), dtype=np.int64)
     zero_line[INDEX[(0, 0, 0, 0)], INDEX[(0, 0, 0, 0)]] = 1
-    assert o_q_character_norm(REP, OmegaMat(zero_line, np.zeros_like(zero_line))) == 1
+    assert o_q_character_norm(REP, omega_mat(zero_line, np.zeros_like(zero_line))) == 1
     full = o_q_character_norm(REP, OmegaMat.identity(81))
     assert full.denominator == 1 and full > 1
 
@@ -745,7 +745,7 @@ def test_o_q_character_norms():
 def test_o_q_norm_rejects_unstable_projector():
     line = np.zeros((81, 81), dtype=np.int64)
     line[INDEX[(1, 0, 0, 0)], INDEX[(1, 0, 0, 0)]] = 1
-    bad = OmegaMat(line, np.zeros_like(line))
+    bad = omega_mat(line, np.zeros_like(line))
     with pytest.raises(Exception):
         o_q_character_norm(REP, bad)
 

@@ -8,15 +8,17 @@ largest numerators of the factors), which it checks against 2^53 first.
 
 `numerators` reads an OmegaMat of triform.weil into the same arrays; it is
 the one place where the tests read single entries of an OmegaMat.
+`omega_mat` builds an OmegaMat from such arrays or from lists of int rows.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from triform.exact import W_POWERS, CycQ
 from triform.fqm import module_table, orthogonal_group
-from triform.weil import CHARACTER_TABLE, CLASS_ORDER, build_sl2f3
+from triform.weil import CHARACTER_TABLE, CLASS_ORDER, OmegaMat, _bound, _pack, build_sl2f3
 
 _FLOAT_EXACT_LIMIT = 1 << 53
 
@@ -25,6 +27,16 @@ def numerators(m) -> tuple[np.ndarray, np.ndarray]:
     """The numerators A and B of an OmegaMat m, over m.den, as int64 arrays."""
     a, b = m.rows()
     return np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+def omega_mat(a, b, den: int = 1) -> OmegaMat:
+    """(A + B w) / den from the int rows of A and B, which must have one shape."""
+    a, b = [list(map(int, row)) for row in a], [list(map(int, row)) for row in b]
+    cols = len(a[0]) if a else 0
+    if len(a) != len(b) or any(len(row) != cols for row in chain(a, b)):
+        raise ValueError("component shapes differ")
+    height = _bound(max(map(abs, chain(*a, *b)), default=0))
+    return OmegaMat(tuple(map(_pack, a)), tuple(map(_pack, b)), den, height, cols)
 
 
 def _max_abs(x) -> int:

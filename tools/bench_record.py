@@ -14,12 +14,16 @@ pairs: SWEEP_RUNS (9) fresh `triform eisenstein --format json --precision P`
 per P in SWEEP_PRECISIONS, and as many fresh runs of each argv in the
 COMMAND_SHAPES of the checkout's own perfbench/run.py, enough for the
 per-shape medians to resolve a change to one command.  Then each side gets
-one traced gauntlet run and one timed tier-1 test run.  A file holds the
+one traced gauntlet run, one timed tier-1 test run, and one count of the
+Python calls of `verify-all` run in-process in a fresh interpreter
+(PYTHONHASHSEED=1, `sys.setprofile`): all of them and those into
+fractions.py, counts that host load does not move.  A file holds the
 context line run.py prints (commit, source digest and line count, Python
 and numpy versions, CPU count), per workload the median and quartiles of
 each end-to-end metric with every run's values, per sweep precision and per
 command shape the median wall time with every run's and the sha256 of the
-output, the traced per-layer metrics, and the tier-1 wall time and summary.
+output, the traced per-layer metrics, the tier-1 wall time and summary, and
+the two call counts.
 Its `checkout` field is `git describe --always --dirty` of the side's
 directory, or null outside git: the context line's `commit` is HEAD, which a
 side recorded before its own commit shares with its parent.
@@ -44,6 +48,21 @@ SWEEP_PRECISIONS = (30, 300, 3000)  # thirds
 SWEEP_RUNS = 9  # alternating pairs per precision and per command shape
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+COUNT_CALLS = """
+import contextlib, io, sys
+from triform import cli
+counts = [0, 0]
+def profile(frame, event, arg):
+    if event == "call":
+        counts[0] += 1
+        counts[1] += frame.f_code.co_filename.endswith("fractions.py")
+with contextlib.redirect_stdout(io.StringIO()):
+    sys.setprofile(profile)
+    rc = cli.main(["verify-all"])
+    sys.setprofile(None)
+print(*counts)
+sys.exit(rc)
+"""
 
 
 def bench(checkout: Path, *args: str) -> tuple[dict, dict]:
@@ -103,6 +122,15 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": round(wall, 2), "summary": proc.stdout.strip().splitlines()[-1]}
 
 
+def call_counts(checkout: Path) -> dict:
+    """Python calls of one in-process `verify-all` in a fresh interpreter:
+    all of them, and those into fractions.py."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": "1"}
+    out = subprocess.run([sys.executable, "-c", COUNT_CALLS], cwd=checkout, env=env,
+                         text=True, capture_output=True, check=True).stdout.split()
+    return {"python_calls": int(out[0]), "fractions_calls": int(out[1])}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True,
@@ -155,6 +183,7 @@ def main(argv=None) -> int:
                           "--trace", "1")
         record["traced_gauntlet"] = {k: v["value"] for k, v in traced["metrics"].items()}
         record["tier1"] = tier1(side["checkout"])
+        record["verify_all_calls"] = call_counts(side["checkout"])
         side["out"].write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
