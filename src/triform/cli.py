@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import CycQ, format_cyc
@@ -31,10 +30,6 @@ class CheckResult(NamedTuple):
     expected: str
     actual: str
     source: str
-
-
-def _frac(x) -> str:
-    return str(Fraction(x))
 
 
 def _term(n: int, coeff: CycQ) -> str:
@@ -82,13 +77,12 @@ def cmd_classify(args) -> int:
         return _emit_json({
             "preset": args.preset,
             "counts": {t: len(v) for t, v in types.items()},
-            "q_histogram": {_frac(k): v for k, v in sorted(hist.items())},
+            "q_histogram": {str(k): v for k, v in sorted(hist.items())},
             "elements": {t: [element_str(x) for x in v] for t, v in types.items()},
         })
     print(f"preset: {args.preset}")
     print("counts: " + " ".join(f"{t}={len(v)}" for t, v in types.items()))
-    print("q histogram: " + " ".join(
-        f"{_frac(k)}->{v}" for k, v in sorted(hist.items())))
+    print("q histogram: " + " ".join(f"{k}->{v}" for k, v in sorted(hist.items())))
     for t, v in types.items():
         print(f"type {t}: " + " ".join(element_str(x) for x in v))
     return 0
@@ -102,12 +96,12 @@ def cmd_pairing_table(args) -> int:
     if args.format == "json":
         return _emit_json({
             "preset": args.preset,
-            "columns": [_frac(c) for c in PAIRING_COLUMNS],
+            "columns": [str(c) for c in PAIRING_COLUMNS],
             "rows": {f"{u},{v}": list(table[(u, v)])
                      for u in TYPE_LABELS for v in TYPE_LABELS},
         })
     print(f"preset: {args.preset}")
-    header = "          " + "".join(f"b={_frac(c):<8}" for c in PAIRING_COLUMNS)
+    header = "          " + "".join(f"b={str(c):<8}" for c in PAIRING_COLUMNS)
     print(header.rstrip())
     for u in TYPE_LABELS:
         for v in TYPE_LABELS:
@@ -200,7 +194,7 @@ def cmd_eisenstein(args) -> int:
     a, b = form.weights
     if args.format == "json":
         return _emit_json({
-            "combination": {"a": _frac(a), "b": _frac(b)},
+            "combination": {"a": str(a), "b": str(b)},
             "precision": args.precision,
             "components": {
                 label: {str(n): format_cyc(series.coeff_at(n)) for n in series.support()}
@@ -225,8 +219,8 @@ def cmd_borcherds(args) -> int:
     obstruction = obstruction_check(4)
     if args.format == "json":
         return _emit_json({
-            "weight_on_D": _frac(weight),
-            "weight_on_ball": _frac(ball),
+            "weight_on_D": str(weight),
+            "weight_on_ball": str(ball),
             "obstruction_ok": obstruction.ok,
         })
     (label, norm), mult = next(iter(divisor.entries.items()))
@@ -265,7 +259,7 @@ def cmd_special_vectors(args) -> int:
             "count": len(svs),
             "rank": rank,
             "isotypic_dimension": sub.dimension,
-            "character_norm": _frac(norm),
+            "character_norm": str(norm),
             "vectors": rows,
         })
     print(f"count: {len(svs)}")
@@ -558,6 +552,9 @@ def cmd_verify_all(args) -> int:
 # argument plumbing
 
 
+MAX_PRECISION = 30_000  # thirds: about 0.8 s and 36 MB for `eisenstein`
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
@@ -588,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eisenstein", parents=[common],
                        help="normalized Eisenstein combination")
     p.add_argument("--precision", type=int, default=30,
-                   help="expansion depth in thirds (at least 3, default 30)")
+                   help=f"expansion depth in thirds (3 to {MAX_PRECISION}, default 30)")
     p = sub.add_parser("borcherds", parents=[common],
                        help="product weights for a root divisor")
     p.add_argument("--divisor", choices=("long", "short"), required=True,
@@ -621,6 +618,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "precision", 3) < 3:  # 3 thirds reach every component's leading term
         parser.error("--precision must be at least 3")
+    if getattr(args, "precision", 3) > MAX_PRECISION:
+        parser.error(f"--precision must be at most {MAX_PRECISION}")
     if getattr(args, "weight", 3) < 3:  # the dimension formula needs k >= 3
         parser.error("--weight must be at least 3")
     try:

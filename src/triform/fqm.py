@@ -82,7 +82,9 @@ class QuadraticModule:
     `orders[i]` is the order of generator g_i, `gen_q[i]` = q(g_i) mod 2,
     `gen_b[i][j]` = b(g_i, g_j) mod 1.  q of a general element follows from
     q(sum x_i g_i) = sum x_i^2 q(g_i) + 2 sum_{i<j} x_i x_j b(g_i, g_j).
-    The memos key on modules: equality is over (orders, gen_q, gen_b).
+    The checks, q, b and the histogram read `numerators`: gen_q, gen_b as
+    integers over their common denominator D.  The memos key on modules:
+    equality is over (orders, numerators), the same as over (orders, gen_q, gen_b).
     """
 
     __slots__ = ("orders", "gen_q", "gen_b", "numerators")
@@ -90,33 +92,29 @@ class QuadraticModule:
     def __init__(self, orders: tuple[int, ...], gen_q: tuple[Fraction, ...],
                  gen_b: tuple[tuple[Fraction, ...], ...]):
         self.orders, self.gen_q, self.gen_b = orders, gen_q, gen_b
-        n = len(self.orders)
-        if not (len(self.gen_q) == n and len(self.gen_b) == n
-                and all(len(row) == n for row in self.gen_b)):
-            raise ValueError("generator data sizes disagree")
-        for i in range(n):
-            for j in range(n):
-                if self.gen_b[i][j] != self.gen_b[j][i]:
-                    raise ValueError("pairing matrix must be symmetric")
-                # b must kill the generator orders
-                if (self.gen_b[i][j] * self.orders[i]) % 1 != 0:
-                    raise ValueError("pairing does not respect generator order")
-            if (self.gen_q[i] * self.orders[i] * self.orders[i]) % 2 != 0:
-                raise ValueError("quadratic value does not respect generator order")
         den = math.lcm(*(v.denominator for v in (*self.gen_q, *itertools.chain(*self.gen_b))))
-        # gen_q, gen_b and their common denominator D: q and b sum integers over D
-        self.numerators = (
-            tuple(v.numerator * (den // v.denominator) for v in self.gen_q),
-            tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.gen_b),
-            den)
+        q = tuple(v.numerator * (den // v.denominator) for v in self.gen_q)
+        b = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.gen_b)
+        self.numerators = q, b, den
+        n = len(orders)
+        if not (len(q) == n and len(b) == n and all(len(row) == n for row in b)):
+            raise ValueError("generator data sizes disagree")
+        for i, m in enumerate(orders):
+            for j in range(n):
+                if b[i][j] != b[j][i]:
+                    raise ValueError("pairing matrix must be symmetric")
+                if b[i][j] * m % den:  # b must kill the generator orders
+                    raise ValueError("pairing does not respect generator order")
+            if q[i] * m * m % (2 * den):
+                raise ValueError("quadratic value does not respect generator order")
 
     def __eq__(self, other):
         if type(other) is not QuadraticModule:
             return NotImplemented
-        return (self.orders, self.gen_q, self.gen_b) == (other.orders, other.gen_q, other.gen_b)
+        return (self.orders, self.numerators) == (other.orders, other.numerators)
 
     def __hash__(self):
-        return hash((self.orders, self.numerators))  # equal forms, equal numerators
+        return hash((self.orders, self.numerators))
 
     # -- element arithmetic
 
@@ -128,12 +126,16 @@ class QuadraticModule:
 
     def q(self, x: Element) -> Fraction:
         """Quadratic value in [0, 2)."""
+        return Fraction(self._q_numerator(x), self.numerators[2])
+
+    def _q_numerator(self, x: Element) -> int:
+        """D q(x) mod 2D, D the common denominator."""
         q, b, den = self.numerators
         total = 0
         for i, xi in enumerate(x):
             if xi:  # x_i^2 q_i + 2 sum_(j > i) x_i x_j b_ij, over den
                 total += xi * (xi * q[i] + 2 * sum(map(mul, x[i + 1:], b[i][i + 1:])))
-        return Fraction(total % (2 * den), den)
+        return total % (2 * den)
 
     def b(self, x: Element, y: Element) -> Fraction:
         """Bilinear pairing in [0, 1)."""
@@ -145,7 +147,8 @@ class QuadraticModule:
         return math.prod(self.orders)
 
     def q_histogram(self) -> dict[Fraction, int]:
-        return dict(Counter(map(self.q, self.elements())))
+        counts = Counter(map(self._q_numerator, self.elements()))  # one Fraction per value
+        return {Fraction(v, self.numerators[2]): count for v, count in counts.items()}
 
 
 def paper_module() -> QuadraticModule:
@@ -322,14 +325,14 @@ def aggregated_action(module: QuadraticModule):
     (m0, m1, m2) = pairing_table[(s, t)], the counts of B = 0, 2, 1, that is
     -(1/9)((m0 - m1) + (m2 - m1) w); the count raises
     PairingConventionError if it depends on alpha.  rho*_T is diagonal,
-    conj(w^Q) = w^(2Q) at each type, which is a class of Q.  Raises
+    conj(w^Q) at each type, which is a class of Q.  Raises
     DualMismatchError if the pair differs from the frozen display values.
     """
     t = module_table(module)
     table, groups = _pairing_counts(t), t.groups()
     agg_s = tuple(tuple(CycQ(3, [m1 - m0, m1 - m2], 9)
                         for m0, m1, m2 in (table[(s, tl)] for s in groups)) for tl in groups)
-    agg_t = tuple(tuple(CycQ(3, W_POWERS[2 * t.q[idx[0]] % 3]) if s == tl else CycQ.rational(0)
+    agg_t = tuple(tuple(CycQ(3, W_POWERS[t.q[idx[0]]]).conjugate() if s == tl else CycQ.rational(0)
                         for s in groups) for tl, idx in groups.items())
     if not mat_eq(agg_t, _AGG_T):
         raise DualMismatchError("aggregated diagonal action differs from the display")

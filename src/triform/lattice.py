@@ -9,9 +9,9 @@ its discriminant group L*/L, and `discriminant_form` certifies them
 (membership in L*, distinct classes, |det G| of them) rather than
 searching for generators.
 
-Conventions: vectors are tuples in basis coordinates, of ints, or of Fractions
-for a dual vector, which the code computes with as integer numerators over one
-denominator (`_numerators`); matrices act on the left, x -> M x; the Gram
+Conventions: vectors are tuples of ints in basis coordinates; a dual vector
+n / d is the pair (n, d), d > 0 and in lowest terms, and becomes Fractions
+only where it is printed.  Matrices act on the left, x -> M x; the Gram
 matrix G gives <x, y> = x G y.
 """
 
@@ -69,9 +69,9 @@ def _block_diag(blocks: Sequence[Sequence[Sequence[int]]]) -> IntMatrix:
 class LatticeSpec:
     """An even lattice, optionally with a fixed-point-free order-3 isometry.
 
-    `dual_generators` are ambient rational vectors, one per cyclic factor of
-    L*/L, in the order the module's digits follow; discriminant_form
-    certifies them.
+    `dual_generators` are pairs (n, d), the ambient rational vectors n / d,
+    one per cyclic factor of L*/L, in the order the module's digits follow;
+    discriminant_form certifies them.
     """
 
     __slots__ = ("name", "gram", "iota", "dual_generators")
@@ -105,7 +105,7 @@ class LatticeSpec:
 
 
 def _thirds(*numerators: int) -> tuple:
-    return tuple(Fraction(n, 3) for n in numerators)
+    return numerators, 3
 
 
 def paper_spec() -> LatticeSpec:
@@ -138,17 +138,6 @@ def preset(name: str) -> LatticeSpec:
         raise LatticeError(f"unknown preset {name!r}; have {sorted(_PRESETS)}") from None
 
 
-def _numerators(v) -> tuple[tuple[int, ...], int]:
-    """A rational vector as integer numerators over its least common denominator."""
-    den = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
-
-
-def inner(spec: LatticeSpec, x, y) -> Fraction:
-    (nx, dx), (ny, dy) = _numerators(x), _numerators(y)
-    return Fraction(dot(ny, mat_vec(spec.gram, nx)), dx * dy)
-
-
 def iota_apply(spec: LatticeSpec, x):
     if spec.iota is None:
         raise LatticeError(f"preset {spec.name!r} carries no isometry")
@@ -176,11 +165,11 @@ def trireflection(spec: LatticeSpec, r) -> Isometry:
     x -> x + <x,r> r + <x, iota r> r + <x, iota r> iota r.  Trivial on the
     discriminant group.
     """
-    if inner(spec, r, r) != -2:
-        raise RootError(f"expected <r, r> = -2, got {inner(spec, r, r)}")
+    gr = mat_vec(spec.gram, r)
+    if (norm := dot(r, gr)) != -2:
+        raise RootError(f"expected <r, r> = -2, got {norm}")
     ir = iota_apply(spec, r)
     n = spec.rank
-    gr = mat_vec(spec.gram, r)
     gir = mat_vec(spec.gram, ir)
     return Isometry(spec, tuple(
         tuple(int(i == j) + r[i] * gr[j] + r[i] * gir[j] + ir[i] * gir[j] for j in range(n))
@@ -194,12 +183,8 @@ def reflection_minus_one(spec: LatticeSpec, r) -> Isometry:
     x -> x + c <(r + 2 iota r)/3, x> iota r + c <(2r + iota r)/3, x> r.
     Needs <r + 2 iota r, x> = 0 mod 3 for all x, which is checked.
     """
-    norm = inner(spec, r, r)
-    if norm == -2:
-        coeff = 2
-    elif norm == -4:
-        coeff = 1
-    else:
+    coeff = {-2: 2, -4: 1}.get(norm := dot(r, mat_vec(spec.gram, r)))
+    if coeff is None:
         raise RootError(f"expected <r, r> in (-2, -4), got {norm}")
     ir = iota_apply(spec, r)
     u = tuple(a + 2 * b for a, b in zip(r, ir))
@@ -230,7 +215,7 @@ class DiscriminantData(NamedTuple):
 
     spec: LatticeSpec
     module: QuadraticModule
-    generators: tuple  # ambient rational vectors, one per cyclic factor
+    generators: tuple  # (n, d) pairs, the ambient vectors n / d, one per cyclic factor
     classes: dict  # class mod L (numerators over lcm(orders), reduced) -> digits
 
     def digits(self, num, d: int) -> tuple[int, ...]:
@@ -251,41 +236,46 @@ class DiscriminantData(NamedTuple):
 
     def induced_map(self, iso: Isometry):
         """The matrix over F_3 (or Z/d) induced on the module by an isometry."""
-        cols = [self.digits(mat_vec(iso.matrix, num), d)
-                for num, d in map(_numerators, self.generators)]
+        cols = [self.digits(mat_vec(iso.matrix, num), d) for num, d in self.generators]
         return tuple(zip(*cols))
 
 
 def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
     """The discriminant quadratic module L*/L on the spec's dual generators.
 
-    The generators are certified, not searched for: each lies in L*, its
-    order is the lcm of its denominators, there are |det G| digit
+    The generators are certified, not searched for: each n / d lies in L*
+    and is in lowest terms, so its order is d; there are |det G| digit
     combinations, and they are pairwise distinct mod L, so digits -> class
     is an isomorphism onto L*/L.  Raises LatticeError otherwise, and when
     the spec names no generators.
     """
     if spec.dual_generators is None:
         raise LatticeError(f"lattice {spec.name!r} names no dual generators")
-    gens = tuple(tuple(Fraction(x) for x in c) for c in spec.dual_generators)
-    scaled = tuple(map(_numerators, gens))  # the order of a generator is its denominator
-    for c, (num, d) in zip(gens, scaled):
-        if len(c) != spec.rank or any(v % d for v in mat_vec(spec.gram, num)):
-            raise LatticeError(f"{c} is not in the dual lattice")
-    orders = tuple(d for _, d in scaled)
+    gens = spec.dual_generators
+    images = tuple(mat_vec(spec.gram, num) for num, _ in gens)  # G n, which d divides
+    for (num, d), gn in zip(gens, images):
+        if d < 1 or math.gcd(d, *num) != 1:
+            raise LatticeError(f"dual generator {num} / {d} is not in lowest terms with d > 0")
+        if len(num) != spec.rank or any(v % d for v in gn):
+            raise LatticeError(f"{tuple(Fraction(v, d) for v in num)} is not in the dual lattice")
+    orders = tuple(d for _, d in gens)
     expected = abs(mat_det(spec.gram))
     if math.prod(orders) != expected:
         raise LatticeError(
             f"generator orders {orders} give {math.prod(orders)} classes, |det| = {expected}")
     # combinations compared as integer numerators over the common denominator
     den = math.lcm(*orders)
-    cols = tuple(zip(*(tuple(v * (den // d) for v in num) for num, d in scaled)))
+    cols = tuple(zip(*(tuple(v * (den // d) for v in num) for num, d in gens)))
     classes = {tuple(sum(d * v for d, v in zip(combo, col)) % den for col in cols): combo
                for combo in itertools.product(*(range(m) for m in orders))}
     if len(classes) != expected:
         raise LatticeError("two digit combinations of the generators agree mod L")
-    gen_q = tuple(inner(spec, c, c) % 2 for c in gens)
-    gen_b = tuple(tuple(inner(spec, c1, c2) % 1 for c2 in gens) for c1 in gens)
+    # <n_i / d_i, n_j / d_j> = n_j G n_i over d_i d_j: each pairing an integer numerator
+    pairs = [[dot(m, gn) for m, _ in gens] for gn in images]
+    gen_q = tuple(Fraction(row[i] % (2 * d * d), d * d)
+                  for i, (row, d) in enumerate(zip(pairs, orders)))
+    gen_b = tuple(tuple(Fraction(p % (d * e), d * e) for p, e in zip(row, orders))
+                  for row, d in zip(pairs, orders))
     return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens, classes)
 
 

@@ -310,23 +310,25 @@ def _zw_rows(rows: dict) -> list[list[tuple[int, int]]]:
     return parts
 
 
-def validate_character_table() -> None:
-    """First and second orthogonality for the frozen table; raises on failure.
+def _zw_pairing(u, v, weights) -> tuple[int, int]:
+    """sum_k weights[k] u_k conj(v_k) for Z[w] values as (1-part, w-part) pairs:
+    (x0 + x1 w) conj(y0 + y1 w) = (x0 y0 + x1 y1 - x0 y1) + (x1 y0 - x0 y1) w."""
+    return tuple(map(sum, zip(*((k * (x0 * y0 + x1 * y1 - x0 * y1), k * (x1 * y0 - x0 * y1))
+                                for k, (x0, x1), (y0, y1) in zip(weights, u, v)))))
 
-    Both are integer sums in Z[w]: (x0 + x1 w) conj(y0 + y1 w) = (x0 y0 +
-    x1 y1 - x0 y1) + (x1 y0 - x0 y1) w."""
-    def pairing(u, v, weights):
-        return tuple(map(sum, zip(*((k * (x0 * y0 + x1 * y1 - x0 * y1), k * (x1 * y0 - x0 * y1))
-                                    for k, (x0, x1), (y0, y1) in zip(weights, u, v)))))
 
+def validate_character_table() -> list[list[tuple[int, int]]]:
+    """First and second orthogonality for the frozen table, as integer sums
+    in Z[w]; raises on failure and returns the rows it checked (`_zw_rows`)."""
     keys, rows, order = list(CHARACTER_TABLE), _zw_rows(CHARACTER_TABLE), sum(CLASS_SIZES)
     for (i, u), (j, v) in product(enumerate(rows), repeat=2):
-        if pairing(u, v, CLASS_SIZES) != (order * (i == j), 0):
+        if _zw_pairing(u, v, CLASS_SIZES) != (order * (i == j), 0):
             raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
     for (c, u), (d, v) in product(enumerate(zip(*rows)), repeat=2):  # times |class c|
-        p, q = pairing(u, v, (1,) * len(rows))
+        p, q = _zw_pairing(u, v, (1,) * len(rows))
         if (p * CLASS_SIZES[c], q) != (order * (c == d), 0):
             raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +423,26 @@ class Decomposition(NamedTuple):
 
 
 def character_decompose(rep: WeilRep) -> Decomposition:
-    validate_character_table()
+    rows = validate_character_table()
     per_class: dict[str, CycQ] = {}
     for g in rep.group.elements:
-        tr = rep.rho[g.mat].trace()
-        label = rep.group.class_of[g.mat]
-        if label in per_class:
-            if not per_class[label] == tr:
-                raise RelationError(f"trace is not constant on class {label}")
-        else:
+        tr, label = rep.rho[g.mat].trace(), rep.group.class_of[g.mat]
+        if label not in per_class:
+            if tr.den != 1:  # the trace of a finite-order matrix is an algebraic integer
+                raise RelationError(f"trace on class {label} is not in Z[w]: {tr}")
             per_class[label] = tr
+        elif not per_class[label] == tr:
+            raise RelationError(f"trace is not constant on class {label}")
     traces = tuple(per_class[label] for label in CLASS_ORDER)
-    mults = []
-    order = sum(CLASS_SIZES)
-    for i in sorted(CHARACTER_TABLE):
-        acc = CycQ.rational(0)
-        for size, chi_val, tr in zip(CLASS_SIZES, CHARACTER_TABLE[i], traces):
-            acc = acc + Fraction(size) * chi_val.conjugate() * tr
-        acc = acc * Fraction(1, order)
-        if not acc.is_rational():
+    mults, order, parts = [], sum(CLASS_SIZES), [tr.num for tr in traces]
+    for i, row in zip(CHARACTER_TABLE, rows):  # |G| <tr, chi_i> over Z[w]
+        total, w_part = _zw_pairing(parts, row, CLASS_SIZES)
+        if w_part:
             raise RelationError(f"multiplicity of character {i} is irrational")
-        val = acc.as_fraction()
-        if val.denominator != 1 or val < 0:
-            raise RelationError(f"multiplicity of character {i} is {val}")
-        mults.append(int(val))
-    dims = [int(CHARACTER_TABLE[i][0].as_fraction()) for i in sorted(CHARACTER_TABLE)]
+        if total % order or total < 0:
+            raise RelationError(f"multiplicity of character {i} is {Fraction(total, order)}")
+        mults.append(total // order)
+    dims = [row[0][0] for row in rows]  # the value at E
     if sum(m * d for m, d in zip(mults, dims)) != rep.dim():
         raise RelationError("multiplicities do not add up to the dimension")
     return Decomposition(traces, tuple(mults))

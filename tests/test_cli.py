@@ -1,12 +1,17 @@
 """Subcommand smoke tests, byte stability, JSON schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triform import borcherds, cli, exact, fqm, lattice, vvmf, weil
 from triform.cli import main, run_checks
@@ -187,6 +192,59 @@ def test_precision_three_is_the_floor(capsys):
     code, out, _ = run(capsys, "eisenstein", "--precision", "3")
     assert code == 0
     assert "f_00: -1/2 + 15 q" in out
+
+
+def test_the_precision_ceiling_is_a_usage_error_past_it(monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "eisenstein", lambda args: 0)  # the bound, not the series
+    assert main(["eisenstein", "--precision", str(cli.MAX_PRECISION)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["eisenstein", "--precision", str(cli.MAX_PRECISION + 1)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: --precision must be at most {cli.MAX_PRECISION}\n")
+    with pytest.raises(SystemExit) as info:
+        main(["eisenstein", "--help"])
+    assert info.value.code == 0
+    assert f"(3 to {cli.MAX_PRECISION}, default 30)" in capsys.readouterr().out
+
+
+_CMD_EISENSTEIN = cli.cmd_eisenstein
+
+
+def _small_eisenstein(args):
+    """cmd_eisenstein up to precision 60; past it only the bound in `main` is under test."""
+    return _CMD_EISENSTEIN(args) if args.precision <= 60 else 0
+
+
+# argv draws: a subcommand (or none known), then flags and tokens in any order
+# and number: negative, zero, huge and non-numeric values, unknown and repeated
+# flags.  Numbers stay small; the huge one lies past every bound.
+_TOKENS = st.one_of(
+    st.sampled_from(("--format", "--preset", "--precision", "--weight", "--divisor",
+                     "--bogus", "-h")),
+    st.integers(-3, 60).map(str),
+    st.sampled_from(("text", "json", "paper", "alt-decomposition", "long", "short",
+                     str(10 ** 21), "1e3", "x", "")))
+_ARGV = st.builds(lambda command, rest: [command, *rest],
+                  st.sampled_from((*cli._HANDLERS, "nope")), st.lists(_TOKENS, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ARGV)
+@example(["eisenstein", "--precision", str(cli.MAX_PRECISION)])
+@example(["eisenstein", "--precision", str(cli.MAX_PRECISION + 1)])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(cli._HANDLERS, eisenstein=_small_eisenstein):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("usage: triform")
 
 
 SHARED_STAGES = [

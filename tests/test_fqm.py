@@ -304,10 +304,11 @@ def test_module_table_matches_the_fraction_forms(module):
 
 
 def test_modules_are_equal_exactly_when_their_forms_are():
-    # the memos key on (orders, gen_q, gen_b); ALT has the orders of M, not its form
+    # the memos key on (orders, numerators); ALT has the orders of M, not its form
     copy = QuadraticModule(ALT.orders, ALT.gen_q, ALT.gen_b)
     assert copy == ALT and hash(copy) == hash(ALT) and module_table(copy) is module_table(ALT)
     assert ALT.orders == M.orders and ALT != M
+    assert UNREDUCED != M  # the same form, presented by other values of q(g_i) and b(g_i, g_j)
 
 
 @BOTH
@@ -639,6 +640,45 @@ def test_q_and_b_match_the_fraction_sums(module, data):
         assert repr(module.q(x)) == repr(fraction_q(module, x))
     for x, y in pairs:
         assert repr(module.b(x, y)) == repr(fraction_b(module, x, y))
+
+
+@pytest.mark.parametrize("orders, gen_q, gen_b, message", [
+    ((3, 3), (Fraction(2, 3),), ((Fraction(2, 3), 0), (0, Fraction(2, 3))),
+     "generator data sizes disagree"),
+    ((3, 3), (Fraction(2, 3),) * 2, ((Fraction(2, 3), Fraction(1, 3)), (0, Fraction(2, 3))),
+     "pairing matrix must be symmetric"),
+    ((3,), (Fraction(2, 3),), ((Fraction(1, 2),),), "pairing does not respect generator order"),
+    ((3,), (Fraction(1, 3),), ((Fraction(1, 3),),),
+     "quadratic value does not respect generator order"),
+], ids=["sizes", "symmetric", "pairing-order", "quadratic-order"])
+def test_the_constructor_checks_its_numerators(orders, gen_q, gen_b, message):
+    with pytest.raises(ValueError) as info:
+        QuadraticModule(orders, gen_q, gen_b)
+    assert str(info.value) == message
+
+
+def _respelled(module: QuadraticModule, how: str) -> QuadraticModule:
+    """The same form with integral values as ints, or with one q(g_i) moved by 2."""
+    gen_q, gen_b = list(module.gen_q), module.gen_b
+    if how == "shifted":
+        gen_q[-1] += 2
+    else:
+        gen_q = [int(v) if v.denominator == 1 else v for v in gen_q]
+        gen_b = tuple(tuple(int(v) if v.denominator == 1 else v for v in row) for row in gen_b)
+    return QuadraticModule(module.orders, tuple(gen_q), gen_b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(valid_modules(), st.data())
+def test_numerator_equality_is_fraction_equality(module, data):
+    how = data.draw(st.sampled_from(("independent", "respelled", "shifted")))
+    other = data.draw(valid_modules()) if how == "independent" else _respelled(module, how)
+    same = (module.orders, module.gen_q, module.gen_b) == (other.orders, other.gen_q, other.gen_b)
+    assert (module == other) == same
+    if how != "independent":
+        assert same == (how == "respelled")
+    if same:
+        assert hash(module) == hash(other)
 
 
 def test_q_and_b_return_reduced_fractions():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from test_fqm import valid_modules
-from triform.exact import CycQ, OMEGA
+from triform.exact import OMEGA, CycQ, dot, mat_vec
 from triform.fqm import paper_module, reflect, type_of
 from triform.lattice import (
     DiscriminantData,
@@ -15,11 +16,9 @@ from triform.lattice import (
     LatticeSpec,
     MilgramError,
     RootError,
-    _numerators,
     _sqrt_exact,
     alt_spec,
     discriminant_form,
-    inner,
     iota_apply,
     milgram_signature,
     paper_spec,
@@ -30,6 +29,24 @@ from triform.lattice import (
 
 SPEC = paper_spec()
 E = [tuple(1 if i == j else 0 for i in range(8)) for j in range(8)]
+
+
+def _numerators(v) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integer numerators over its least common denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def inner(spec: LatticeSpec, x, y) -> Fraction:
+    """<x, y> = x G y for rational vectors, as one Fraction."""
+    (nx, dx), (ny, dy) = _numerators(x), _numerators(y)
+    return Fraction(dot(ny, mat_vec(spec.gram, nx)), dx * dy)
+
+
+def _vector(generator) -> tuple[Fraction, ...]:
+    """The dual vector n / d of a generator pair (n, d), as Fractions."""
+    num, d = generator
+    return tuple(Fraction(v, d) for v in num)
 
 
 def hermitian_value(spec: LatticeSpec, x, y) -> CycQ:
@@ -218,31 +235,53 @@ def test_an_isometry_must_preserve_the_form():
 
 def test_discriminant_form_of_alt_preset():
     data = discriminant_form(alt_spec())
-    third = Fraction(1, 3)
     assert data.generators == (
-        (0, 0, 0, third, 0, 0, 0, 0), (0, 0, 0, 0, third, 2 * third, 0, 0),
-        (0, 0, third, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, third, 2 * third))
+        ((0, 0, 0, 1, 0, 0, 0, 0), 3), ((0, 0, 0, 0, 1, 2, 0, 0), 3),
+        ((0, 0, 1, 0, 0, 0, 0, 0), 3), ((0, 0, 0, 0, 0, 0, 1, 2), 3))
     assert data.module.orders == (3, 3, 3, 3)
     assert data.module.q_histogram() == {
         Fraction(0): 21, Fraction(2, 3): 30, Fraction(4, 3): 30}
 
 
+# <2> + <4>: L*/L = Z/2 x Z/4 on (1/2, 0) and (1/2, 1/4), which pair to 1/2
+MIXED = LatticeSpec("mixed", ((2, 0), (0, 4)), None, (((1, 0), 2), ((2, 1), 4)))
+
+
+@pytest.mark.parametrize("spec", [SPEC, alt_spec(), MIXED], ids=["paper", "alt", "mixed"])
+def test_the_integer_pairings_match_the_fraction_inner_products(spec):
+    data = discriminant_form(spec)
+    gens = list(map(_vector, spec.dual_generators))
+    assert data.module.orders == tuple(d for _, d in spec.dual_generators)
+    assert data.module.gen_q == tuple(inner(spec, c, c) % 2 for c in gens)
+    assert data.module.gen_b == tuple(tuple(inner(spec, c1, c2) % 1 for c2 in gens)
+                                      for c1 in gens)
+    assert all(type(v) is Fraction for v in (*data.module.gen_q, *data.module.gen_b[0]))
+
+
 _GENS = paper_spec().dual_generators
 
 
-@pytest.mark.parametrize("gens", [
-    (_GENS[0], _GENS[0], _GENS[2], _GENS[3]),        # a duplicate: two classes collide
-    (((Fraction(1, 3),) + (Fraction(0),) * 7),) + _GENS[1:],  # outside the dual lattice
-    _GENS[:3],                                       # 27 classes, |det| = 81
-    None,                                            # no generators named
-], ids=["duplicated", "outside-dual", "three-only", "none"])
-def test_the_certificate_rejects_bad_dual_generators(gens):
-    with pytest.raises(LatticeError):
+@pytest.mark.parametrize("gens, message", [
+    ((_GENS[0], _GENS[0], _GENS[2], _GENS[3]),       # a duplicate: two classes collide
+     "two digit combinations of the generators agree mod L"),
+    ((((1,) + (0,) * 7, 3),) + _GENS[1:],            # outside the dual lattice
+     f"{(Fraction(1, 3),) + (Fraction(0),) * 7} is not in the dual lattice"),
+    (_GENS[:3],                                      # 27 classes, |det| = 81
+     "generator orders (3, 3, 3) give 27 classes, |det| = 81"),
+    (None, "lattice 'paper' names no dual generators"),
+    (((tuple(2 * v for v in _GENS[0][0]), 6),) + _GENS[1:],  # 2n / 6: order 3, not 6
+     "dual generator (4, 2, 0, 0, 0, 0, 0, 0) / 6 is not in lowest terms with d > 0"),
+    ((((2, 1, 0, 0, 0, 0, 0, 0), -3),) + _GENS[1:],
+     "dual generator (2, 1, 0, 0, 0, 0, 0, 0) / -3 is not in lowest terms with d > 0"),
+], ids=["duplicated", "outside-dual", "three-only", "none", "unreduced", "negative"])
+def test_the_certificate_rejects_bad_dual_generators(gens, message):
+    with pytest.raises(LatticeError) as info:
         discriminant_form(LatticeSpec(SPEC.name, SPEC.gram, SPEC.iota, gens))
+    assert str(info.value) == message
 
 
 def test_milgram_signatures():
-    hex_only = LatticeSpec("hex", ((2, -1), (-1, 2)), None, ((Fraction(1, 3), Fraction(2, 3)),))
+    hex_only = LatticeSpec("hex", ((2, -1), (-1, 2)), None, (((1, 2), 3),))
     assert milgram_signature(discriminant_form(hex_only).module) == 2
     assert milgram_signature(discriminant_form(SPEC).module) == 4
     assert milgram_signature(discriminant_form(alt_spec()).module) == 4
@@ -255,7 +294,7 @@ def test_dual_digits_round_trip():
     for x in m.elements():
         c = [Fraction(0)] * 8
         for digit, gen in zip(x, data.generators):
-            c = [a + digit * b for a, b in zip(c, gen)]
+            c = [a + digit * b for a, b in zip(c, _vector(gen))]
         assert data.digits(*_numerators(c)) == x
 
 
@@ -275,7 +314,8 @@ def test_digits_reads_classes_mod_l_and_rejects_non_dual_vectors():
     data = discriminant_form(SPEC)
     rng = random.Random(5)
     for x in rng.sample(data.module.elements(), 12):
-        c = [sum(d * g[k] for d, g in zip(x, data.generators)) for k in range(8)]
+        gens = list(map(_vector, data.generators))
+        c = [sum(d * g[k] for d, g in zip(x, gens)) for k in range(8)]
         shifted = tuple(a + rng.randint(-3, 3) for a in c)  # the same class mod L
         assert data.digits(*_numerators(shifted)) == x
     third, half = Fraction(1, 3), Fraction(1, 2)
@@ -310,7 +350,6 @@ def _outcome(signature, module):
 @given(valid_modules())
 @example(discriminant_form(SPEC).module)
 @example(discriminant_form(alt_spec()).module)
-@example(discriminant_form(LatticeSpec("hex", ((2, -1), (-1, 2)), None,
-                                       ((Fraction(1, 3), Fraction(2, 3)),))).module)
+@example(discriminant_form(LatticeSpec("hex", ((2, -1), (-1, 2)), None, (((1, 2), 3),))).module)
 def test_milgram_from_the_histogram_matches_the_element_sum(module):
     assert _outcome(milgram_signature, module) == _outcome(milgram_by_elements, module)

@@ -130,7 +130,7 @@ SHARED_NAMES = {
     "order": "QuadraticModule.order(), read by milgram_signature and build_weil; "
              "OrthogonalGroup.order, read by cli and o_q_character_norm; SL2F3.order, read "
              "by isotypic_subspace",
-    "q": "QuadraticModule.q, read by q_histogram and gram3; field ModuleTable.q",
+    "q": "QuadraticModule.q, read by gram3; field ModuleTable.q",
     "to_json": "AccountingReport.to_json and DimensionReport.to_json, one per JSON handler "
                "in cli",
 }

@@ -382,6 +382,26 @@ def test_multiplicities():
     assert dec.multiplicities == (1, 10, 5, 5, 5, 10, 5)
 
 
+def test_a_trace_outside_z_w_raises(monkeypatch):
+    # the trace of a finite-order matrix is an algebraic integer; 1/2 is not
+    monkeypatch.setattr(OmegaMat, "trace", lambda self: CycQ(3, [1, 0], 2))
+    with pytest.raises(RelationError, match=r"trace on class E is not in Z\[w\]"):
+        character_decompose(REP)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([(0, 1)] * 7, "multiplicity of character 1 is irrational"),  # w chi_1
+    ([(1, 0)] * 6 + [(0, 0)], "multiplicity of character 1 is 5/2"),  # (24 + 4 * 9) / 24
+    ([(-1, 0)] * 7, "multiplicity of character 1 is -1"),  # -chi_1
+], ids=["irrational", "fraction", "negative"])
+def test_a_row_that_is_no_character_gives_no_multiplicity(monkeypatch, row, message):
+    rows = validate_character_table()
+    monkeypatch.setattr(weil, "validate_character_table", lambda: [row] + rows[1:])
+    with pytest.raises(RelationError) as info:
+        character_decompose(REP)
+    assert str(info.value) == message
+
+
 def test_rho_commutes_with_orthogonal_group():
     group = orthogonal_group(M)
     idx = np.arange(81)
