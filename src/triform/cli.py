@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
-import json
 import math
 import os
 import sys
@@ -59,6 +58,8 @@ def _module_for(preset_name: str):
 
 
 def _emit_json(obj) -> int:
+    import json  # a text run need not load it
+
     print(json.dumps(obj, separators=(",", ":")))
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .exact import CycQ, OMEGA, W_POWERS, mat_det, mat_solve
@@ -64,6 +65,8 @@ class QSeries:
 
     def scale(self, s) -> "QSeries":
         s = s if isinstance(s, CycQ) else CycQ.rational(s)
+        if s.is_zero():
+            return QSeries({}, self.precision)
         return QSeries({n: s * v for n, v in self.coeffs.items()}, self.precision)
 
 
@@ -233,10 +236,12 @@ def evaluate(series: QSeries, tau: complex) -> complex:
     return sum(cyc_complex(v) * q_third ** n for n, v in series.coeffs.items())
 
 
-def complex_matrix(m) -> list[list[complex]]:
-    """An OmegaMat as complex numbers; each entry rounds as cyc_complex's."""
+def complex_matrix(m, cols=None) -> list[list[complex]]:
+    """An OmegaMat as complex numbers, at the columns `cols` (default all);
+    each entry rounds as cyc_complex's."""
     w = cyc_complex(OMEGA)
-    return [[x / m.den + y / m.den * w for x, y in zip(*rows)] for rows in zip(*m.rows())]
+    cols = range(m.cols) if cols is None else cols
+    return [[a[j] / m.den + b[j] / m.den * w for j in cols] for a, b in zip(*m.rows())]
 
 
 def numeric_transform_check(components, rho_t, rho_s, weight: int,
@@ -252,18 +257,16 @@ def numeric_transform_check(components, rho_t, rho_s, weight: int,
         raise ValueError("tau too close to the real line for a safe check")
     if any(c.precision < 60 for c in components):
         raise PrecisionError("need precision >= 60 for the transformation check")
-    t_mat = complex_matrix(rho_t)
-    s_mat = complex_matrix(rho_s)
     at_tau = [evaluate(c, tau) for c in components]
     at_plus = [evaluate(c, tau + 1) for c in components]
     at_inv = [evaluate(c, inv) for c in components]
-    n = len(components)
-    dev_t = max(
-        abs(at_plus[i] - sum(t_mat[i][j] * at_tau[j] for j in range(n)))
-        for i in range(n))
+    # a column where f(tau) = 0 adds only zeros, which change no partial sum
+    # but in the sign of a zero, and abs ignores that sign
+    support = [j for j, v in enumerate(at_tau) if v != 0]
+    values = [at_tau[j] for j in support]
+    t_mat, s_mat = complex_matrix(rho_t, support), complex_matrix(rho_s, support)
+    dev_t = max(abs(y - sum(map(mul, row, values))) for y, row in zip(at_plus, t_mat))
     factor = tau ** weight
-    dev_s = max(
-        abs(at_inv[i] - factor * sum(s_mat[i][j] * at_tau[j] for j in range(n)))
-        for i in range(n))
+    dev_s = max(abs(y - factor * sum(map(mul, row, values))) for y, row in zip(at_inv, s_mat))
     return {"t_deviation": dev_t, "s_deviation": dev_s,
             "max_deviation": max(dev_t, dev_s)}

@@ -5,13 +5,14 @@ The representation acts on the 81 basis vectors e_alpha by
     rho(T) e_alpha = e^(pi i q(alpha)) e_alpha
     rho(S) e_alpha = -(1/9) sum_delta e^(-2 pi i b(delta, alpha)) e_delta
 
-computed exactly: matrices are (A + B w)/d, w^2 = -1 - w, each row of A
-and B one int of signed 32-bit fields (Kronecker substitution; Harvey, J. Symbolic
+computed exactly: matrices are (A + B w)/d, w^2 = -1 - w, each row of A and B
+one int of signed 32-bit fields (Kronecker substitution; Harvey, J. Symbolic
 Comput. 44, 2009), so one addition adds whole rows while no field carries
-(_bound).  rho(T) M scales row alpha by w^Q(alpha); rho(S) M is -1/9 times
-the Fourier transform sum_alpha w^(-gamma . alpha) M[alpha] at the rows
-gamma = G delta, G the Gram matrix of B mod 3, one 3-point transform per
-base-3 digit (Good 1958; Cooley and Tukey 1965).
+(_bound).  rho(T) M scales row alpha by w^Q(alpha); rho(S) M is -1/9 times the
+Fourier transform sum_alpha w^(-gamma . alpha) M[alpha] at the rows gamma =
+G delta, G the Gram matrix of B mod 3, one 3-point transform per base-3 digit
+(Good 1958; Cooley and Tukey 1965).  rho(S)^2 = N moves row -gamma to gamma
+(Borcherds 1998, section 4): rho(-g) = N rho(g) takes no transform, cayley_check one per S-orbit.
 """
 
 from __future__ import annotations
@@ -85,21 +86,22 @@ class OmegaMat:
         rows, g = (*a, *b), den
         if g > 1 and rows:  # the first row's fields give g; the others check it
             g = math.gcd(g, *_unpack(rows[:1], cols))
-        # x = g q, q + low with no bit of high set (fields in [-2^11, 2^11)),
-        # iff g divides every field of x and the quotients are that small, as
-        # g 2^11 <= _LIMIT; a row that fails cuts g by its own fields
-        ones = _bias(cols) >> _BITS - 1  # 1 in every field
-        low, high, first, quotients, wide = ones << 11, ~(ones * 4095), g, [], False
-        for x in rows:
-            q, r = divmod(x, g) if g > 1 else (x, 0)
-            if r or g << 11 > _LIMIT or q + low & high:
-                wide, g = True, g if g == 1 else math.gcd(g, *_unpack((x,), cols))
-            quotients.append(q)
-        rows, den, height = quotients if g == first else [x // g for x in rows], den // g, \
-            height // g if wide else min(height // g, 1 << 11)
-        if height > 1 << 11:  # the largest |numerator|
-            fields = _unpack(rows, cols)
-            height = max(max(fields), -min(fields))
+        if g > 1 or height > 1 << 11:  # else the pass changes no row, den or height
+            # x = g q, q + low with no bit of high set (fields in [-2^11, 2^11)),
+            # iff g divides every field of x and the quotients are that small, as
+            # g 2^11 <= _LIMIT; a row that fails cuts g by its own fields
+            ones = _bias(cols) >> _BITS - 1  # 1 in every field
+            low, high, first, quotients, wide = ones << 11, ~(ones * 4095), g, [], False
+            for x in rows:
+                q, r = divmod(x, g) if g > 1 else (x, 0)
+                if r or g << 11 > _LIMIT or q + low & high:
+                    wide, g = True, g if g == 1 else math.gcd(g, *_unpack((x,), cols))
+                quotients.append(q)
+            rows, den, height = quotients if g == first else [x // g for x in rows], den // g, \
+                height // g if wide else min(height // g, 1 << 11)
+            if height > 1 << 11:  # the largest |numerator|
+                fields = _unpack(rows, cols)
+                height = max(max(fields), -min(fields))
         self.a, self.b, self.den, self.cols, self.height = \
             tuple(rows[:len(a)]), tuple(rows[len(a):]), den, cols, height
         self._transpose = None
@@ -187,9 +189,11 @@ def _fourier(t: ModuleTable, a: tuple, b: tuple) -> tuple[tuple, tuple]:
 
 
 def _raw(t: ModuleTable, letter: str, m: OmegaMat) -> tuple[tuple, tuple, int, int]:
-    """rho(S) m or rho(T) m from the rows of m: numerator rows, den, height; not reduced."""
+    """rho(letter) m for S, T or SS (row gamma is -gamma of m): rows, den, height; unreduced."""
     if letter == "T":
         return (*_times_t(t.q, m.a, m.b), m.den, _bound(2, m))
+    if letter == "SS":
+        return (*map(itemgetter(*t.neg), (m.a, m.b)), m.den, m.height)
     return (*_fourier(t, m.a, m.b), -9 * m.den, _bound(4 ** len(t.unit), m))
 
 
@@ -355,7 +359,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
     """Construct rho on C[A] and certify its defining relations.  _left is
     certified on the identity against rho(S) from the B table.  rho(E),
     rho(S) and rho(S)^2 are the matrices certified; every other rho(g) is
-    gen rho(rest), gen the first letter of the word of g."""
+    gen rho(rest), gen the first letter of the word of g, or rho(S)^2 rho(-g)."""
     table, n = module_table(module), module.order()
     ident = OmegaMat.identity(n)
     rho_s = _left(table, "S", ident)
@@ -367,7 +371,7 @@ def build_weil(module: QuadraticModule) -> WeilRep:
 
     # rho(T)^3 = 1 by construction: rho(T) = diag(w^Q(alpha))
     s2 = _left(table, "S", rho_s)
-    if not s2 == OmegaMat(tuple(1 << _BITS * i for i in table.neg), (0,) * n, 1, 1, n):
+    if not s2 == _left(table, "SS", ident):
         raise RelationError("rho(S)^2 is not the negation permutation")
     # rho(S)^4 = 1 follows: the negation permutation is an involution
     st3 = _left(table, "T", ident)
@@ -382,6 +386,8 @@ def build_weil(module: QuadraticModule) -> WeilRep:
         if g.mat not in rho:
             gen = S_MAT if g.word[0] == "S" else T_MAT
             rho[g.mat] = _left(table, g.word[0], rho[_mul2(_inv2(gen), g.mat)])
+        if _neg2(g.mat) not in rho:
+            rho[_neg2(g.mat)] = _left(table, "SS", rho[g.mat])
     return WeilRep(module, group, rho)
 
 
@@ -392,25 +398,32 @@ def cayley_check(rep: WeilRep) -> int:
     then rho(ab) rho(h) = rho(a) rho(b) rho(h) = rho(a) rho(bh) = rho(abh),
     so P(ab) holds.  rho(E) = I gives P(E), and build_sl2f3 reaches every
     element as a word in S and T, so P(S) and P(T) prove all 576 pairs.
-    They are 48 left products by _raw, compared exactly with rho(gh) over
-    one denominator; (S, E) ties _raw to the stored rho(S), (T, E) to rho(T).
+    P(T) is 24 products by _raw.  For P(S), let F = _raw(., "S", .) and N = _raw(., "SS", .):
+    F I = rho(S) and F rho(S) = rho(S^2) = N I give F^2 = N, FN = F^3 = NF and N^2 = 1.  So
+    on each S-orbit {h, Sh, -h, -Sh}, F rho(h) = rho(Sh), N rho(h) = rho(-h) and N rho(Sh) =
+    rho(-Sh) give F rho(Sh) = N rho(h), F rho(-h) = NF rho(h) and F rho(-Sh) = N^2 rho(h).
     """
-    elements = rep.group.elements
+    elements, rho = rep.group.elements, rep.rho
     for g in elements:
-        if 9 % rep.rho[g.mat].den:
+        if 9 % rho[g.mat].den:
             raise RelationError(f"rho({g.word or 'E'}) has denominator "
-                                f"{rep.rho[g.mat].den}, which does not divide 9")
-    if not rep.rho[elements[0].mat] == OmegaMat.identity(rep.dim()):
+                                f"{rho[g.mat].den}, which does not divide 9")
+    if not rho[elements[0].mat] == OmegaMat.identity(rep.dim()):
         raise RelationError("rho(E) is not the identity")
-    table = module_table(rep.module)
-    for gen, letter in ((S_MAT, "S"), (T_MAT, "T")):
-        for h in elements:
-            a, b, den, height = _raw(table, letter, rep.rho[h.mat])
-            y = rep.rho[_mul2(gen, h.mat)]
-            _bound(max(y.den * height, abs(den) * y.height))  # the cross products fit
-            if [x * y.den for x in a + b] != [x * den for x in y.a + y.b]:
-                raise RelationError(f"rho({letter}) rho({h.word or 'E'}) "
-                                    "disagrees with the product element")
+    checks, seen = [("S", S_MAT, _mul2(S_MAT, S_MAT))], set()  # F^2 = N first
+    for h, sh in ((g.mat, _mul2(S_MAT, g.mat)) for g in elements):
+        checks.append(("T", h, _mul2(T_MAT, h)))
+        if h not in seen:  # the S-orbit {h, Sh, -h, -Sh}
+            seen.update((h, sh, _neg2(h), _neg2(sh)))
+            checks += ("S", h, sh), ("SS", h, _neg2(h)), ("SS", sh, _neg2(sh))
+    table, words = module_table(rep.module), {g.mat: g.word or "E" for g in elements}
+    for letter, h, gh in checks:  # rho(letter) rho(h) = rho(gh)
+        (a, b, den, height), y = _raw(table, letter, rho[h]), rho[gh]
+        _bound(max(y.den * height, abs(den) * y.height))  # the cross products fit
+        if not (a == y.a and b == y.b if den == y.den
+                else [x * y.den for x in a + b] == [x * den for x in y.a + y.b]):
+            raise RelationError(f"rho({letter}) rho({words[h]}) "
+                                "disagrees with the product element")
     return len(elements) ** 2
 
 
@@ -473,9 +486,8 @@ class IsotypicSubspace(NamedTuple):
 def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g),
     summed row by row over the numerator rows of the 24 rho(g), scaled to one den."""
-    chi = CHARACTER_TABLE[char_index]
-    dim_chi = int(chi[CLASS_ORDER.index("E")].as_fraction())
-    (values,) = _zw_rows({char_index: chi})
+    (values,) = _zw_rows({char_index: CHARACTER_TABLE[char_index]})
+    dim_chi, _ = values[CLASS_ORDER.index("E")]
     group, table = rep.group, module_table(rep.module)
     mats = [rep.rho[g.mat] for g in group.elements]
     den = math.lcm(*(m.den for m in mats))  # the numerators over den, for each g
@@ -492,9 +504,12 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     proj = OmegaMat(tuple(a), tuple(b), den * group.order, height, rep.dim())
     if not proj @ proj == proj:
         raise RankError("isotypic operator is not idempotent")
-    for letter in "ST":  # rho(S), rho(T) are symmetric, so P rho = (rho P^T)^T
-        if not _left(table, letter, proj) == _left(table, letter, proj.transpose()).transpose():
-            raise RankError("isotypic operator does not commute with rho")
+    # P rho(T) = rho(T) P iff P[x, y] = 0 at q(x) != q(y); P rho(S) = (rho(S) P^T)^T
+    bias, masks = _bias(rep.dim()), [int.from_bytes(b"".join(
+        b"\0" * 4 if k == v else b"\xff" * 4 for k in table.q), "little") for v in range(3)]
+    if any((x + bias ^ bias) & masks[k] for x, k in zip(proj.a + proj.b, table.q * 2)) or not \
+            _left(table, "S", proj) == _left(table, "S", proj.transpose()).transpose():
+        raise RankError("isotypic operator does not commute with rho")
     tr = proj.trace()
     if not tr.is_rational() or tr.as_fraction().denominator != 1:
         raise RankError(f"projector trace {tr!r} is not an integer")

@@ -545,7 +545,7 @@ def test_module_entry_point_subprocess():
     (["accounting"], {"triform.lattice", "triform.weil", "triform.vvmf"}),
     (["special-vectors"], {"triform.lattice", "triform.vvmf"}),
     (["dimension"], {"triform.lattice", "triform.weil", "triform.borcherds"}),
-    (["verify-all"], set()),
+    (["verify-all"], {"json"}),
     (["classify"], {"triform.lattice", "triform.weil", "triform.vvmf", "triform.borcherds"}),
     (["classify", "--preset", "alt-decomposition"],
      {"triform.weil", "triform.vvmf", "triform.borcherds"}),

@@ -1,6 +1,6 @@
 """Cost gates: counts of the work one `verify-all` does, which host load does not move.
 
-The count is the one `tools/bench_record.py` records for each side of a
+The counts are the ones `tools/bench_record.py` records for each side of a
 BENCH file (its `call_counts`, running COUNT_CALLS): the Python calls of the
 first in-process `verify-all` in a fresh interpreter, PYTHONHASHSEED=1.
 """
@@ -8,13 +8,27 @@ first in-process `verify-all` in a fresh interpreter, PYTHONHASHSEED=1.
 import runpy
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # calls into fractions.py: 8,084 while the discriminant data was held as Fractions
 FRACTIONS_CALLS = 2_500
+# Fourier transforms of the Weil layer: 59 while rho(-g) and each rho(S) rho(h)
+# had a transform of their own; 8 build rho, 7 certify it, 2 check the
+# projector and 15 the sign vectors
+FOURIER_CALLS = 32
 
 
-def test_verify_all_stays_within_its_fractions_budget():
+@pytest.fixture(scope="module")
+def counts():
     tool = runpy.run_path(str(ROOT / "tools" / "bench_record.py"))
-    counts = tool["call_counts"](ROOT)
+    return tool["call_counts"](ROOT)
+
+
+def test_verify_all_stays_within_its_fractions_budget(counts):
     assert counts["fractions_calls"] <= FRACTIONS_CALLS, counts
+
+
+def test_verify_all_stays_within_its_fourier_budget(counts):
+    assert counts["fourier_calls"] <= FOURIER_CALLS, counts

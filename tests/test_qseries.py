@@ -365,6 +365,36 @@ def test_eta_times_special_vector_transforms_numerically():
     assert out["max_deviation"] < 1e-8
 
 
+def _all_columns_check(components, rho_t, rho_s, weight, tau):
+    """The spot check as it was, summing over all 81 columns: the oracle of the
+    sum over the columns where f(tau) != 0."""
+    t_mat, s_mat = complex_matrix(rho_t), complex_matrix(rho_s)
+    at_tau = [evaluate(c, tau) for c in components]
+    at_plus = [evaluate(c, tau + 1) for c in components]
+    at_inv = [evaluate(c, -1 / tau) for c in components]
+    n = len(components)
+    dev_t = max(abs(at_plus[i] - sum(t_mat[i][j] * at_tau[j] for j in range(n)))
+                for i in range(n))
+    dev_s = max(abs(at_inv[i] - tau ** weight * sum(s_mat[i][j] * at_tau[j] for j in range(n)))
+                for i in range(n))
+    return {"t_deviation": dev_t, "s_deviation": dev_s, "max_deviation": max(dev_t, dev_s)}
+
+
+@pytest.mark.parametrize("bump", [0, 1], ids=["paper", "bumped-eta8"])
+def test_the_support_sum_equals_the_all_columns_sum_bit_for_bit(bump):
+    # bumped, eta^8 at q^(7/3) is the negative control of the numeric-transform line
+    rep = build_weil(paper_module())
+    sv = next(sv for sv in special_vectors(rep) if sv.basis.alpha0 == (1, 0, 0, 0))
+    eta8 = eta_power_8(60)
+    eta8 = QSeries({**eta8.coeffs, 7: eta8.coeff_at(7) + bump}, eta8.precision)
+    components = [eta8.scale(c) for c in sv.vec]
+    assert sum(1 for c in components if c.coeffs) == 16
+    args = (components, rep.rho_T, rep.rho_S, 4, 0.3 + 1.1j)
+    out = numeric_transform_check(*args)
+    assert out == _all_columns_check(*args)
+    assert (f"{out['max_deviation']:.3e}" == "3.946e-06") == bool(bump)
+
+
 def test_complex_matrix_rounds_each_entry_as_cyc_complex():
     # the complex128 view must reproduce the entry-by-entry conversion bit for bit
     rep = build_weil(paper_module())

@@ -97,6 +97,14 @@ def test_omega_mat_equality_across_denominators():
     assert not omega_mat([[1, 0]], [[0, 0]]) == omega_mat([[1]], [[0]])
 
 
+@pytest.mark.parametrize("rows,height", [(([3000, -5], [0, 1]), 3000),
+                                         (([3, -5], [0, 1]), 1 << 11)], ids=["wide", "narrow"])
+def test_a_loose_height_is_cut_in_lowest_terms_too(rows, height):
+    # den 1: no gcd to divide out, but a bound past 2^11 still comes down to
+    # the largest |numerator|, or to 2^11 when every field is below it
+    assert OmegaMat(tuple(map(weil._pack, rows)), (0, 0), 1, 1 << 20, 2).height == height
+
+
 HUGE = 2**30  # a field holds |x| < 2^31
 
 
@@ -251,7 +259,8 @@ def test_generator_matrices():
 
 def test_build_weil_reuses_the_certified_rho_s_and_its_square(monkeypatch):
     # two transforms certify rho(S) and rho(S)^2 and three (ST)^3 = S^2; of
-    # the other 21 elements, 13 have a word that starts with S
+    # the other 20 elements, 10 are rho(-g) = N rho(g) with rho(g) built
+    # first, and 3 of those 10 rho(g) have a word that starts with S
     calls = []
     fourier = weil._fourier
 
@@ -261,7 +270,7 @@ def test_build_weil_reuses_the_certified_rho_s_and_its_square(monkeypatch):
 
     monkeypatch.setattr(weil, "_fourier", counting_fourier)
     assert build_weil(M).rho == REP.rho
-    assert len(calls) == 18
+    assert len(calls) == 8
 
 
 def _full_cayley_table(rep):
@@ -289,7 +298,9 @@ def test_full_multiplication_table():
     assert cayley_check(REP) == _full_cayley_table(REP) == 576
 
 
-def test_cayley_check_makes_48_products(monkeypatch):
+def test_cayley_check_makes_one_transform_per_s_orbit(monkeypatch):
+    # 24 products by rho(T); by rho(S), one per S-orbit {h, Sh, -h, -Sh} and
+    # rho(S) rho(S) = rho(S^2); by rho(S)^2, the negation rows of h and Sh
     calls, raw = [], weil._raw
 
     def counting_raw(*args):
@@ -298,18 +309,36 @@ def test_cayley_check_makes_48_products(monkeypatch):
 
     monkeypatch.setattr(weil, "_raw", counting_raw)
     assert cayley_check(REP) == 576
-    assert len(calls) == 48
+    assert Counter(letter for _, letter, _ in calls) == {"T": 24, "S": 7, "SS": 12}
 
 
 @pytest.mark.parametrize("word", [g.word for g in REP.group.elements],
                          ids=[g.word or "E" for g in REP.group.elements])
 def test_cayley_check_catches_a_corrupted_entry_of_any_element(word):
-    # a corrupted rho(k) shows in rho(S) rho(S^-1 k); the oracle agrees
+    # a corrupted rho(k) shows in rho(T) rho(T^-1 k); the oracle agrees
     corrupted = _with_entry(word, numerators(REP.rho[_matrix_of_word(word)])[0][0, 0] + 1)
     with pytest.raises(RelationError):
         cayley_check(corrupted)
     with pytest.raises(RelationError):
         _full_cayley_table(corrupted)
+
+
+def test_cayley_check_catches_rho_g_in_place_of_rho_minus_g():
+    # the transform of the orbit of T reads rho(T) and rho(ST), not rho(-T) =
+    # rho(SST), which only its negation rows certify; the oracle agrees
+    swapped = REP._replace(rho={**REP.rho, _matrix_of_word("SST"): REP.rho[T_MAT]})
+    with pytest.raises(RelationError, match=r"rho\(SS\) rho\(T\) disagrees"):
+        cayley_check(swapped)
+    with pytest.raises(RelationError):
+        _full_cayley_table(swapped)
+
+
+def test_cayley_check_requires_rho_s2_to_be_the_negation_rows():
+    s2 = _mul2(S_MAT, S_MAT)
+    a, b = numerators(REP.rho[s2])
+    flipped = REP._replace(rho={**REP.rho, s2: omega_mat(-a, -b)})
+    with pytest.raises(RelationError, match=r"rho\(S\) rho\(S\) disagrees"):
+        cayley_check(flipped)
 
 
 def test_cayley_check_requires_rho_e_to_be_the_identity():
@@ -679,6 +708,17 @@ def test_isotypic_subspace_rejects_a_projector_that_does_not_commute_with_rho():
              for g, m in REP.rho.items()}
     with pytest.raises(RankError, match="does not commute"):
         isotypic_subspace(REP._replace(rho=moved))
+
+
+def test_isotypic_subspace_rejects_a_projector_that_mixes_levels_of_q(monkeypatch):
+    # with Q moved on one element, rho(T) = diag(w^Q) no longer commutes with
+    # P, while the rho(S) check, which reads only the B table, still passes
+    table = module_table(M)
+    q = bytearray(table.q)
+    q[INDEX[(1, 0, 0, 0)]] = (q[INDEX[(1, 0, 0, 0)]] + 1) % 3
+    monkeypatch.setattr(weil, "module_table", lambda module: table._replace(q=bytes(q)))
+    with pytest.raises(RankError, match="does not commute"):
+        isotypic_subspace(REP)
 
 
 def test_isotypic_subspace_rejects_a_character_value_outside_z_w(monkeypatch):
