@@ -36,11 +36,7 @@ class DivisorError(ValueError):
 
 
 class AccountingError(ArithmeticError):
-    """A structural identity failed; carries the partial report."""
-
-    def __init__(self, message: str, partial: dict):
-        super().__init__(message)
-        self.partial = partial
+    """A structural identity failed."""
 
 
 class DivisorSpec:
@@ -146,75 +142,51 @@ class AccountingReport(NamedTuple):
     isotropic_nonzero: int
     cusps: int
 
-    def to_json(self) -> dict:
-        return {
-            "bases": self.n_bases,
-            "long_pairs": self.long_pairs,
-            "short_pairs": self.short_pairs,
-            "short_incidence": self.short_incidence,
-            "weight_long": str(self.weight_long),
-            "weight_short": str(self.weight_short),
-            "ball_long": str(self.ball_long),
-            "ball_short": str(self.ball_short),
-            "short_multiplicity": self.short_multiplicity,
-            "per_basis_weight": str(self.per_basis_weight),
-            "isotropic_nonzero": self.isotropic_nonzero,
-            "cusps": self.cusps,
-        }
-
 
 def accounting_report(module: QuadraticModule, form: VVForm) -> AccountingReport:
     """Certify the combinatorial identities behind the weight bookkeeping.
 
-    Raises AccountingError (with the partial numbers) if any of these fail:
-    the long classes index the bases bijectively, the short incidence is
-    uniform, every nonzero isotropic class pairs to zero with some member
-    of every basis, and the per-basis weight equals six per basis.
+    Raises AccountingError if any of these fail: the long classes index the
+    bases bijectively, the short incidence is uniform, every nonzero
+    isotropic class pairs to zero with some member of every basis, and the
+    per-basis weight equals six per basis.
     """
     types = classify(module)
     bases = orthogonal_bases(module)
-    partial: dict = {"bases": len(bases)}
 
     canon1 = [x for x in types["1"] if canonical_sign(module, x) == x]
     canon2 = [x for x in types["2"] if canonical_sign(module, x) == x]
-    partial["long_pairs"] = len(canon1)
-    partial["short_pairs"] = len(canon2)
     if {b.alpha0 for b in bases} != set(canon1) or len(bases) != len(canon1):
-        raise AccountingError("long classes do not index the bases", partial)
+        raise AccountingError("long classes do not index the bases")
 
     incidence = Counter()
     for b in bases:
         for a in b.rest:
             incidence[canonical_sign(module, a)] += 1
     if set(incidence) != set(canon2):
-        raise AccountingError("short incidence misses classes", partial)
+        raise AccountingError("short incidence misses classes")
     counts = set(incidence.values())
     if len(counts) != 1:
-        raise AccountingError(f"short incidence not uniform: {sorted(counts)}",
-                              partial)
+        raise AccountingError(f"short incidence not uniform: {sorted(counts)}")
     short_incidence = counts.pop()
-    partial["short_incidence"] = short_incidence
 
     weight_long = borcherds_weight(long_root_divisor(), form)
     weight_short = borcherds_weight(short_root_divisor(), form)
     ball_long, ball_short = weight_long / 3, weight_short / 3
-    partial.update(weight_long=weight_long, weight_short=weight_short)
 
     members_per_basis = len(bases[0].rest)
     short_multiplicity = members_per_basis * short_incidence
     per_basis = ball_long + short_multiplicity * ball_short
-    partial.update(short_multiplicity=short_multiplicity, per_basis=per_basis)
     if per_basis != 6 * len(bases):
-        raise AccountingError(
-            f"per-basis weight {per_basis} is not 6 x {len(bases)}", partial)
+        raise AccountingError(f"per-basis weight {per_basis} is not 6 x {len(bases)}")
 
     iso = types["0"]
     for b in bases:
         hits = isotropic_incidence(module, b)
         if any(not v for v in hits.values()):
-            raise AccountingError("an isotropic class misses a basis", partial)
+            raise AccountingError("an isotropic class misses a basis")
     if len(iso) % 2:
-        raise AccountingError("isotropic classes do not pair up", partial)
+        raise AccountingError("isotropic classes do not pair up")
 
     return AccountingReport(
         n_bases=len(bases),

@@ -52,9 +52,9 @@ def _module_for(preset_name: str):
 
     if preset_name == "paper":
         return paper_module()
-    from .lattice import discriminant_form, preset
+    from .lattice import alt_spec, discriminant_form  # argparse allows only these two
 
-    return discriminant_form(preset(preset_name)).module
+    return discriminant_form(alt_spec()).module
 
 
 def _emit_json(obj) -> int:
@@ -62,6 +62,12 @@ def _emit_json(obj) -> int:
 
     print(json.dumps(obj, separators=(",", ":")))
     return 0
+
+
+def _record_json(record) -> dict:
+    """A report record as JSON: fields in order, ints as ints, other values by str."""
+    names = {"dim_plus": "eigenspace_dimension", "n_bases": "bases"}
+    return {names.get(k, k): v if type(v) is int else str(v) for k, v in record._asdict().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def cmd_character(args) -> int:
         return _emit_json({
             "classes": list(CLASS_ORDER),
             "sizes": list(CLASS_SIZES),
-            "table": {str(i): [format_cyc(x) for x in CHARACTER_TABLE[i]]
+            "table": {str(i): [format_cyc(CycQ(3, x)) for x in CHARACTER_TABLE[i]]
                       for i in sorted(CHARACTER_TABLE)},
             "traces": [format_cyc(t) for t in dec.traces],
             "multiplicities": list(dec.multiplicities),
@@ -166,7 +172,7 @@ def cmd_character(args) -> int:
     print("classes: " + " ".join(f"{c:>8}" for c in CLASS_ORDER))
     print("sizes:   " + " ".join(f"{s:>8}" for s in CLASS_SIZES))
     for i in sorted(CHARACTER_TABLE):
-        row = " ".join(f"{format_cyc(x):>8}" for x in CHARACTER_TABLE[i])
+        row = " ".join(f"{format_cyc(CycQ(3, x)):>8}" for x in CHARACTER_TABLE[i])
         print(f"chi{i}:    {row}")
     print(f"multiplicities: {mults}")
     return 0
@@ -179,7 +185,7 @@ def cmd_dimension(args) -> int:
     agg_t, agg_s = aggregated_action(paper_module())
     report = dimension_report(RepSpec(agg_t, agg_s), args.weight)
     if args.format == "json":
-        return _emit_json(report.to_json())
+        return _emit_json(_record_json(report))
     print(f"weight: {report.weight}")
     print(f"fixed subspace dimension: {report.dim_plus}")
     print(f"alpha invariants: S={report.alpha_s} ST={report.alpha_st} "
@@ -282,7 +288,7 @@ def cmd_accounting(args) -> int:
     # the weights read only q^(1/3) and q^(2/3)
     report = accounting_report(paper_module(), obstruction_eisenstein(3))
     if args.format == "json":
-        return _emit_json(report.to_json())
+        return _emit_json(_record_json(report))
     print(f"bases: {report.n_bases}")
     print(f"long pairs: {report.long_pairs}")
     print(f"short pairs: {report.short_pairs}")

@@ -79,23 +79,24 @@ def expand_patterns(patterns: Iterable[Element]) -> frozenset:
 class QuadraticModule:
     """Finite quadratic module on a product of cyclic groups.
 
-    `orders[i]` is the order of generator g_i, `gen_q[i]` = q(g_i) mod 2,
-    `gen_b[i][j]` = b(g_i, g_j) mod 1.  q of a general element follows from
+    `orders[i]` is the order of generator g_i; the form is held as integer
+    numerators over one denominator, q(g_i) = q[i] / den mod 2 and
+    b(g_i, g_j) = b[i][j] / den mod 1.  q of a general element follows from
     q(sum x_i g_i) = sum x_i^2 q(g_i) + 2 sum_{i<j} x_i x_j b(g_i, g_j).
-    The checks, q, b and the histogram read `numerators`: gen_q, gen_b as
-    integers over their common denominator D.  The memos key on modules:
-    equality is over (orders, numerators), the same as over (orders, gen_q, gen_b).
+    `numerators` = (q, b, den) is divided by the gcd of all its entries, so
+    one form has one presentation: the memos key on (orders, numerators).
     """
 
-    __slots__ = ("orders", "gen_q", "gen_b", "numerators")
+    __slots__ = ("orders", "numerators")
 
-    def __init__(self, orders: tuple[int, ...], gen_q: tuple[Fraction, ...],
-                 gen_b: tuple[tuple[Fraction, ...], ...]):
-        self.orders, self.gen_q, self.gen_b = orders, gen_q, gen_b
-        den = math.lcm(*(v.denominator for v in (*self.gen_q, *itertools.chain(*self.gen_b))))
-        q = tuple(v.numerator * (den // v.denominator) for v in self.gen_q)
-        b = tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.gen_b)
-        self.numerators = q, b, den
+    def __init__(self, orders: tuple[int, ...], q: tuple[int, ...],
+                 b: tuple[tuple[int, ...], ...], den: int):
+        if den < 1:
+            raise ValueError("denominator must be at least 1")
+        g = math.gcd(den, *q, *itertools.chain(*b))
+        self.orders, self.numerators = orders, (
+            tuple(v // g for v in q), tuple(tuple(v // g for v in row) for row in b), den // g)
+        q, b, den = self.numerators
         n = len(orders)
         if not (len(q) == n and len(b) == n and all(len(row) == n for row in b)):
             raise ValueError("generator data sizes disagree")
@@ -157,10 +158,9 @@ def paper_module() -> QuadraticModule:
     One positive generator and three negative ones; all pairings between
     distinct generators vanish.
     """
-    diagonal = (Fraction(2, 3), Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    return QuadraticModule((3, 3, 3, 3), (Fraction(2, 3),) + (Fraction(4, 3),) * 3,
-                           tuple(tuple(v if i == j else Fraction(0) for j in range(4))
-                                 for i, v in enumerate(diagonal)))
+    return QuadraticModule((3, 3, 3, 3), (2, 4, 4, 4),
+                           tuple(tuple(v if i == j else 0 for j in range(4))
+                                 for i, v in enumerate((2, 1, 1, 1))), 3)
 
 
 def _steps(elements: tuple[Element, ...]):

@@ -128,16 +128,6 @@ def alt_spec() -> LatticeSpec:
     return LatticeSpec("alt-decomposition", gram, None, duals)
 
 
-_PRESETS = {"paper": paper_spec, "alt-decomposition": alt_spec}
-
-
-def preset(name: str) -> LatticeSpec:
-    try:
-        return _PRESETS[name]()
-    except KeyError:
-        raise LatticeError(f"unknown preset {name!r}; have {sorted(_PRESETS)}") from None
-
-
 def iota_apply(spec: LatticeSpec, x):
     if spec.iota is None:
         raise LatticeError(f"preset {spec.name!r} carries no isometry")
@@ -270,13 +260,14 @@ def discriminant_form(spec: LatticeSpec) -> DiscriminantData:
                for combo in itertools.product(*(range(m) for m in orders))}
     if len(classes) != expected:
         raise LatticeError("two digit combinations of the generators agree mod L")
-    # <n_i / d_i, n_j / d_j> = n_j G n_i over d_i d_j: each pairing an integer numerator
+    # <n_i / d_i, n_j / d_j> = n_j G n_i over d_i d_j, each an integer numerator over den^2
     pairs = [[dot(m, gn) for m, _ in gens] for gn in images]
-    gen_q = tuple(Fraction(row[i] % (2 * d * d), d * d)
-                  for i, (row, d) in enumerate(zip(pairs, orders)))
-    gen_b = tuple(tuple(Fraction(p % (d * e), d * e) for p, e in zip(row, orders))
-                  for row, d in zip(pairs, orders))
-    return DiscriminantData(spec, QuadraticModule(orders, gen_q, gen_b), gens, classes)
+    scale = [den // d for d in orders]
+    q = tuple(row[i] % (2 * d * d) * s * s
+              for i, (row, d, s) in enumerate(zip(pairs, orders, scale)))
+    b = tuple(tuple(p % (d * e) * s * t for p, e, t in zip(row, orders, scale))
+              for row, d, s in zip(pairs, orders, scale))
+    return DiscriminantData(spec, QuadraticModule(orders, q, b, den * den), gens, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -83,18 +83,6 @@ class DimensionReport(NamedTuple):
     dim_eisenstein: int
     dim_cusp: int
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "eigenspace_dimension": self.dim_plus,
-            "alpha_s": str(self.alpha_s),
-            "alpha_st": str(self.alpha_st),
-            "alpha_t": str(self.alpha_t),
-            "dim_modular": self.dim_modular,
-            "dim_eisenstein": self.dim_eisenstein,
-            "dim_cusp": self.dim_cusp,
-        }
-
 
 def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     """Exact dimension bookkeeping for weight >= 3; see the module docstring."""

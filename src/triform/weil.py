@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple
 
-from .exact import W_POWERS, CycQ, mat_mul, mat_rank, mat_transpose, root_of_unity
+from .exact import W_POWERS, CycQ, mat_mul, mat_rank, mat_transpose
 from .fqm import (ModuleTable, OrthoBasis, QuadraticModule, aggregated_action, module_table,
                   orthogonal_bases, orthogonal_group)
 
@@ -52,6 +53,7 @@ _BITS = 32  # per field; array and memoryview read a field as a C int, "i"
 _LIMIT = 1 << _BITS - 1  # every field holds an integer of absolute value below this
 
 
+@cache
 def _bias(n: int) -> int:
     """2^31 in each of n fields: added, it makes every field nonnegative with
     no carry; flipping the top bits back leaves the two's complements."""
@@ -287,31 +289,16 @@ def build_sl2f3() -> SL2F3:
 # ---------------------------------------------------------------------------
 # the character table of SL(2, F_3)
 
-CHARACTER_TABLE: dict[int, tuple[CycQ, ...]] = {
-    1: tuple(CycQ.rational(x) for x in (1, 1, 1, 1, 1, 1, 1)),
-    2: tuple(CycQ.rational(x) for x in (3, 3, -1, 0, 0, 0, 0)),
-    3: (CycQ.rational(1), CycQ.rational(1), CycQ.rational(1),
-        root_of_unity(2, 3), root_of_unity(2, 3), root_of_unity(1, 3), root_of_unity(1, 3)),
-    4: (CycQ.rational(1), CycQ.rational(1), CycQ.rational(1),
-        root_of_unity(1, 3), root_of_unity(1, 3), root_of_unity(2, 3), root_of_unity(2, 3)),
-    5: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
-        -root_of_unity(1, 3), root_of_unity(1, 3), root_of_unity(2, 3), -root_of_unity(2, 3)),
-    6: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
-        CycQ.rational(-1), CycQ.rational(1), CycQ.rational(1), CycQ.rational(-1)),
-    7: (CycQ.rational(2), CycQ.rational(-2), CycQ.rational(0),
-        -root_of_unity(2, 3), root_of_unity(2, 3), root_of_unity(1, 3), -root_of_unity(1, 3)),
+# each value x + y w as the pair (x, y); w^2 = -1 - w is (-1, -1)
+CHARACTER_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
+    1: ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)),
+    2: ((3, 0), (3, 0), (-1, 0), (0, 0), (0, 0), (0, 0), (0, 0)),
+    3: ((1, 0), (1, 0), (1, 0), (-1, -1), (-1, -1), (0, 1), (0, 1)),
+    4: ((1, 0), (1, 0), (1, 0), (0, 1), (0, 1), (-1, -1), (-1, -1)),
+    5: ((2, 0), (-2, 0), (0, 0), (0, -1), (0, 1), (-1, -1), (1, 1)),
+    6: ((2, 0), (-2, 0), (0, 0), (-1, 0), (1, 0), (1, 0), (-1, 0)),
+    7: ((2, 0), (-2, 0), (0, 0), (1, 1), (-1, -1), (0, 1), (0, -1)),
 }
-
-
-def _zw_rows(rows: dict) -> list[list[tuple[int, int]]]:
-    """Character rows as (1-part, w-part) pairs; GroupTableError names a row outside Z[w]."""
-    parts = []
-    for i, row in rows.items():
-        values = [v.embed(3) for v in row if 3 % v.n == 0]
-        if len(values) < len(row) or any(v.den != 1 for v in values):
-            raise GroupTableError(f"character {i} takes a value outside Z[w]")
-        parts.append([tuple(v.num) for v in values])
-    return parts
 
 
 def _zw_pairing(u, v, weights) -> tuple[int, int]:
@@ -321,10 +308,10 @@ def _zw_pairing(u, v, weights) -> tuple[int, int]:
                                 for k, (x0, x1), (y0, y1) in zip(weights, u, v)))))
 
 
-def validate_character_table() -> list[list[tuple[int, int]]]:
+def validate_character_table() -> list[tuple[tuple[int, int], ...]]:
     """First and second orthogonality for the frozen table, as integer sums
-    in Z[w]; raises on failure and returns the rows it checked (`_zw_rows`)."""
-    keys, rows, order = list(CHARACTER_TABLE), _zw_rows(CHARACTER_TABLE), sum(CLASS_SIZES)
+    in Z[w]; raises on failure and returns the rows it checked."""
+    keys, rows, order = list(CHARACTER_TABLE), list(CHARACTER_TABLE.values()), sum(CLASS_SIZES)
     for (i, u), (j, v) in product(enumerate(rows), repeat=2):
         if _zw_pairing(u, v, CLASS_SIZES) != (order * (i == j), 0):
             raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
@@ -486,7 +473,7 @@ class IsotypicSubspace(NamedTuple):
 def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g),
     summed row by row over the numerator rows of the 24 rho(g), scaled to one den."""
-    (values,) = _zw_rows({char_index: CHARACTER_TABLE[char_index]})
+    values = CHARACTER_TABLE[char_index]
     dim_chi, _ = values[CLASS_ORDER.index("E")]
     group, table = rep.group, module_table(rep.module)
     mats = [rep.rho[g.mat] for g in group.elements]

@@ -16,6 +16,7 @@ from triform.borcherds import (
     obstruction_check,
     short_root_divisor,
 )
+from triform.cli import _record_json
 from triform.fqm import paper_module
 from triform.qseries import obstruction_eisenstein
 from triform.weil import build_weil, special_vectors
@@ -111,8 +112,8 @@ def test_accounting_report(form):
 
 
 def test_accounting_json_round_trip(form):
-    report = accounting_report(paper_module(), form)
-    j = report.to_json()
+    j = _record_json(accounting_report(paper_module(), form))
+    assert j["bases"] == 15 and "n_bases" not in j
     assert j["per_basis_weight"] == "90"
     assert j["cusps"] == 10
     assert j["weight_long"] == "135"
@@ -123,4 +124,4 @@ def test_accounting_rejects_a_wrong_form(form):
     doubled = type(form)({k: v.scale(2) for k, v in form.components.items()}, form.weights)
     with pytest.raises(AccountingError) as info:
         accounting_report(paper_module(), doubled)
-    assert info.value.partial["weight_long"] == 270
+    assert str(info.value) == "per-basis weight 180 is not 6 x 15"  # 90 + 9 * 10

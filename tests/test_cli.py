@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -89,6 +91,20 @@ def test_dimension_report(capsys):
     data = json.loads(out)
     assert data["dim_cusp"] == 0
     assert data["alpha_st"] == "4/3"
+
+
+def test_record_json_renames_two_fields_keeps_ints_and_writes_the_rest_by_str():
+    class Record(NamedTuple):
+        n_bases: int
+        dim_plus: int
+        weight: Fraction
+        whole: Fraction
+        flag: bool
+        cusps: int
+
+    data = cli._record_json(Record(15, 4, Fraction(4, 3), Fraction(90), True, 10))
+    assert list(data.items()) == [("bases", 15), ("eigenspace_dimension", 4), ("weight", "4/3"),
+                                  ("whole", "90"), ("flag", "True"), ("cusps", 10)]
 
 
 def test_dimension_rejects_low_weight(capsys):

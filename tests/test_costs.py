@@ -12,8 +12,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# calls into fractions.py: 8,084 while the discriminant data was held as Fractions
-FRACTIONS_CALLS = 2_500
+# calls into fractions.py: 8,084 while the discriminant data was held as
+# Fractions, 1,635 while the module kept its Fraction generator values; 1,397 now
+FRACTIONS_CALLS = 1_400
 # Fourier transforms of the Weil layer: 59 while rho(-g) and each rho(S) rho(h)
 # had a transform of their own; 8 build rho, 7 certify it, 2 check the
 # projector and 15 the sign vectors

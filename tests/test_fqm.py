@@ -264,9 +264,10 @@ def test_canonicalization_and_strings():
     assert element_str((1, 0, 2, 1)) == "1021"
 
 
-# q(g_i) + 2 and b(g_i, g_j) + 1 present the paper module by unreduced data
-UNREDUCED = QuadraticModule(M.orders, tuple(v + 2 for v in M.gen_q),
-                            tuple(tuple(v + 1 for v in row) for row in M.gen_b))
+# q(g_i) + 2 and b(g_i, g_j) + 1 present the paper module by other numerators over 3
+UNREDUCED_FORM = (M.orders, tuple(v + 6 for v in M.numerators[0]),
+                  tuple(tuple(v + 3 for v in row) for row in M.numerators[1]), 3)
+UNREDUCED = QuadraticModule(*UNREDUCED_FORM)
 
 
 @pytest.mark.parametrize("module", [M, ALT, UNREDUCED],
@@ -280,7 +281,7 @@ def test_gram3_matches_the_fraction_forms(module):
 
 def test_gram3_rejects_what_the_fraction_forms_reject():
     # on Z/2 with q(g) = 1/2 neither (3/2) q nor 3 b is an integer
-    half = QuadraticModule((2,), (Fraction(1, 2),), ((Fraction(1, 2),),))
+    half = QuadraticModule((2,), (1,), ((1,),), 2)
     with pytest.raises(ReflectionError):
         _b3(half, (1,), (1,))
     with pytest.raises(ReflectionError):
@@ -305,10 +306,18 @@ def test_module_table_matches_the_fraction_forms(module):
 
 def test_modules_are_equal_exactly_when_their_forms_are():
     # the memos key on (orders, numerators); ALT has the orders of M, not its form
-    copy = QuadraticModule(ALT.orders, ALT.gen_q, ALT.gen_b)
+    copy = QuadraticModule(ALT.orders, *ALT.numerators)
     assert copy == ALT and hash(copy) == hash(ALT) and module_table(copy) is module_table(ALT)
     assert ALT.orders == M.orders and ALT != M
     assert UNREDUCED != M  # the same form, presented by other values of q(g_i) and b(g_i, g_j)
+
+
+def test_two_scalings_of_one_form_are_one_module():
+    doubled = QuadraticModule(M.orders, (4, 8, 8, 8),
+                              tuple(tuple(2 * v for v in row) for row in M.numerators[1]), 6)
+    assert doubled == M and hash(doubled) == hash(M) and module_table(doubled) is module_table(M)
+    assert doubled.numerators == M.numerators == ((2, 4, 4, 4), (
+        (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 3)
 
 
 @BOTH
@@ -494,16 +503,23 @@ def exponent3_modules(draw, max_rank=4):
     lift of b(g_i, g_i) with 9 q(g_i) in 2Z, shifted by -2, 0 or 2."""
     r = draw(st.integers(1, max_rank))
     gram = [[0] * r for _ in range(r)]
-    b = [[Fraction(0)] * r for _ in range(r)]
+    b = [[0] * r for _ in range(r)]  # numerators over 3
     for i in range(r):
         for j in range(i, r):
             gram[i][j] = gram[j][i] = draw(st.integers(0, 2))
-            b[i][j] = b[j][i] = Fraction(gram[i][j], 3) + draw(st.integers(-1, 1))
+            b[i][j] = b[j][i] = gram[i][j] + 3 * draw(st.integers(-1, 1))
     q = []
     for i in range(r):
-        v = Fraction(gram[i][i], 3) + (gram[i][i] % 2)  # 9 v = 3 G_ii + 9 (G_ii mod 2) is even
-        q.append(v + 2 * draw(st.integers(-1, 1)))
-    return QuadraticModule((3,) * r, tuple(q), tuple(map(tuple, b)))
+        v = gram[i][i] + 3 * (gram[i][i] % 2)  # 9 (v / 3) = 3 G_ii + 9 (G_ii mod 2) is even
+        q.append(v + 6 * draw(st.integers(-1, 1)))
+    return QuadraticModule((3,) * r, tuple(q), tuple(map(tuple, b)), 3)
+
+
+def gram_mod3(module: QuadraticModule) -> list[list[int]]:
+    """The F_3 Gram matrix 3 b(g_i, g_j) mod 3 of the generators."""
+    r = len(module.orders)
+    g = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    return [[int(3 * module.b(x, y)) for y in g] for x in g]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -519,7 +535,7 @@ def test_tables_and_group_of_random_pairings_match_the_oracles(module):
     assert [[elems[k] for k in row] for row in t.add] == [
         [add(module, x, y) for y in elems] for x in elems]
     assert [TYPE_LABELS[k] for k in t.kind] == [_type_oracle(module, x) for x in elems]
-    if mat_det([[3 * v for v in row] for row in module.gen_b]) % 3 == 0:
+    if mat_det(gram_mod3(module)) % 3 == 0:
         with pytest.raises(ReflectionError, match="degenerate"):
             orthogonal_group(module)
         return
@@ -534,20 +550,18 @@ def test_tables_and_group_of_random_pairings_match_the_oracles(module):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(exponent3_modules())
 def test_equal_modules_from_unreduced_data_hash_alike(module):
-    # the same form spelled as unreduced Fractions and plain ints: equal
+    # the same form with every numerator and the denominator times 7: equal
     # modules, so one hash and one memo entry, though the hash reads numerators
-    def respell(v):
-        return v.numerator if v.denominator == 1 else Fraction(7 * v.numerator, 7 * v.denominator)
-    copy = QuadraticModule(module.orders, tuple(map(respell, module.gen_q)),
-                           tuple(tuple(map(respell, row)) for row in module.gen_b))
+    q, b, den = module.numerators
+    copy = QuadraticModule(module.orders, tuple(7 * v for v in q),
+                           tuple(tuple(7 * v for v in row) for row in b), 7 * den)
     assert copy == module and hash(copy) == hash(module)
     assert module_table(copy) is module_table(module)
 
 
 def test_the_byte_tables_stop_at_256_elements():
-    rank6 = QuadraticModule((3,) * 6, (Fraction(2, 3),) * 6,
-                            tuple(tuple(Fraction(2 * (i == j), 3) for j in range(6))
-                                  for i in range(6)))
+    rank6 = QuadraticModule((3,) * 6, (2,) * 6,
+                            tuple(tuple(2 * (i == j) for j in range(6)) for i in range(6)), 3)
     with pytest.raises(ValueError, match="at most 256"):
         module_table(rank6)
 
@@ -583,32 +597,42 @@ def test_an_ambiguous_completion_raises(monkeypatch):
 # -- q and b on integer numerators, against the Fraction sums they replace
 
 
-def fraction_q(module: QuadraticModule, x) -> Fraction:
+def fractions_of(form) -> tuple:
+    """(orders, q(g_i), b(g_i, g_j)) as Fractions: the values numerators over den present."""
+    orders, q, b, den = form
+    return orders, tuple(Fraction(v, den) for v in q), \
+        tuple(tuple(Fraction(v, den) for v in row) for row in b)
+
+
+def fraction_q(form, x) -> Fraction:
     """q(x) as a sum of Fraction terms reduced mod 2: the former definition."""
+    _, q, b = fractions_of(form)
     total = Fraction(0)
     for i, xi in enumerate(x):
-        total += xi * xi * module.gen_q[i]
+        total += xi * xi * q[i]
         for j in range(i + 1, len(x)):
-            total += 2 * xi * x[j] * module.gen_b[i][j]
+            total += 2 * xi * x[j] * b[i][j]
     return total % 2
 
 
-def fraction_b(module: QuadraticModule, x, y) -> Fraction:
+def fraction_b(form, x, y) -> Fraction:
     """b(x, y) as a sum of Fraction terms reduced mod 1: the former definition."""
+    _, _, b = fractions_of(form)
     total = Fraction(0)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            total += xi * yj * module.gen_b[i][j]
+            total += xi * yj * b[i][j]
     return total % 1
 
 
 @st.composite
-def valid_modules(draw, max_rank=3):
-    """Modules on cyclic factors of order 2, 3, 4 or 9 with consistent, unreduced data.
+def valid_forms(draw, max_rank=3):
+    """(orders, q, b, den) on cyclic factors of order 2, 3, 4 or 9: consistent
+    numerators over den, often not in lowest terms.
 
     b(g_i, g_j) is a multiple of 1/gcd(m_i, m_j) shifted by -1, 0 or 1, and
     q(g_i) lifts b(g_i, g_i) mod 1 to a value with q(g_i) m_i^2 in 2Z,
-    shifted by -2, 0 or 2.
+    shifted by -2, 0 or 2; den is the least common denominator times 1, 2 or 3.
     """
     orders = draw(st.lists(st.sampled_from((2, 3, 4, 9)), min_size=1, max_size=max_rank))
     r = len(orders)
@@ -624,66 +648,71 @@ def valid_modules(draw, max_rank=3):
         if v * m * m % 2:
             v += 1
         q.append(v + 2 * draw(st.integers(-1, 1)))
-    return QuadraticModule(tuple(orders), tuple(q), tuple(map(tuple, b)))
+    den = math.lcm(*(v.denominator for v in (*q, *itertools.chain(*b)))) \
+        * draw(st.integers(1, 3))
+    return (tuple(orders), tuple(int(v * den) for v in q),
+            tuple(tuple(int(v * den) for v in row) for row in b), den)
+
+
+def valid_modules(max_rank=3):
+    return valid_forms(max_rank).map(lambda form: QuadraticModule(*form))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(valid_modules(), st.data())
-@example(M, None)
-@example(UNREDUCED, None)
-def test_q_and_b_match_the_fraction_sums(module, data):
+@given(valid_forms(), st.data())
+@example((M.orders, *M.numerators), None)
+@example(UNREDUCED_FORM, None)
+def test_q_and_b_match_the_fraction_sums(form, data):
+    module = QuadraticModule(*form)
     elems = module.elements()
     pairs = (itertools.product(elems, repeat=2) if data is None else
              data.draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)),
                                 min_size=1, max_size=40)))
     for x in elems:
-        assert repr(module.q(x)) == repr(fraction_q(module, x))
+        assert repr(module.q(x)) == repr(fraction_q(form, x))
     for x, y in pairs:
-        assert repr(module.b(x, y)) == repr(fraction_b(module, x, y))
+        assert repr(module.b(x, y)) == repr(fraction_b(form, x, y))
 
 
-@pytest.mark.parametrize("orders, gen_q, gen_b, message", [
-    ((3, 3), (Fraction(2, 3),), ((Fraction(2, 3), 0), (0, Fraction(2, 3))),
-     "generator data sizes disagree"),
-    ((3, 3), (Fraction(2, 3),) * 2, ((Fraction(2, 3), Fraction(1, 3)), (0, Fraction(2, 3))),
-     "pairing matrix must be symmetric"),
-    ((3,), (Fraction(2, 3),), ((Fraction(1, 2),),), "pairing does not respect generator order"),
-    ((3,), (Fraction(1, 3),), ((Fraction(1, 3),),),
-     "quadratic value does not respect generator order"),
-], ids=["sizes", "symmetric", "pairing-order", "quadratic-order"])
-def test_the_constructor_checks_its_numerators(orders, gen_q, gen_b, message):
+@pytest.mark.parametrize("orders, q, b, den, message", [
+    ((3, 3), (2,), ((2, 0), (0, 2)), 3, "generator data sizes disagree"),
+    ((3, 3), (2, 2), ((2, 1), (0, 2)), 3, "pairing matrix must be symmetric"),
+    ((3,), (4,), ((3,),), 6, "pairing does not respect generator order"),
+    ((3,), (1,), ((1,),), 3, "quadratic value does not respect generator order"),
+    ((3,), (2,), ((2,),), 0, "denominator must be at least 1"),
+    ((3,), (-2,), ((-2,),), -3, "denominator must be at least 1"),
+], ids=["sizes", "symmetric", "pairing-order", "quadratic-order", "zero-den", "negative-den"])
+def test_the_constructor_checks_its_numerators(orders, q, b, den, message):
     with pytest.raises(ValueError) as info:
-        QuadraticModule(orders, gen_q, gen_b)
+        QuadraticModule(orders, q, b, den)
     assert str(info.value) == message
 
 
-def _respelled(module: QuadraticModule, how: str) -> QuadraticModule:
-    """The same form with integral values as ints, or with one q(g_i) moved by 2."""
-    gen_q, gen_b = list(module.gen_q), module.gen_b
+def _respelled(form, how: str) -> tuple:
+    """The same form over a denominator 5 times larger, or with one q(g_i) moved by 2."""
+    orders, q, b, den = form
     if how == "shifted":
-        gen_q[-1] += 2
-    else:
-        gen_q = [int(v) if v.denominator == 1 else v for v in gen_q]
-        gen_b = tuple(tuple(int(v) if v.denominator == 1 else v for v in row) for row in gen_b)
-    return QuadraticModule(module.orders, tuple(gen_q), gen_b)
+        return orders, q[:-1] + (q[-1] + 2 * den,), b, den
+    return orders, tuple(5 * v for v in q), tuple(tuple(5 * v for v in row) for row in b), 5 * den
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(valid_modules(), st.data())
-def test_numerator_equality_is_fraction_equality(module, data):
+@given(valid_forms(), st.data())
+def test_numerator_equality_is_fraction_equality(form, data):
     how = data.draw(st.sampled_from(("independent", "respelled", "shifted")))
-    other = data.draw(valid_modules()) if how == "independent" else _respelled(module, how)
-    same = (module.orders, module.gen_q, module.gen_b) == (other.orders, other.gen_q, other.gen_b)
-    assert (module == other) == same
+    other = data.draw(valid_forms()) if how == "independent" else _respelled(form, how)
+    module, other_module = QuadraticModule(*form), QuadraticModule(*other)
+    same = fractions_of(form) == fractions_of(other)
+    assert (module == other_module) == same
     if how != "independent":
         assert same == (how == "respelled")
     if same:
-        assert hash(module) == hash(other)
+        assert hash(module) == hash(other_module)
 
 
 def test_q_and_b_return_reduced_fractions():
-    m = QuadraticModule((9,), (Fraction(2, 9),), ((Fraction(1, 9),),))
-    assert m.numerators == ((2,), ((1,),), 9)
+    m = QuadraticModule((9,), (2,), ((1,),), 9)
+    assert m.numerators == QuadraticModule((9,), (6,), ((3,),), 27).numerators == ((2,), ((1,),), 9)
     values = [m.q((3,)), m.q((4,)), m.b((3,), (1,)), m.b((3,), (6,))]
     assert values == [0, Fraction(14, 9), Fraction(1, 3), 0]
     assert all(type(v) is Fraction for v in values)

@@ -22,7 +22,6 @@ from triform.lattice import (
     iota_apply,
     milgram_signature,
     paper_spec,
-    preset,
     reflection_minus_one,
     trireflection,
 )
@@ -64,10 +63,8 @@ def hermitian_value(spec: LatticeSpec, x, y) -> CycQ:
 
 
 def test_presets():
-    assert preset("paper").name == "paper"
-    assert preset("alt-decomposition").iota is None
-    with pytest.raises(LatticeError):
-        preset("nope")
+    assert paper_spec().name == "paper"
+    assert alt_spec().name == "alt-decomposition" and alt_spec().iota is None
 
 
 def test_spec_validation_rejects_bad_data():
@@ -252,10 +249,11 @@ def test_the_integer_pairings_match_the_fraction_inner_products(spec):
     data = discriminant_form(spec)
     gens = list(map(_vector, spec.dual_generators))
     assert data.module.orders == tuple(d for _, d in spec.dual_generators)
-    assert data.module.gen_q == tuple(inner(spec, c, c) % 2 for c in gens)
-    assert data.module.gen_b == tuple(tuple(inner(spec, c1, c2) % 1 for c2 in gens)
-                                      for c1 in gens)
-    assert all(type(v) is Fraction for v in (*data.module.gen_q, *data.module.gen_b[0]))
+    q, b, den = data.module.numerators
+    assert all(type(v) is int for v in (den, *q, *itertools.chain(*b)))
+    assert tuple(Fraction(v, den) for v in q) == tuple(inner(spec, c, c) % 2 for c in gens)
+    assert tuple(tuple(Fraction(v, den) for v in row) for row in b) == tuple(
+        tuple(inner(spec, c1, c2) % 1 for c2 in gens) for c1 in gens)
 
 
 _GENS = paper_spec().dual_generators

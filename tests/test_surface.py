@@ -2,8 +2,9 @@
 
 A module-level function must be referenced in the package outside its own
 body; a method other than a dunder must be reached there as an attribute
-`.name`, and a record field (an annotated field of a NamedTuple class, or a
-name in the `__slots__` of a plain class) must be read there as `.name`.  The only
+`.name`, and a record field (an annotated field of a NamedTuple class, a
+name in the `__slots__` of a plain class, or else an attribute its
+`__init__` sets on self) must be read there as `.name`.  The only
 exceptions are the names the benchmark's tracer wraps (STAGES and LEAVES
 of perfbench/tracer.py) and the names the frozen acceptance test imports.
 Code and data that only tests read belong in the tests.  Every name a
@@ -46,12 +47,19 @@ def _uses(tree) -> Counter:
 
 
 def _fields(node: ast.ClassDef) -> list[str]:
-    """The annotated fields of a NamedTuple class, else the names in `__slots__`."""
+    """The annotated fields of a NamedTuple class, the names in `__slots__`,
+    or else the attributes `self.name = ...` that `__init__` sets."""
     if any(getattr(base, "id", None) == "NamedTuple" for base in node.bases):
         return [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
-    return [elt.value for item in node.body if isinstance(item, ast.Assign)
-            and any(getattr(target, "id", None) == "__slots__" for target in item.targets)
-            for elt in item.value.elts]
+    slots = [item.value for item in node.body if isinstance(item, ast.Assign)
+             and any(getattr(target, "id", None) == "__slots__" for target in item.targets)]
+    if slots:
+        return [elt.value for elt in slots[0].elts]
+    inits = [item for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+    return [target.attr for init in inits for target in ast.walk(init)
+            if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+            and getattr(target.value, "id", None) == "self"]
 
 
 def unreached(src: Path = SRC) -> list[str]:
@@ -115,6 +123,18 @@ def test_the_guard_sees_an_unreached_function_and_method(tmp_path):
                                    "extra.Slots.idle"]
 
 
+def test_the_guard_sees_an_unread_instance_attribute(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "class Failure(ValueError):\n"
+        "    def __init__(self, text, kept, extra):\n"
+        "        super().__init__(text)\n"
+        "        self.kept, self.extra = kept, extra\n\n\n"
+        "print(Failure('x', 1, 2).kept)\n")
+    assert unreached(tmp_path) == ["extra.Failure.extra"]
+
+
 # The guard matches a method by its name alone, so a method whose name also
 # names another method, a function or a record field in src counts as reached
 # when any namesake is read.  Each such name is pinned here with where its
@@ -131,8 +151,6 @@ SHARED_NAMES = {
              "OrthogonalGroup.order, read by cli and o_q_character_norm; SL2F3.order, read "
              "by isotypic_subspace",
     "q": "QuadraticModule.q, read by gram3; field ModuleTable.q",
-    "to_json": "AccountingReport.to_json and DimensionReport.to_json, one per JSON handler "
-               "in cli",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triform.cli import _record_json
 from triform.exact import (
     alpha_invariant,
     mat_eq,
@@ -251,6 +252,7 @@ def test_dimension_report_fields_and_json():
     assert report.dim_modular == 2
     assert report.dim_eisenstein == 2
     assert report.dim_cusp == 0
-    data = report.to_json()
+    data = _record_json(report)
+    assert data["eigenspace_dimension"] == 4 and "dim_plus" not in data
     assert data["alpha_st"] == "4/3"
     assert data["dim_modular"] == 2

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weil_oracle
-from test_fqm import ALT, _perturbed_table, exponent3_modules
+from test_fqm import ALT, _perturbed_table, exponent3_modules, gram_mod3
 from triform import fqm, weil
 from triform.exact import (
     CycQ,
@@ -233,7 +233,8 @@ def test_group_structure():
 
 def test_character_table_orthogonality():
     validate_character_table()
-    dims = sorted(int(CHARACTER_TABLE[i][0].as_fraction()) for i in CHARACTER_TABLE)
+    assert all(type(v) is int for row in CHARACTER_TABLE.values() for pair in row for v in pair)
+    dims = sorted(row[0][0] for row in CHARACTER_TABLE.values())
     assert dims == [1, 1, 1, 2, 2, 2, 3]
     assert sum(d * d for d in dims) == 24
 
@@ -603,9 +604,9 @@ def test_two_dimensional_characters_from_quaternion_model():
                 acc = acc + Fraction(size) * a * b.conjugate()
             assert acc == (24 if i == j else 0)
 
-    # the derived characters are the frozen rows, matched one to one by
-    # CycQ equality across conductors
-    unmatched = list(CHARACTER_TABLE.values())
+    # the derived characters are the frozen rows of pairs (x, y) = x + y w,
+    # matched one to one by CycQ equality across conductors
+    unmatched = [tuple(CycQ(3, v) for v in row) for row in CHARACTER_TABLE.values()]
     for chi in derived:
         row = next((psi for psi in unmatched
                     if all(a == b for a, b in zip(chi, psi))), None)
@@ -723,10 +724,12 @@ def test_isotypic_subspace_rejects_a_projector_that_mixes_levels_of_q(monkeypatc
 
 def test_isotypic_subspace_rejects_a_character_value_outside_z_w(monkeypatch):
     chi = list(CHARACTER_TABLE[3])
-    chi[CLASS_ORDER.index("S")] = CycQ.rational(Fraction(1, 2))
+    chi[CLASS_ORDER.index("S")] = (Fraction(1, 2), 0)
     monkeypatch.setitem(CHARACTER_TABLE, 3, tuple(chi))
-    with pytest.raises(GroupTableError, match="outside Z"):
+    with pytest.raises(RankError, match="not idempotent"):
         isotypic_subspace(REP, 3)
+    with pytest.raises(GroupTableError, match="orthogonality fails"):
+        validate_character_table()
 
 
 def test_special_vectors_all_checks():
@@ -815,7 +818,7 @@ def test_o_q_norm_rejects_unstable_projector():
 
 
 def _nondegenerate(module):
-    return mat_det([[3 * v for v in row] for row in module.gen_b]) % 3 != 0
+    return mat_det(gram_mod3(module)) % 3 != 0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

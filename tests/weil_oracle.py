@@ -120,8 +120,8 @@ def projector(rho: dict, char_index: int):
     row of dim chi conj(chi(g)) with the 24 den-9 numerator matrices."""
     group = build_sl2f3()
     chi = CHARACTER_TABLE[char_index]
-    x, y = np.array([v.embed(3).num for v in chi]).T
-    dim_chi = int(chi[0].as_fraction())
+    x, y = np.array(chi).T
+    dim_chi = chi[0][0]
     cls = [CLASS_ORDER.index(group.class_of[g.mat]) for g in group.elements]
     ca, cb = dim_chi * (x - y)[cls], -dim_chi * y[cls]
     mats = [rho[g.mat] for g in group.elements]
