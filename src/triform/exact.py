@@ -376,14 +376,13 @@ def mat_transpose(a: Matrix) -> Matrix:
 def mat_pow(a: Matrix, k: int) -> Matrix:
     if k < 0:
         raise ValueError("negative powers unsupported; invert explicitly")
-    result = mat_identity(len(a))
-    base = a
+    result, base = None, a
     while k:
         if k & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         base = mat_mul(base, base) if k > 1 else base
         k >>= 1
-    return result
+    return mat_identity(len(a)) if result is None else result
 
 
 def _echelon(a: Matrix) -> tuple[list[list], list[int], object, Callable, Callable]:
@@ -504,32 +503,32 @@ def mat_det(a: Matrix):
 # phase statistics of a finite-order matrix
 
 
-def phase_multiplicities(a: Matrix, bound: int) -> dict[Fraction, int]:
-    """Eigenphase histogram of a matrix with a^order = 1 for some order <= bound.
-
-    Finds the least such order from the powers it builds and returns
-    {j/order: multiplicity} for the eigenvalues e^(2 pi i j / order), omitting
-    zero multiplicities.  Derived from power traces alone: m_j = (1/order) *
-    sum_(m=1..order) trace(a^m) zeta^(-jm).  Raises ValueError if no such order
-    exists or the counts fail to be nonnegative integers summing to the dimension.
-    """
+def phase_multiplicities(a: Matrix, bound: int, proj: Matrix | None = None) -> dict[Fraction, int]:
+    """Eigenphase histogram of a on the image of proj, an idempotent commuting
+    with a (the whole space if None), by `trace_histogram` of the powers
+    a^m proj up to the least order <= bound with a^order proj = proj.  Raises
+    ValueError if there is no such order, or as `trace_histogram` does."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    dim = len(a)
-    ident = mat_identity(dim)
-    powers = [a]  # powers[m - 1] = a^m
-    while not mat_eq(powers[-1], ident):
+    target = mat_identity(len(a)) if proj is None else proj
+    powers = [a if proj is None else mat_mul(a, proj)]  # powers[m - 1] = a^m proj
+    while not mat_eq(powers[-1], target):
         if len(powers) == bound:
             raise ValueError(f"no power a^m with m <= {bound} is the identity")
         powers.append(mat_mul(powers[-1], a))
-    order = len(powers)
-    traces = [mat_trace(p) for p in powers]
+    return trace_histogram([mat_trace(p) for p in powers], mat_trace(target))
+
+
+def trace_histogram(traces: Sequence, dim) -> dict[Fraction, int]:
+    """{j/order: multiplicity} of the eigenvalues e^(2 pi i j / order) of an a
+    with a^order = 1, from traces[m - 1] = tr(a^m), m = 1..order = len(traces):
+    m_j = (1/order) * sum_m tr(a^m) zeta^(-jm), zeros omitted.  Raises
+    ValueError unless the counts are nonnegative integers summing to dim."""
+    order = len(traces)
     out: dict[Fraction, int] = {}
     total = 0
     for j in range(order):
-        s = CycQ.rational(0)
-        for m, trace in enumerate(traces, 1):
-            s = s + trace * root_of_unity(-j * m, order)
+        s = dot(traces, [root_of_unity(-j * m, order) for m in range(1, order + 1)])
         s = s * Fraction(1, order)
         if not s.is_rational():
             raise ValueError(f"non-rational multiplicity for phase {j}/{order}")

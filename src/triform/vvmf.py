@@ -12,16 +12,14 @@ with d = dim V+, every operator restricted to V+, and alpha the sum of
 eigenphases in [0, 1).  The Eisenstein part is the space of T-invariants in
 V+; the cusp part is the difference.
 
-No basis of V+ is built.  With n the dimension, eps = (-1)^k and
-P = (1 + eps S^2) / 2: P^2 = P by S^4 = 1, so d = tr P; S^2 = (ST)^3
-commutes with S and ST, so P commutes with S and T.  For X commuting with P,
-X+ = I - (I - X) P is X on V+ and 1 on V-: its histogram is X's on V+ plus
-n - d at phase 0, with the same alpha.  A = i^k S and B = e^(pi i k/3) ST
-have A^2 = B^3 = eps S^2 = 1 on V+, so A+ has order at most 2 and B+ at most
-3.  Each phase j/3 != 0 of B inverts to 1 - j/3, so alpha(B^(-1))
-= d - m_0(B on V+) - alpha(B) = n - m_0(B+) - alpha(B+), with m_0 the
-multiplicity of phase 0.  T has finite order, so it is diagonalizable and
-its invariants in V+ number m_0(T+) - (n - d).  At d = 0 every X+ is I.
+No basis of V+ is built.  With eps = (-1)^k and P = (1 + eps S^2) / 2:
+P^2 = P by S^4 = 1, so d = tr P; S^2 = (ST)^3 commutes with S and ST, so P
+commutes with S and T, and X on V+ has tr X^m = tr(X^m P).  A = i^k S and
+B = e^(pi i k/3) ST have A^2 = B^3 = eps S^2 = 1 on V+, so their phases
+come from d and c^m tr(X^m P), c the root of unity scaling X.  Each phase
+j/3 != 0 of B inverts to 1 - j/3, so alpha(B^(-1)) = d - m_0(B) - alpha(B),
+with m_0 the multiplicity of phase 0.  T has finite order, so it is
+diagonalizable, and its invariants in V+ number m_0(T on V+).
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .exact import (
     mat_trace,
     phase_multiplicities,
     root_of_unity,
+    trace_histogram,
 )
 
 _MAX_T_ORDER = 60
@@ -88,27 +87,22 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     """Exact dimension bookkeeping for weight >= 3; see the module docstring."""
     if weight <= 2:
         raise DimensionError(f"weight {weight} is below the valid range (k >= 3)")
-    s, t = spec.s_image, spec.t_image
-    n = len(s)
-    ident = mat_identity(n)
+    ident = mat_identity(len(spec.s_image))
     eps = 1 if weight % 2 == 0 else -1
     # P = (1 + eps S^2) / 2, the projector onto V+
     proj = mat_scalar(Fraction(1, 2), mat_sub(ident, mat_scalar(-eps, spec.s_squared)))
     d = int(mat_trace(proj).as_fraction())  # P^2 = P by S^4 = 1: tr P = rank P
 
-    def plus(x: Matrix) -> Matrix:
-        """x on V+ and 1 on V-: I - (I - x) P."""
-        return mat_sub(ident, mat_mul(mat_sub(ident, x), proj))
-
-    # A = i^k S and B = e^(pi i k/3) ST: A^2 = B^3 = eps S^2 = 1 on V+
-    alpha_s = alpha_invariant(phase_multiplicities(
-        plus(mat_scalar(root_of_unity(weight, 4), s)), 2))
-    b_mults = phase_multiplicities(
-        plus(mat_scalar(root_of_unity(weight, 6), spec.st)), 3)
-    # alpha(B^(-1)) on V+ = d - m_0(B on V+) - alpha(B), and m_0(B+) = m_0(B on V+) + n - d
-    alpha_st = n - b_mults.get(Fraction(0), 0) - alpha_invariant(b_mults)
+    # A = i^k S and B = e^(pi i k/3) ST: A^2 = B^3 = eps S^2 = 1 on V+, so the
+    # last trace is d; the m-th trace of c X is c^m tr(X^m P), (ST P)^2 = (ST)^2 P
+    st_p = mat_mul(spec.st, proj)
+    alpha_s = alpha_invariant(trace_histogram(
+        [root_of_unity(weight, 4) * mat_trace(mat_mul(spec.s_image, proj)), d], d))
+    b_mults = trace_histogram([root_of_unity(weight * m, 6) * mat_trace(x)
+                               for m, x in enumerate((st_p, mat_mul(st_p, st_p)), 1)] + [d], d)
+    alpha_st = d - b_mults.get(Fraction(0), 0) - alpha_invariant(b_mults)
     try:
-        t_mults = phase_multiplicities(plus(t), _MAX_T_ORDER)
+        t_mults = phase_multiplicities(spec.t_image, _MAX_T_ORDER, proj)
     except ValueError as err:
         raise DimensionError(f"T image on V+: {err}") from err
     alpha_t = alpha_invariant(t_mults)
@@ -119,7 +113,7 @@ def dimension_report(spec: RepSpec, weight: int) -> DimensionReport:
     if total < 0:
         raise DimensionError(f"dimension formula gave the negative value {total}")
 
-    eis = t_mults.get(Fraction(0), 0) - (n - d)  # T is diagonalizable: finite order
+    eis = t_mults.get(Fraction(0), 0)  # T is diagonalizable: finite order
     cusp = int(total) - eis
     if cusp < 0:
         raise DimensionError(

@@ -472,8 +472,9 @@ class IsotypicSubspace(NamedTuple):
 
 def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     """Image of the isotypic projector (dim chi / 24) sum conj(chi(g)) rho(g),
-    summed row by row over the numerator rows of the 24 rho(g), scaled to one den."""
-    values = CHARACTER_TABLE[char_index]
+    summed row by row over the numerator rows of the 24 rho(g), scaled to one den,
+    with chi the row of the validated character table."""
+    values = dict(zip(CHARACTER_TABLE, validate_character_table()))[char_index]
     dim_chi, _ = values[CLASS_ORDER.index("E")]
     group, table = rep.group, module_table(rep.module)
     mats = [rep.rho[g.mat] for g in group.elements]

@@ -75,10 +75,11 @@ def test_describe_is_none_outside_git(monkeypatch, error):
 def test_call_counts_reads_a_fresh_verify_all():
     tool = _load()
     counts = tool.call_counts(TOOL.parent.parent)
-    assert set(counts) == {"python_calls", "fractions_calls", "fourier_calls"}
+    assert set(counts) == {"python_calls", "fractions_calls", "fourier_calls", "cycq_calls"}
     # integer matrices are eliminated without Fractions: 32,038 calls when they were not
     assert 0 < counts["fractions_calls"] < 10_000 < counts["python_calls"]
     assert 0 < counts["fourier_calls"] < 100
+    assert 0 < counts["cycq_calls"] < 10_000
 
 
 def test_call_counts_fails_when_verify_all_fails(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triform import exact
 from triform.exact import (
     CycQ,
     OMEGA,
@@ -29,6 +30,7 @@ from triform.exact import (
     mat_vec,
     phase_multiplicities,
     root_of_unity,
+    trace_histogram,
 )
 
 
@@ -119,6 +121,24 @@ def test_matrix_basics():
     assert mat_eq(mat_pow(a, 3), mat_from_rows([[1, 3 * OMEGA], [0, 1]]))
 
 
+def test_mat_pow_squares_without_an_identity_product(monkeypatch):
+    a = mat_from_rows([[1, OMEGA], [0, OMEGA]])
+    products = [mat_identity(2)]
+    for _ in range(8):
+        products.append(mat_mul(products[-1], a))
+    calls = []
+    mul = exact.mat_mul
+    monkeypatch.setattr(exact, "mat_mul", lambda x, y: calls.append(1) or mul(x, y))
+    made = {}
+    for k, want in enumerate(products):
+        calls.clear()
+        assert mat_eq(mat_pow(a, k), want)
+        made[k] = len(calls)
+    assert made == {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 3}
+    with pytest.raises(ValueError, match="negative powers"):
+        mat_pow(a, -1)
+
+
 def test_dot_keeps_the_entry_type_and_gives_0_on_empty_rows(monkeypatch):
     assert dot((), ()) == 0 and type(dot((), ())) is int
     assert dot((2, -3), (5, 7)) == -11 and type(dot((2, -3), (5, 7))) is int
@@ -186,6 +206,27 @@ def test_phase_multiplicities_order_multiple_is_fine():
     mults = phase_multiplicities(a, 6)
     assert mults == {Fraction(0): 1, Fraction(2, 6): 1}
     assert alpha_invariant(mults) == Fraction(1, 3)
+
+
+def test_phase_multiplicities_on_the_image_of_a_projector():
+    a = mat_from_rows([[OMEGA, 0], [0, 1]])
+    assert phase_multiplicities(a, 3, mat_from_rows([[0, 0], [0, 1]])) == {Fraction(0): 1}
+    assert phase_multiplicities(a, 3, mat_from_rows([[1, 0], [0, 0]])) == {Fraction(1, 3): 1}
+    assert phase_multiplicities(a, 1, mat_from_rows([[0, 0], [0, 0]])) == {}
+    with pytest.raises(ValueError, match="m <= 2"):
+        phase_multiplicities(a, 2, mat_from_rows([[1, 0], [0, 0]]))
+
+
+@pytest.mark.parametrize("traces, dim, message", [
+    ([0, 1], 1, "multiplicity 1/2 for phase 0/2 is not a count"),
+    ([3, 1], 1, "multiplicity -1 for phase 1/2 is not a count"),
+    ([1, 1], 3, "phase multiplicities sum to 1, dimension is 3"),
+    ([OMEGA, 1, 1], 1, "non-rational multiplicity for phase 0/3"),
+], ids=["fraction", "negative", "sum", "irrational"])
+def test_trace_histogram_rejects_traces_that_give_no_counts(traces, dim, message):
+    with pytest.raises(ValueError) as info:
+        trace_histogram(traces, dim)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

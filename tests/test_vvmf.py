@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triform import exact, vvmf
 from triform.cli import _record_json
 from triform.exact import (
     alpha_invariant,
@@ -245,6 +246,24 @@ def test_alpha_st_matches_the_inverse_power_route_after_a_change_of_basis(rows):
                    mat_mul(p, mat_mul(PAPER.s_image, pinv)))
     for k in PAPER_REPORTS:
         assert dimension_report(spec, k).alpha_st == alpha_st_by_the_inverse(spec, k)
+
+
+def test_dimension_report_multiplies_few_matrices_over_q_zeta_3(monkeypatch):
+    """Traces on V+ replace padded operators: on the paper pair 6 products, 8
+    when each operator was padded to 1 off V+, and none over Q(zeta_12)."""
+    conductors = []
+    mul = exact.mat_mul
+
+    def counted(a, b):
+        conductors.append(max(getattr(x, "n", 1) for m in (a, b) for row in m for x in row))
+        return mul(a, b)
+
+    monkeypatch.setattr(exact, "mat_mul", counted)
+    monkeypatch.setattr(vvmf, "mat_mul", counted)
+    for k in (4, 5):
+        conductors.clear()
+        assert dimension_report(PAPER, k) == PAPER_REPORTS[k]
+        assert 0 < len(conductors) <= 6 and max(conductors) <= 3
 
 
 def test_dimension_report_fields_and_json():

@@ -726,10 +726,20 @@ def test_isotypic_subspace_rejects_a_character_value_outside_z_w(monkeypatch):
     chi = list(CHARACTER_TABLE[3])
     chi[CLASS_ORDER.index("S")] = (Fraction(1, 2), 0)
     monkeypatch.setitem(CHARACTER_TABLE, 3, tuple(chi))
-    with pytest.raises(RankError, match="not idempotent"):
-        isotypic_subspace(REP, 3)
     with pytest.raises(GroupTableError, match="orthogonality fails"):
         validate_character_table()
+    with pytest.raises(GroupTableError, match="orthogonality fails"):
+        isotypic_subspace(REP, 3)
+
+
+def test_isotypic_subspace_rejects_twice_a_character(monkeypatch):
+    # a row that passed validation but is 2 chi_3 sums 2 P, which is not idempotent
+    rows = validate_character_table()
+    doubled = [tuple((2 * x, 2 * y) for x, y in row) if i == 3 else row
+               for i, row in zip(CHARACTER_TABLE, rows)]
+    monkeypatch.setattr(weil, "validate_character_table", lambda: doubled)
+    with pytest.raises(RankError, match="not idempotent"):
+        isotypic_subspace(REP, 3)
 
 
 def test_special_vectors_all_checks():

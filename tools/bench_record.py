@@ -17,13 +17,14 @@ per-shape medians to resolve a change to one command.  Then each side gets
 one traced gauntlet run, one timed tier-1 test run, and one count of the
 Python calls of `verify-all` run in-process in a fresh interpreter
 (PYTHONHASHSEED=1, `sys.setprofile`): all of them, those into
-fractions.py and those of weil._fourier, counts that host load does not move.  A file holds the
+fractions.py, those of weil._fourier and those of the CycQ arithmetic
+methods, counts that host load does not move.  A file holds the
 context line run.py prints (commit, source digest and line count, Python
 and numpy versions, CPU count), per workload the median and quartiles of
 each end-to-end metric with every run's values, per sweep precision and per
 command shape the median wall time with every run's and the sha256 of the
 output, the traced per-layer metrics, the tier-1 wall time and summary, and
-the three call counts.
+the four call counts.
 Its `checkout` field is `git describe --always --dirty` of the side's
 directory, or null outside git: the context line's `commit` is HEAD, which a
 side recorded before its own commit shares with its parent.
@@ -51,13 +52,17 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 COUNT_CALLS = """
 import contextlib, io, sys
 from triform import cli
-counts = [0, 0, 0]
+counts = [0, 0, 0, 0]
+# the CycQ arithmetic of the tracer's exact.cycq_op leaf (__radd__ and __rmul__
+# run the code of __add__ and __mul__)
+cycq_ops = {"__add__", "__sub__", "__rsub__", "__mul__", "__neg__", "invert"}
 def profile(frame, event, arg):
     if event == "call":
         code = frame.f_code
         counts[0] += 1
         counts[1] += code.co_filename.endswith("fractions.py")
         counts[2] += code.co_name == "_fourier" and code.co_filename.endswith("weil.py")
+        counts[3] += code.co_name in cycq_ops and code.co_filename.endswith("exact.py")
 with contextlib.redirect_stdout(io.StringIO()):
     sys.setprofile(profile)
     rc = cli.main(["verify-all"])
@@ -126,13 +131,13 @@ def tier1(checkout: Path) -> dict:
 
 def call_counts(checkout: Path) -> dict:
     """Python calls of one in-process `verify-all` in a fresh interpreter:
-    all of them, those into fractions.py and those of the Weil layer's
-    Fourier transform, weil._fourier."""
+    all of them, those into fractions.py, those of the Weil layer's
+    Fourier transform, weil._fourier, and those of CycQ arithmetic."""
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": "1"}
     out = subprocess.run([sys.executable, "-c", COUNT_CALLS], cwd=checkout, env=env,
                          text=True, capture_output=True, check=True).stdout.split()
     return {"python_calls": int(out[0]), "fractions_calls": int(out[1]),
-            "fourier_calls": int(out[2])}
+            "fourier_calls": int(out[2]), "cycq_calls": int(out[3])}
 
 
 def main(argv=None) -> int:
