@@ -362,7 +362,12 @@ def run_checks() -> list[CheckResult]:
     sub = lambda: stage("isotypic_subspace", lambda: isotypic_subspace(rep()))
     svs = lambda: stage("special_vectors", lambda: special_vectors(rep()))
     rows = lambda: stage("sign_vector_rows", lambda: sign_vector_rows(rep(), sub(), svs()))
-    standard = lambda: next(sv for sv in svs() if sv.basis.alpha0 == (1, 0, 0, 0))
+
+    def standard():
+        for sv in svs():
+            if sv.basis.alpha0 == (1, 0, 0, 0):
+                return sv
+        raise ValueError("no sign vector on the basis 1000")
 
     def census():
         types = classify(module())
@@ -382,7 +387,8 @@ def run_checks() -> list[CheckResult]:
 
     def normalization():
         f00 = form().component("00")
-        leading = [_term(*form().component(label).leading()) for label in ("0", "1", "2")]
+        leading = [_term(*lead) if (lead := form().component(label).leading()) else "0"
+                   for label in ("0", "1", "2")]
         c = (2 * math.pi) ** 4 / 486
         a_coef, b_coef = form().weights
         sums = [_lattice_sum(*ab, 1.3j) / c for ab in ((0, 1), (1, 0), (1, 1), (1, 2))]

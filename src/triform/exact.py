@@ -12,8 +12,8 @@ for `mat_from_rows` (which lifts to CycQ), keep the entry type: ints stay
 ints, Fractions stay Fractions, CycQ stays CycQ.  One elimination serves
 rank, nullspace, solve, inverse and determinant: fraction-free over Z, on
 ints and on rows of Fractions scaled to ints, so that over Q only the values
-it returns are Fractions, and with one inverse per pivot over Q(zeta_n)
-(CycQ).  It rejects inexact entries such as floats with a TypeError.
+it returns are Fractions, and with one inverse per pivot over Q(zeta_n).  It,
+CycQ and `mat_from_rows` reject inexact entries such as floats (TypeError).
 """
 
 from __future__ import annotations
@@ -121,9 +121,11 @@ class CycQ:
         """The value sum_i coeffs[i] zeta_n^i / den, for den > 0."""
         if len(coeffs) != euler_phi(n) or den < 1:
             raise ValueError(f"need {euler_phi(n)} coefficients and den > 0 for conductor {n}")
-        qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
-        common = lcm(*(x.denominator for x in qs))
-        return CycQ._make(n, [x.numerator * (common // x.denominator) for x in qs],
+        for x in coeffs:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"exact coefficients are ints or Fractions, not {type(x).__name__}")
+        common = lcm(*(x.denominator for x in coeffs))
+        return CycQ._make(n, [x.numerator * (common // x.denominator) for x in coeffs],
                           int(den) * common)
 
     @staticmethod
@@ -327,7 +329,7 @@ Vector = tuple
 
 
 def mat_from_rows(rows) -> Matrix:
-    return tuple(tuple(CycQ._coerce(x) for x in row) for row in rows)
+    return tuple(tuple(x if isinstance(x, CycQ) else CycQ(1, [x]) for x in row) for row in rows)
 
 
 def mat_identity(k: int) -> Matrix:

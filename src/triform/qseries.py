@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .exact import CycQ, OMEGA, W_POWERS, mat_det, mat_solve
+from .exact import CycQ, OMEGA, W_POWERS, mat_solve
 
 
 class PrecisionError(ValueError):
@@ -177,9 +177,8 @@ def obstruction_eisenstein(precision: int) -> VVForm:
     # f_00 = a e1 + b esum, f_0 = (-a - 9b) e1 + (-3a - 7b) esum with
     # esum = e2 + e3 + e4; constants: f_00 -> -1/2, f_0 -> 0
     c1, cs = sieves[0][0][0], sum(x[0] for x, _ in sieves[1:])
+    # the sieve fixes c1 = 1/3 and cs = 0, so det = -9 c1^2 = -1: never singular
     constraints = ((c1, cs), (-c1 - 3 * cs, -9 * c1 - 7 * cs))
-    if mat_det(constraints) == 0:
-        raise ValueError("constant-term constraints are singular")
     a_coef, b_coef = mat_solve(constraints, (Fraction(-1, 2), 0))
 
     # each component as sum_i coef_i w^(p_i) e_i, one (coef_i, p_i) per e_i;

@@ -35,7 +35,7 @@ class RelationError(ValueError):
 
 
 class RankError(ValueError):
-    """An isotypic projector check failed: idempotence, rho-equivariance or integer trace."""
+    """An isotypic projector check failed: idempotence or rho-equivariance."""
 
 
 class InvarianceError(ValueError):
@@ -230,10 +230,9 @@ def _neg2(x: Mat2) -> Mat2:
 
 
 def _inv2(x: Mat2) -> Mat2:
+    # the adjugate, which is the inverse as det x = 1: every caller passes S, T
+    # or a product of them
     (a, b), (c, d) = x
-    det = (a * d - b * c) % 3
-    if det != 1:
-        raise ValueError("not in SL(2, F_3)")
     return ((d % 3, (-b) % 3), ((-c) % 3, a % 3))
 
 
@@ -312,13 +311,14 @@ def validate_character_table() -> list[tuple[tuple[int, int], ...]]:
     """First and second orthogonality for the frozen table, as integer sums
     in Z[w]; raises on failure and returns the rows it checked."""
     keys, rows, order = list(CHARACTER_TABLE), list(CHARACTER_TABLE.values()), sum(CLASS_SIZES)
+    n = len(CLASS_SIZES)
+    # row orthogonality is X D X* = |G| I, D the diagonal of class sizes; a square
+    # X is then invertible, so X* X = |G| D^-1, which is column orthogonality
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise GroupTableError(f"character table is not {n} x {n}")
     for (i, u), (j, v) in product(enumerate(rows), repeat=2):
         if _zw_pairing(u, v, CLASS_SIZES) != (order * (i == j), 0):
             raise GroupTableError(f"row orthogonality fails for ({keys[i]}, {keys[j]})")
-    for (c, u), (d, v) in product(enumerate(zip(*rows)), repeat=2):  # times |class c|
-        p, q = _zw_pairing(u, v, (1,) * len(rows))
-        if (p * CLASS_SIZES[c], q) != (order * (c == d), 0):
-            raise GroupTableError(f"column orthogonality fails for ({c}, {d})")
     return rows
 
 
@@ -498,12 +498,9 @@ def isotypic_subspace(rep: WeilRep, char_index: int = 3) -> IsotypicSubspace:
     if any((x + bias ^ bias) & masks[k] for x, k in zip(proj.a + proj.b, table.q * 2)) or not \
             _left(table, "S", proj) == _left(table, "S", proj.transpose()).transpose():
         raise RankError("isotypic operator does not commute with rho")
-    tr = proj.trace()
-    if not tr.is_rational() or tr.as_fraction().denominator != 1:
-        raise RankError(f"projector trace {tr!r} is not an integer")
-    # an idempotent over a field of characteristic 0 is diagonalizable with
-    # eigenvalues 0 and 1, so its rank is its trace
-    return IsotypicSubspace(proj, int(tr.as_fraction()))
+    # proj is idempotent (checked above) over a field of characteristic 0, so it is
+    # diagonalizable with eigenvalues 0 and 1: its trace is its rank, an integer
+    return IsotypicSubspace(proj, int(proj.trace().as_fraction()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from triform.borcherds import (
     short_root_divisor,
 )
 from triform.cli import _record_json
+from triform.exact import OMEGA
 from triform.fqm import paper_module
-from triform.qseries import obstruction_eisenstein
+from triform.qseries import QSeries, obstruction_eisenstein
 from triform.weil import build_weil, special_vectors
 
 
@@ -67,6 +68,15 @@ def test_deeper_divisor_reads_the_expansion(form):
     w = borcherds_weight(d, form)
     assert w == form.component("0").coeff_at(6).as_fraction()
     assert w != 0
+
+
+def test_an_irrational_pairing_coefficient_is_rejected(form):
+    # w at q^(2/3) in the long component, which the long divisor reads
+    f1 = QSeries({**form.component("1").coeffs, 2: OMEGA}, form.component("1").precision)
+    bent = form._replace(components={**form.components, "1": f1})
+    with pytest.raises(DivisorError) as info:
+        borcherds_weight(long_root_divisor(), bent)
+    assert str(info.value) == "non-rational pairing coefficient for 1"
 
 
 def test_obstruction_space_is_eisenstein_only():

@@ -502,6 +502,36 @@ def test_a_perturbed_f00_coefficient_fails_the_lattice_sum_oracle(monkeypatch):
         "oracle=relative deviation 1.622e-07")
 
 
+def _verify_all_fails(capsys, failed):
+    """verify-all prints its 14 lines and the summary, exits 1 and writes no
+    stderr, with exactly the checks `failed` failing; returns the lines by name."""
+    code, out, err = run(capsys, "verify-all")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 15 and lines[-1] == f"14 checks: {14 - len(failed)} passed, " \
+        f"{len(failed)} failed"
+    assert [line[7:].partition(":")[0] for line in lines if line.startswith("[FAIL]")] == failed
+    return {line[7:].partition(":")[0]: line for line in lines[:-1]}
+
+
+def test_an_empty_f_1_reads_0_and_fails_four_lines_without_a_traceback(monkeypatch, capsys):
+    _corrupt_output(monkeypatch, cli, "obstruction_eisenstein", lambda form: form._replace(
+        components={**form.components, "1": QSeries({}, 60)}))
+    lines = _verify_all_fails(capsys, ["eisenstein-normalization", "borcherds-weights",
+                                       "orthogonal-bases", "accounting"])
+    assert "got const=-1/2 f_0=270 q f_1=0 f_2=15 q^(1/3) f_00_q=15 oracle=ok (" \
+        in lines["eisenstein-normalization"]
+
+
+def test_no_sign_vector_on_the_basis_1000_fails_three_lines_without_a_traceback(
+        monkeypatch, capsys):
+    _corrupt_output(monkeypatch, weil, "special_vectors", lambda svs: tuple(
+        sv for sv in svs if sv.basis.alpha0 != (1, 0, 0, 0)))
+    lines = _verify_all_fails(capsys, ["special-vectors", "lift-witness", "numeric-transform"])
+    for name in ("lift-witness", "numeric-transform"):
+        assert "got no sign vector on the basis 1000 (" in lines[name]
+
+
 def _wrong_class_sizes(monkeypatch):
     monkeypatch.setattr(weil, "CLASS_SIZES", (2, 2, 6, 4, 4, 4, 2))
 

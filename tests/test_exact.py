@@ -326,6 +326,24 @@ def test_float_entries_are_rejected(a, data):
         mat_solve(a, (x,) + (0,) * (len(a) - 1))
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, complex(1, 0), "1"])
+def test_cycq_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(bad):
+    # Fraction(0.1) would store 0.1's binary expansion as an exact value
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        CycQ(3, [bad, 0])
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        CycQ.rational(bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0])
+def test_mat_from_rows_rejects_a_float_entry(bad):
+    # CycQ._coerce returns the NotImplemented sentinel, which must not become an entry
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        mat_from_rows([[1, OMEGA], [bad, 1]])
+    assert mat_from_rows([[1, Fraction(1, 2)]]) == (
+        (CycQ.rational(1), CycQ.rational(Fraction(1, 2))),)
+
+
 RATIONAL = st.builds(Fraction, SMALL, st.integers(1, 6))
 
 

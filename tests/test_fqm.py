@@ -233,6 +233,12 @@ def test_fifteen_orthogonal_bases():
         assert basis.rest == tuple(sorted(basis.rest))
 
 
+def test_the_bases_are_indexed_by_the_canonical_long_classes():
+    # what accounting_report once checked: one basis per canonical type-1 class
+    long = [x for x in classify(M)["1"] if canonical_sign(M, x) == x]
+    assert [basis.alpha0 for basis in orthogonal_bases(M)] == long
+
+
 def test_standard_basis_is_among_them():
     bases = orthogonal_bases(M)
     standard = OrthoBasis((1, 0, 0, 0), ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from test_fqm import valid_modules
-from triform.exact import OMEGA, CycQ, dot, mat_vec
+from triform.exact import OMEGA, CycQ, dot, mat_mul, mat_vec
 from triform.fqm import paper_module, reflect, type_of
 from triform.lattice import (
     DiscriminantData,
@@ -187,8 +187,22 @@ def test_long_root_induces_type_one_reflection():
     assert m.q(alpha) == Fraction(2, 3)  # the -4/3 class
     assert type_of(m, alpha) == "1"
     iso = reflection_minus_one(SPEC, r)
-    assert iso(r) == tuple(-v for v in r)
+    assert mat_vec(iso.matrix, r) == tuple(-v for v in r)
     assert data.induced_map(iso) == reflect(m, alpha).matrix
+
+
+def test_reflection_minus_one_negates_r_and_iota_r_and_is_an_involution():
+    # the facts its former runtime checks asserted, on every root with entries in
+    # {-1, 0, 1} in the negative blocks: the 18 short and the 108 long ones
+    roots = [r for r in itertools.product(range(-1, 2), repeat=8)
+             if not any(r[:2]) and dot(r, mat_vec(SPEC.gram, r)) in (-2, -4)]
+    assert len(roots) == 126
+    identity = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+    for r in roots:
+        m, ir = reflection_minus_one(SPEC, r).matrix, iota_apply(SPEC, r)
+        assert mat_vec(m, r) == tuple(-v for v in r)
+        assert mat_vec(m, ir) == tuple(-v for v in ir)
+        assert mat_mul(m, m) == identity
 
 
 def test_root_enumeration_in_box():

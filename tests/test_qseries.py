@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import triform
-from triform import cli
+from triform import cli, qseries
 from triform.exact import CycQ, OMEGA, root_of_unity
 from triform.fqm import paper_module
 from triform.qseries import (
@@ -284,6 +284,39 @@ def test_combination_leading_terms():
     assert f0.leading() == (3, CycQ.rational(270))
     assert f1.leading() == (2, CycQ.rational(135))
     assert f2.leading() == (1, CycQ.rational(15))
+
+
+@pytest.mark.parametrize("weights, message", [
+    # f_00 = a e1 + b esum has constant a / 3
+    ((Fraction(3, 2), Fraction(1, 6)), "zero-class constant term is not -1/2"),
+    # f_0 = (-a - 9b) e1 + ... has constant (-a - 9b) / 3
+    ((Fraction(-3, 2), Fraction(7, 6)), "isotropic-class constant term is not 0"),
+], ids=["zero-class", "isotropic-class"])
+def test_a_wrong_solve_fails_the_constant_term_checks(monkeypatch, weights, message):
+    monkeypatch.setattr(qseries, "mat_solve", lambda a, b: weights)  # the solved (a, b)
+    with pytest.raises(ValueError) as info:
+        obstruction_eisenstein(12)
+    assert str(info.value) == message
+
+
+def test_a_sieve_entry_off_its_residue_breaks_translation_equivariance(monkeypatch):
+    # e1 = (0, 1) lives on q^(3k/3); a term at q^(1/3) reaches f_00 first
+    sieve = qseries._divisor_sieve
+
+    def bumped(a, b, precision):
+        x, y = sieve(a, b, precision)
+        return ([*x[:1], x[1] + 1, *x[2:]] if (a, b) == (0, 1) else x), y
+
+    monkeypatch.setattr(qseries, "_divisor_sieve", bumped)
+    with pytest.raises(ValueError) as info:
+        obstruction_eisenstein(12)
+    assert str(info.value) == (
+        "component 00 has support at q^(1/3), breaking translation equivariance")
+
+
+def test_inexact_coefficients_are_rejected():
+    with pytest.raises(TypeError, match="ints or Fractions, not float"):
+        QSeries({1: 0.1}, 3)
 
 
 def test_component_support_residues():

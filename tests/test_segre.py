@@ -6,11 +6,17 @@ Quotients*, LNM 1637, 1996).  The sign vectors carry that structure: their
 Gram matrix is 8 times that of the 15 positive roots of A_5 (the roots
 e_i - e_j name the 15 duads {i, j} of six points), O(q) acts on their lines
 through S_6, and the 10 isotropic lines match the 10 splittings of the six
-points into two triples.  Everything here is read from `special_vector`,
-`orthogonal_bases`, `orthogonal_group` and `isotropic_incidence`.
+points into two triples.  The sign vectors span the chi_3 isotypic space,
+on which O(q) acts as the standard representation of S_6 on the six points;
+the chi_4 space carries its twist by the outer automorphism of S_6, the
+other 5-dimensional irreducible that has the same dimension and norm.
+Everything here is read from `special_vector`, `orthogonal_bases`,
+`orthogonal_group`, `isotropic_incidence` and `isotypic_subspace`.
 """
 
 import itertools
+from functools import cache
+from operator import getitem, itemgetter
 
 from triform.fqm import (
     canonical_sign,
@@ -20,7 +26,7 @@ from triform.fqm import (
     orthogonal_group,
     paper_module,
 )
-from triform.weil import special_vector, special_vector_rank
+from triform.weil import build_weil, isotypic_subspace, special_vector, special_vector_rank
 
 M = paper_module()
 BASES = orthogonal_bases(M)
@@ -144,3 +150,68 @@ def test_the_ten_isotropic_lines_match_the_ten_splittings():
                                for d in itertools.combinations(h, 2)}
         splittings.add(frozenset((frozenset(half), other)))
     assert len(splittings) == 10
+
+
+# the standard character fix - 1 of S_6 composed with its outer automorphism,
+# by cycle type (lengths above 1): the automorphism swaps the classes (2) and
+# (2, 2, 2), (3) and (3, 3), (6) and (3, 2), and fixes the other five
+OUTER_TWIST = {(): 5, (2,): -1, (2, 2): 1, (2, 2, 2): 3, (3,): -1, (3, 2): -1, (3, 3): 2,
+               (4,): 1, (4, 2): -1, (5,): 0, (6,): 0}
+
+
+def cycle_type(images) -> tuple[int, ...]:
+    seen, lengths = set(), []
+    for start in range(len(images)):
+        n, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, n = images[i], n + 1
+        lengths.append(n)
+    return tuple(sorted((n for n in lengths if n > 1), reverse=True))
+
+
+@cache
+def characters():
+    """Per g in O(q): its cycle type on the six 5-cliques, its fixed cliques,
+    and chi(g) = tr(P_g P) = sum_x P[x, g x] for the chi_3 and chi_4 projectors."""
+    group, rep = orthogonal_group(M), build_weil(M)
+    cliques, duads = six_points()
+    lines = {frozenset(i for i, x in enumerate(v) if x): k for k, v in enumerate(VECS)}
+    support = {k: itemgetter(*s) for s, k in lines.items()}
+    pairs = [sorted(c)[:2] for c in cliques]  # the two lines share no other clique
+    projectors = [isotypic_subspace(rep, i).projector for i in (3, 4)]
+    parts = [(*p.rows(), p.den) for p in projectors]
+    out = []
+    for perm in group.perm:
+        moved = {k: lines[frozenset(support[k](perm))] for pair in pairs for k in pair}
+        images = [next(iter(duads[moved[a]] & duads[moved[b]])) for a, b in pairs]
+        chis = []
+        for a, b, den in parts:
+            x, y = sum(map(getitem, a, perm)), sum(map(getitem, b, perm))
+            assert y == 0 and x % den == 0  # S_6 characters are integers
+            chis.append(x // den)
+        out.append((cycle_type(images), sum(i == c for c, i in enumerate(images)), *chis))
+    return tuple(out)
+
+
+def test_chi_3_is_the_standard_representation_on_the_six_points():
+    rows = characters()
+    assert len(rows) == 1440 and {ctype for ctype, *_ in rows} == set(OUTER_TWIST)
+    assert all(chi3 == fixed - 1 for _, fixed, chi3, _ in rows)
+
+
+def test_chi_4_is_the_outer_twist_of_the_standard_representation():
+    assert all(chi4 == OUTER_TWIST[ctype] for ctype, _, _, chi4 in characters())
+
+
+def test_the_outer_twist_table_does_not_fit_chi_3():
+    # the negative control: chi_3 and chi_4 differ on the classes the twist swaps
+    assert {ctype for ctype, _, chi3, _ in characters() if chi3 != OUTER_TWIST[ctype]} == {
+        (2,), (2, 2, 2), (3,), (3, 3), (6,), (3, 2)}
+
+
+def test_minus_one_acts_trivially_on_both_spaces():
+    # tr = dim for a finite-order operator means every eigenvalue is 1
+    t = module_table(M)
+    ctype, fixed, chi3, chi4 = characters()[orthogonal_group(M).perm.index(t.neg)]
+    assert (ctype, fixed, chi3, chi4) == ((), 6, 5, 5)

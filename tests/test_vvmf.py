@@ -72,6 +72,16 @@ def test_invalid_generators_rejected():
         RepSpec(((1, 0), (0, 1)), ((0, 1), (1, 0)))  # (ST)^3 != S^2
 
 
+@pytest.mark.parametrize("t, s", [
+    (((1, 0), (0, 1)), ((1,),)),  # S of another size
+    (((1, 0), (0,)), ((1, 0), (0, 1))),  # T not square
+], ids=["sizes-differ", "not-square"])
+def test_generators_of_the_wrong_shape_rejected(t, s):
+    with pytest.raises(DimensionError) as info:
+        RepSpec(t, s)
+    assert str(info.value) == "generator matrices must be square, same size"
+
+
 def test_infinite_t_order_rejected():
     # the defining 2-dimensional representation: T has infinite order
     # (odd weight keeps the eigenspace of S^2 = -1 nonzero)

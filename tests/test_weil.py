@@ -27,6 +27,7 @@ from triform.exact import (
 from triform.fqm import (
     DualMismatchError,
     PairingConventionError,
+    QuadraticModule,
     aggregated_action,
     classify,
     module_table,
@@ -239,6 +240,25 @@ def test_character_table_orthogonality():
     assert sum(d * d for d in dims) == 24
 
 
+def test_the_character_table_columns_are_orthogonal():
+    # what a square table with orthogonal rows implies: X* X = |G| D^-1
+    columns = list(zip(*CHARACTER_TABLE.values()))
+    for (c, u), (d, v) in itertools.product(enumerate(columns), repeat=2):
+        assert weil._zw_pairing(u, v, (1,) * len(columns)) == (
+            24 // CLASS_SIZES[c] * (c == d), 0)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda monkeypatch: monkeypatch.delitem(CHARACTER_TABLE, 7),  # six orthogonal rows
+    lambda monkeypatch: monkeypatch.setitem(CHARACTER_TABLE, 7, CHARACTER_TABLE[7][:6]),
+], ids=["missing-character", "short-row"])
+def test_validate_character_table_requires_a_square_table(monkeypatch, perturb):
+    perturb(monkeypatch)
+    with pytest.raises(GroupTableError) as info:
+        validate_character_table()
+    assert str(info.value) == "character table is not 7 x 7"
+
+
 # ---------------------------------------------------------------------------
 # the representation
 
@@ -272,6 +292,15 @@ def test_build_weil_reuses_the_certified_rho_s_and_its_square(monkeypatch):
     monkeypatch.setattr(weil, "_fourier", counting_fourier)
     assert build_weil(M).rho == REP.rho
     assert len(calls) == 8
+
+
+def test_build_weil_rejects_a_transform_that_is_not_rho_s(monkeypatch):
+    fourier = weil._fourier
+    monkeypatch.setattr(weil, "_fourier", lambda t, a, b: tuple(
+        tuple(-x for x in part) for part in fourier(t, a, b)))
+    with pytest.raises(RelationError) as info:
+        build_weil(M)
+    assert str(info.value) == "the Fourier transform is not rho(S)"
 
 
 def _full_cayley_table(rep):
@@ -417,6 +446,22 @@ def test_a_trace_outside_z_w_raises(monkeypatch):
     monkeypatch.setattr(OmegaMat, "trace", lambda self: CycQ(3, [1, 0], 2))
     with pytest.raises(RelationError, match=r"trace on class E is not in Z\[w\]"):
         character_decompose(REP)
+
+
+def test_a_trace_that_varies_on_a_class_raises():
+    # rho(S) swapped for rho(E): trace 81 on one element of the class S, 1 on the rest
+    rep = REP._replace(rho={**REP.rho, S_MAT: REP.rho[((1, 0), (0, 1))]})
+    with pytest.raises(RelationError) as info:
+        character_decompose(rep)
+    assert str(info.value) == "trace is not constant on class S"
+
+
+def test_multiplicities_that_miss_the_dimension_raise():
+    # the 81-dimensional traces against a module of order 3
+    rep = REP._replace(module=QuadraticModule((3,), (2,), ((2,),), 3))
+    with pytest.raises(RelationError) as info:
+        character_decompose(rep)
+    assert str(info.value) == "multiplicities do not add up to the dimension"
 
 
 @pytest.mark.parametrize("row, message", [
@@ -646,6 +691,16 @@ def test_aggregated_dual_rejects_a_consistent_wrong_count(monkeypatch):
     monkeypatch.setattr(fqm, "_pairing_counts", lambda t: {**table, ("1", "2"): (7, 11, 12)})
     with pytest.raises(DualMismatchError, match="aggregated S-action differs"):
         aggregated_dual(REP)
+
+
+def test_aggregated_action_rejects_a_diagonal_that_differs_from_the_display():
+    # one generator with q = 2/3: the types are 00 and 1, and the diagonal
+    # (1, conj(w)) = (1, w^2) differs from the display's (1, 1) in its second entry
+    module = QuadraticModule((3,), (2,), ((2,),), 3)
+    assert list(classify(module)) == ["00", "1"]
+    with pytest.raises(DualMismatchError) as info:
+        aggregated_action(module)
+    assert str(info.value) == "aggregated diagonal action differs from the display"
 
 
 def column_sum_dual(rep: WeilRep):
