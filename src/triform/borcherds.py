@@ -151,10 +151,7 @@ def accounting_report(module: QuadraticModule, form: VVForm) -> AccountingReport
     types = classify(module)
     bases = orthogonal_bases(module)
 
-    canon1 = [x for x in types["1"] if canonical_sign(module, x) == x]
     canon2 = [x for x in types["2"] if canonical_sign(module, x) == x]
-    # the long classes index the bases: orthogonal_bases builds one basis per
-    # canonical type-1 class, or raises BasisError
 
     incidence = Counter()
     for b in bases:
@@ -187,7 +184,9 @@ def accounting_report(module: QuadraticModule, form: VVForm) -> AccountingReport
 
     return AccountingReport(
         n_bases=len(bases),
-        long_pairs=len(canon1),
+        # the bases index the long classes: orthogonal_bases builds one basis
+        # per canonical type-1 class, or raises BasisError
+        long_pairs=len(bases),
         short_pairs=len(canon2),
         short_incidence=short_incidence,
         weight_long=weight_long,

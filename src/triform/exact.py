@@ -119,6 +119,8 @@ class CycQ:
 
     def __new__(cls, n: int, coeffs: Sequence[Fraction | int], den: int = 1):
         """The value sum_i coeffs[i] zeta_n^i / den, for den > 0."""
+        if not isinstance(den, int):
+            raise TypeError(f"exact denominators are ints, not {type(den).__name__}")
         if len(coeffs) != euler_phi(n) or den < 1:
             raise ValueError(f"need {euler_phi(n)} coefficients and den > 0 for conductor {n}")
         for x in coeffs:
@@ -126,7 +128,7 @@ class CycQ:
                 raise TypeError(f"exact coefficients are ints or Fractions, not {type(x).__name__}")
         common = lcm(*(x.denominator for x in coeffs))
         return CycQ._make(n, [x.numerator * (common // x.denominator) for x in coeffs],
-                          int(den) * common)
+                          den * common)
 
     @staticmethod
     def _make(n: int, num: list[int], den: int) -> "CycQ":

@@ -206,7 +206,7 @@ class DiscriminantData(NamedTuple):
 
     def digits(self, num, d: int) -> tuple[int, ...]:
         """Coordinates over the generators of the class of the dual vector num / d."""
-        if any(v % d for v in mat_vec(self.spec.gram, num)):
+        if len(num) != self.spec.rank or any(v % d for v in mat_vec(self.spec.gram, num)):
             raise LatticeError(f"{tuple(Fraction(v, d) for v in num)} is not in the dual lattice")
         # discriminant_form certified |det G| distinct classes, so they are all of
         # L*/L, of exponent den; num / d is in L*, so den num / d is integral and

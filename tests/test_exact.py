@@ -326,13 +326,15 @@ def test_float_entries_are_rejected(a, data):
         mat_solve(a, (x,) + (0,) * (len(a) - 1))
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, complex(1, 0), "1"])
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, 2.5, complex(1, 0), "1"])
 def test_cycq_rejects_a_coefficient_that_is_not_an_int_or_a_fraction(bad):
     # Fraction(0.1) would store 0.1's binary expansion as an exact value
     with pytest.raises(TypeError, match="ints or Fractions"):
         CycQ(3, [bad, 0])
     with pytest.raises(TypeError, match="ints or Fractions"):
         CycQ.rational(bad)
+    with pytest.raises(TypeError, match="exact denominators are ints"):
+        CycQ(3, [1, 0], bad)  # int(2.5) would truncate the denominator to 2
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0])

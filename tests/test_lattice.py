@@ -332,7 +332,8 @@ def test_digits_reads_classes_mod_l_and_rejects_non_dual_vectors():
         assert data.digits(*_numerators(shifted)) == x
     third, half = Fraction(1, 3), Fraction(1, 2)
     for num, d, c in (((1,) + (0,) * 7, 3, (third,) + (0,) * 7),
-                      ((2, 2) + (0,) * 6, 4, (half, half) + (0,) * 6)):
+                      ((2, 2) + (0,) * 6, 4, (half, half) + (0,) * 6),
+                      ((3,) * 7, 3, (1,) * 7)):  # one entry short of the rank
         with pytest.raises(LatticeError) as info:
             data.digits(num, d)  # rendered as the rational vector, in lowest terms
         assert str(info.value) == f"{tuple(map(Fraction, c))} is not in the dual lattice"

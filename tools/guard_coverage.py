@@ -2,11 +2,10 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/guard_coverage.py [pytest arguments]
+    python3 tools/guard_coverage.py
 
-It runs pytest on tests/ (or on the given arguments) in this process under a
-`sys.settrace` line tracer that traces only frames whose code lives in
-src/triform, then prints `N of M raise sites never run` and one
+It runs pytest on tests/ in this process under a `sys.settrace` line
+tracer that traces only frames whose code lives in src/triform, then prints `N of M raise sites never run` and one
 `module:line ExceptionName` per such site, in module and line order.  A
 site counts as run when any line of its `raise` statement ran.  A full run
 takes about 70 s on 2 cores (Python 3.11), so tier-1 tests only the AST
@@ -81,14 +80,13 @@ def traced_lines(package: Path, run) -> set[tuple[str, int]]:
     return {(Path(name).stem, line) for name, line in lines}
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     import pytest
 
-    args = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(PACKAGE.parent))
     code = []
     hits = traced_lines(PACKAGE, lambda: code.append(pytest.main(
-        ["-q", "-p", "no:cacheprovider", *(args or [str(ROOT / "tests")])])))
+        ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])))
     print(report(PACKAGE, hits))
     return int(code[0]) or int(not hits)
 
