@@ -184,8 +184,7 @@ def accounting_report(module: QuadraticModule, form: VVForm) -> AccountingReport
 
     return AccountingReport(
         n_bases=len(bases),
-        # the bases index the long classes: orthogonal_bases builds one basis
-        # per canonical type-1 class, or raises BasisError
+        # orthogonal_bases builds one basis per canonical type-1 class, or raises BasisError
         long_pairs=len(bases),
         short_pairs=len(canon2),
         short_incidence=short_incidence,
